@@ -1,5 +1,7 @@
 """Exact counting-measure, largeness and Engel-law computations on finite groups."""
 
+__version__ = "0.1.0"
+
 from .catalog import Catalog, CatalogEntry, bundled_catalog, parse_catalog
 from .engel import (
     CentralSeries,
@@ -27,7 +29,6 @@ from .groups import (
     inner_automorphism,
     inversion_automorphism,
     normal_core,
-    power,
     quaternion_group,
     semidirect_c3,
     symmetric_group,
@@ -60,5 +61,3 @@ from .wordsets import (
     splitting_set,
     torsion_set,
 )
-
-__version__ = "0.1.0"

@@ -27,6 +27,7 @@ from importlib import resources
 
 from .errors import FinhaarError, ParseError
 from .groups import (
+    DEFAULT_CLOSURE_CAP,
     automorphism_from_map,
     build_perm_group,
     build_table_group,
@@ -94,15 +95,20 @@ def parse_catalog_dict(doc, source="<dict>"):
                     isinstance(row, list) and len(row) == n,
                     f"{where}: table is not square",
                 )
+                _require(
+                    set(map(type, row)) == {int}, f"{where}: table entries must be integers"
+                )
             group = build_table_group(table, label=label)
         elif kind == "perm":
             degree = spec.get("degree")
             gens = spec.get("generators")
             _require(isinstance(degree, int) and degree >= 1, f"{where}: bad degree")
             _require(isinstance(gens, list), f"{where}: missing generators")
-            group = build_perm_group(
-                degree, gens, cap=spec.get("cap", 10_000), label=label
+            cap = spec.get("cap", DEFAULT_CLOSURE_CAP)
+            _require(
+                type(cap) is int and cap >= 1, f"{where}: cap must be a positive integer"
             )
+            group = build_perm_group(degree, gens, cap=cap, label=label)
         else:
             raise ParseError(f"{where}: kind must be 'table' or 'perm'")
         auts = {}
@@ -113,6 +119,9 @@ def parse_catalog_dict(doc, source="<dict>"):
             _require(isinstance(name, str) and name, f"{awhere}: missing name")
             _require(name not in auts, f"{awhere}: duplicate name {name!r}")
             _require(isinstance(aspec.get("map"), list), f"{awhere}: missing map")
+            _require(
+                set(map(type, aspec["map"])) <= {int}, f"{awhere}: map entries must be integers"
+            )
             aut = automorphism_from_map(group, aspec["map"], name=name)
             declared = aspec.get("order")
             if declared is not None and declared != aut.order:

@@ -1,8 +1,8 @@
 """Command-line driver: catalog in, deterministic reports out.
 
 Exit codes: 0 success, 1 operation error, 2 parse/validation error
-(argparse errors included), 3 when a verification command found a
-counterexample to a published law.
+(argparse errors and an unwritable --out included), 3 when a
+verification command found a counterexample to a published law.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .engel import (
 from .errors import OperationError, ParseError, ValidationError
 from .lattice import SUBGROUP_SCAN_LIMIT
 from .measure import (
+    DEFAULT_KLARGE_BUDGET,
+    DEFAULT_TUPLE_SPACE_BUDGET,
+    EXHAUSTIVE_ORDER_LIMIT,
     GroupFunction,
     average_translate_intersection,
     k_large_certificate,
@@ -43,28 +46,6 @@ from .wordsets import (
     splitting_set,
     torsion_set,
 )
-
-COMMANDS = (
-    "validate",
-    "measure",
-    "lambda",
-    "average",
-    "psi",
-    "klarge",
-    "torsion",
-    "inverted",
-    "splitting",
-    "witness",
-    "commute-cert",
-    "engel-cert",
-    "extract-abelian",
-    "extract-engel",
-    "engel",
-    "class",
-    "verify",
-    "tower",
-)
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -94,7 +75,7 @@ def build_parser():
     common.add_argument("--out", help="write the report to a file instead of stdout")
     common.add_argument("--format", choices=["json", "csv"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name, parents=[common])
         if name == "verify":
             p.add_argument(
@@ -174,17 +155,21 @@ def _map_entries(entries, fn, workers):
     return [fn(e) for e in entries]
 
 
-def _per_group(entries, explicit, args, spec, fn):
-    """Run fn(entry, word_set) per entry, skipping inapplicable ones."""
+def _per_group(entries, explicit, args, specs, fn):
+    """Run fn(entry, *word_sets) per entry, one word set per spec,
+    skipping entries where some spec does not apply."""
 
     def task(entry):
-        word, reason = _resolve_set(entry, spec)
-        if word is None:
-            if explicit:
-                raise OperationError(f"{entry.label}: {reason}")
-            return {"label": entry.label, "skipped": reason}
+        words = []
+        for spec in specs:
+            word, reason = _resolve_set(entry, spec)
+            if word is None:
+                if explicit:
+                    raise OperationError(f"{entry.label}: {reason}")
+                return {"label": entry.label, "skipped": reason}
+            words.append(word)
         out = {"label": entry.label}
-        out.update(fn(entry, word))
+        out.update(fn(entry, *words))
         return out
 
     return _map_entries(entries, task, args.workers)
@@ -230,7 +215,7 @@ def _cmd_measure(catalog, entries, explicit, args):
             "measure": word.measure,
         }
 
-    return _per_group(entries, explicit, args, spec, fn), False
+    return _per_group(entries, explicit, args, [spec], fn), False
 
 
 def _cmd_word_set(catalog, entries, explicit, args):
@@ -244,7 +229,7 @@ def _cmd_word_set(catalog, entries, explicit, args):
     def fn(entry, word):
         return jsonable(word)
 
-    return _per_group(entries, explicit, args, spec, fn), False
+    return _per_group(entries, explicit, args, [spec], fn), False
 
 
 def _cmd_lambda(catalog, entries, explicit, args):
@@ -254,53 +239,29 @@ def _cmd_lambda(catalog, entries, explicit, args):
     if xs is None:
         raise OperationError("--at is required for this command")
 
-    def task(entry):
-        words = []
-        for spec in args.sets:
-            word, reason = _resolve_set(entry, spec)
-            if word is None:
-                if explicit:
-                    raise OperationError(f"{entry.label}: {reason}")
-                return {"label": entry.label, "skipped": reason}
-            words.append(word)
+    def fn(entry, *words):
         _check_elements(entry.group, xs)
         value = translate_intersection_measure([w.subset for w in words], xs)
-        return {
-            "label": entry.label,
-            "sets": [w.spec_string() for w in words],
-            "at": xs,
-            "measure": value,
-        }
+        return {"sets": [w.spec_string() for w in words], "at": xs, "measure": value}
 
-    return _map_entries(entries, task, args.workers), False
+    return _per_group(entries, explicit, args, args.sets, fn), False
 
 
 def _cmd_average(catalog, entries, explicit, args):
     if not args.sets:
         raise OperationError("need at least one --set")
-    budget = args.budget if args.budget is not None else 10**8
+    budget = args.budget if args.budget is not None else DEFAULT_TUPLE_SPACE_BUDGET
 
-    def task(entry):
-        words = []
-        for spec in args.sets:
-            word, reason = _resolve_set(entry, spec)
-            if word is None:
-                if explicit:
-                    raise OperationError(f"{entry.label}: {reason}")
-                return {"label": entry.label, "skipped": reason}
-            words.append(word)
-        out = average_translate_intersection(
-            [w.subset for w in words], budget=budget
-        )
+    def fn(entry, *words):
+        out = average_translate_intersection([w.subset for w in words], budget=budget)
         return {
-            "label": entry.label,
             "sets": [w.spec_string() for w in words],
             "average": out.average,
             "product_of_measures": out.product_of_measures,
             "identity_holds": out.identity_holds,
         }
 
-    return _map_entries(entries, task, args.workers), False
+    return _per_group(entries, explicit, args, args.sets, fn), False
 
 
 def _cmd_psi(catalog, entries, explicit, args):
@@ -324,9 +285,12 @@ def _cmd_psi(catalog, entries, explicit, args):
 
 def _cmd_klarge(catalog, entries, explicit, args):
     spec = _single_set(args)
-    budget = args.budget if args.budget is not None else 10**7
+    budget = args.budget if args.budget is not None else DEFAULT_KLARGE_BUDGET
 
     def fn(entry, word):
+        order = entry.group.order
+        if args.strategy == "exhaustive" and order > EXHAUSTIVE_ORDER_LIMIT and not explicit:
+            return {"skipped": f"order {order} above exhaustive limit {EXHAUSTIVE_ORDER_LIMIT}"}
         cert = k_large_certificate(
             word.subset, args.k, strategy=args.strategy, budget=budget
         )
@@ -334,7 +298,7 @@ def _cmd_klarge(catalog, entries, explicit, args):
         out.update(jsonable(cert))
         return out
 
-    return _per_group(entries, explicit, args, spec, fn), False
+    return _per_group(entries, explicit, args, [spec], fn), False
 
 
 def _cmd_witness(catalog, entries, explicit, args):
@@ -347,7 +311,7 @@ def _cmd_witness(catalog, entries, explicit, args):
         out.update(jsonable(W))
         return out
 
-    return _per_group(entries, explicit, args, spec, fn), False
+    return _per_group(entries, explicit, args, [spec], fn), False
 
 
 def _cmd_pair_cert(catalog, entries, explicit, args):
@@ -379,7 +343,7 @@ def _cmd_pair_cert(catalog, entries, explicit, args):
             law_key: law_holds,
         }
 
-    return _per_group(entries, explicit, args, spec, fn), False
+    return _per_group(entries, explicit, args, [spec], fn), False
 
 
 def _cmd_extract(catalog, entries, explicit, args):
@@ -387,33 +351,20 @@ def _cmd_extract(catalog, entries, explicit, args):
     needed = "inverted" if args.command == "extract-abelian" else "splitting"
     if spec.partition(":")[0] != needed:
         raise OperationError(f"{args.command} needs a {needed}:* set, got {spec!r}")
-    aut_name = spec.partition(":")[2]
     limit = args.max_order if args.max_order is not None else SUBGROUP_SCAN_LIMIT
+    extract = (
+        extract_abelian_subgroup
+        if args.command == "extract-abelian"
+        else extract_engel_subgroup
+    )
 
-    def task(entry):
-        aut = entry.automorphisms.get(aut_name)
-        reason = None
-        if aut is None:
-            reason = f"no automorphism named {aut_name!r}"
-        elif needed == "splitting" and 3 % aut.order != 0:
-            reason = f"automorphism {aut_name!r} has order {aut.order}, not dividing 3"
-        if reason:
-            if explicit:
-                raise OperationError(f"{entry.label}: {reason}")
-            return {"label": entry.label, "skipped": reason}
-        extract = (
-            extract_abelian_subgroup
-            if args.command == "extract-abelian"
-            else extract_engel_subgroup
-        )
+    def fn(entry, word):
         report = extract(
-            entry.group, aut, mode=args.mode, length=args.length, limit=limit
+            entry.group, word.aut, mode=args.mode, length=args.length, limit=limit
         )
-        out = {"label": entry.label}
-        out.update(jsonable(report))
-        return out
+        return jsonable(report)
 
-    return _map_entries(entries, task, args.workers), False
+    return _per_group(entries, explicit, args, [spec], fn), False
 
 
 def _cmd_engel(catalog, entries, explicit, args):
@@ -554,8 +505,12 @@ def main(argv=None):
         return 1
     text = report.to_json() if args.format == "json" else report.to_csv()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"finhaar: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     print(f"finhaar: {report.command} in {report.timing_ms:.1f} ms", file=sys.stderr)

@@ -11,6 +11,7 @@ from typing import Optional
 
 from .errors import BudgetExceeded, GroupMismatch
 from .groups import FiniteGroup, Subgroup, generate_subgroup
+from .measure import Subset
 
 DEFAULT_TRIPLE_SCAN_LIMIT = 64
 
@@ -118,24 +119,6 @@ def lower_central_series(G, support=None):
     )
 
 
-def _cube_root_mask(G):
-    bits = 0
-    for g in G.elements():
-        if G.power(g, 3) == G.identity:
-            bits |= 1 << g
-    return bits
-
-
-def _left_translate_mask(G, x, bits):
-    row = G.left_row(x)
-    out, m = 0, bits
-    while m:
-        lsb = m & -m
-        out |= 1 << row[lsb.bit_length() - 1]
-        m ^= lsb
-    return out
-
-
 def verify_cube_law(G, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
     """Exhaustively confirm: eight cube conditions force [a, b, b] = 1.
 
@@ -150,8 +133,9 @@ def verify_cube_law(G, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
             f"{G.label}: cube-law scan capped at order {max_order} (|G| = {n})"
         )
     e = G.identity
-    T = _cube_root_mask(G)
-    translated = [_left_translate_mask(G, c, T) for c in G.elements()]
+    cube_roots = Subset.from_predicate(G, lambda g: G.power(g, 3) == e)
+    T = cube_roots.bits
+    translated = [cube_roots.left_translate(c).bits for c in G.elements()]
     qualifying = 0
     counterexample = None
     for a in G.elements():

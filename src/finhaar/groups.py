@@ -1,9 +1,14 @@
 """Finite groups on integer element indices.
 
-A group is stored as a Cayley table (table backend) or as a closure of
-permutations with deterministic breadth-first indexing (permutation
-backend).  All heavy operations work on plain ``int`` indices; the thin
-:class:`GroupElement` wrapper exists for ergonomic arithmetic.
+Every group keeps its full Cayley table as a list of lists, so ``mul``
+and ``left_row`` are plain lookups.  A group is given either by that
+table (table backend) or as a closure of permutations with
+deterministic breadth-first indexing (permutation backend), whose table
+is then composed once at construction.  Permutation closures stop at
+``DEFAULT_CLOSURE_CAP`` = 4096 elements unless a larger ``cap`` is
+passed: beyond that a dense table no longer fits comfortably.  All heavy
+operations work on plain ``int`` indices; the thin :class:`GroupElement`
+wrapper exists for ergonomic arithmetic.
 
 Groups, subgroups and automorphisms are immutable after construction and
 safe to share between threads.  Lazily cached attributes only memoise
@@ -35,11 +40,7 @@ EXHAUSTIVE_CHECK_LIMIT = 256
 SAMPLED_TRIPLES = 10_000
 SAMPLING_SEED = 2166
 
-DEFAULT_CLOSURE_CAP = 10_000
-
-# Dense Cayley tables are materialised for permutation groups up to this
-# order; larger groups multiply by composing stored permutations.
-TABLE_CACHE_LIMIT = 4096
+DEFAULT_CLOSURE_CAP = 4096
 
 
 class FiniteGroup:
@@ -64,26 +65,19 @@ class FiniteGroup:
             self._perms = [tuple(p) for p in perms]
             self._perm_index = {p: i for i, p in enumerate(self._perms)}
             self.order = len(self._perms)
-            self._table = None
-            if self.order <= TABLE_CACHE_LIMIT:
-                self._table = [
-                    [self._compose_idx(i, j) for j in range(self.order)]
-                    for i in range(self.order)
-                ]
+            # mul(i, j) applies permutation j first, then i.
+            self._table = [
+                [self._perm_index[tuple([p[x] for x in q])] for q in self._perms]
+                for p in self._perms
+            ]
         self.identity = self._find_identity()
         self._inv = self._find_inverses()
         if validate:
             self._check_associativity()
-        self._rows = {}
         self._abelian = None
         self._subgroups = None
 
     # -- construction internals ------------------------------------------
-
-    def _compose_idx(self, i, j):
-        # mul(i, j) applies permutation j first, then i.
-        p, q = self._perms[i], self._perms[j]
-        return self._perm_index[tuple(p[q[x]] for x in range(len(p)))]
 
     def _find_identity(self):
         n = self.order
@@ -97,14 +91,6 @@ class FiniteGroup:
 
     def _find_inverses(self):
         n, e = self.order, self.identity
-        if self._perms is not None and self._table is None:
-            inv = []
-            for p in self._perms:
-                q = [0] * len(p)
-                for x, px in enumerate(p):
-                    q[px] = x
-                inv.append(self._perm_index[tuple(q)])
-            return inv
         inv = [None] * n
         for x in range(n):
             for y in range(n):
@@ -117,7 +103,7 @@ class FiniteGroup:
 
     def _check_associativity(self):
         n = self.order
-        if self._table is not None and n <= EXHAUSTIVE_CHECK_LIMIT:
+        if n <= EXHAUSTIVE_CHECK_LIMIT:
             t = np.asarray(self._table, dtype=np.int64)
             for x in range(n):
                 lhs = t[t[x], :]        # (y, z) -> (x*y)*z
@@ -139,9 +125,7 @@ class FiniteGroup:
     # -- arithmetic --------------------------------------------------------
 
     def mul(self, i, j):
-        if self._table is not None:
-            return self._table[i][j]
-        return self._compose_idx(i, j)
+        return self._table[i][j]
 
     def inv(self, i):
         return self._inv[i]
@@ -171,13 +155,7 @@ class FiniteGroup:
 
     def left_row(self, x):
         """Row of the Cayley table: [x*g for g in elements]."""
-        if self._table is not None:
-            return self._table[x]
-        row = self._rows.get(x)
-        if row is None:
-            row = [self.mul(x, g) for g in range(self.order)]
-            self._rows[x] = row
-        return row
+        return self._table[x]
 
     def is_abelian(self):
         if self._abelian is None:
@@ -210,10 +188,8 @@ class FiniteGroup:
         return self._perm_index[tuple(perm)]
 
     def table(self):
-        """Full Cayley table as nested lists (built on demand)."""
-        if self._table is not None:
-            return [row[:] for row in self._table]
-        return [[self.mul(i, j) for j in range(self.order)] for i in range(self.order)]
+        """Full Cayley table as nested lists (a copy)."""
+        return [row[:] for row in self._table]
 
     def __len__(self):
         return self.order
@@ -259,11 +235,6 @@ class GroupElement:
 
     def __repr__(self):
         return f"<{self.group.label}[{self.idx}]>"
-
-
-def power(g, n):
-    """g**n for a GroupElement (negative and zero exponents allowed)."""
-    return g**n
 
 
 # -- constructors ------------------------------------------------------------
@@ -457,29 +428,26 @@ class Subgroup:
 
 
 def generate_subgroup(G, gens):
-    """Smallest subgroup of G containing ``gens`` (worklist closure)."""
+    """Smallest subgroup of G containing ``gens``.
+
+    Breadth-first closure of {identity} under right multiplication by
+    the generators alone; in a finite group the monoid this reaches is
+    already the subgroup, so inverses need no separate step.
+    """
     for g in gens:
         if not 0 <= g < G.order:
             raise ValueError(f"{G.label}: generator index {g} out of range")
-    members = {G.identity}
-    work = []
-    for g in gens:
-        if g not in members:
-            members.add(g)
-            work.append(g)
-    for g in list(work):
-        inv = G.inv(g)
-        if inv not in members:
-            members.add(inv)
-            work.append(inv)
-    while work:
-        x = work.pop()
-        for y in list(members):
-            for z in (G.mul(x, y), G.mul(y, x)):
-                if z not in members:
-                    members.add(z)
-                    work.append(z)
-    return Subgroup(G, members, generators=tuple(dict.fromkeys(gens)))
+    gens = tuple(dict.fromkeys(gens))
+    elems = [G.identity]
+    seen = {G.identity}
+    for x in elems:
+        row = G.left_row(x)
+        for g in gens:
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+    return Subgroup(G, elems, generators=gens)
 
 
 def normal_core(G, H):

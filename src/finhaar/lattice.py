@@ -1,9 +1,12 @@
 """Whole subgroup lattices of small groups.
 
 Enumeration starts from the cyclic subgroups and repeatedly extends
-known subgroups by one extra generator until nothing new appears.  This
-is exhaustive and only intended for the desk-scale orders the maximal
-searches are gated to.
+known subgroups by one extra generator until nothing new appears: a
+subgroup is extended by closing its own generators plus the new element,
+never its whole member list (the cyclic-extension method; Neubueser
+1960, Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005).  This is exhaustive and only intended for the desk-scale orders
+the maximal searches are gated to.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def all_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):
             for g in G.elements():
                 if g in sub:
                     continue
-                bigger = generate_subgroup(G, list(sub.members) + [g])
+                bigger = generate_subgroup(G, sub.generators + (g,))
                 if add(bigger):
                     next_frontier.append(bigger)
         frontier = next_frontier

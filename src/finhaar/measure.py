@@ -28,6 +28,16 @@ EXHAUSTIVE_ORDER_LIMIT = 24
 UNIT_BALL_SLACK = 1e-12
 
 
+def _map_bits(bits, image):
+    """Bitmask of {image[a] : a in bits}; ``image`` is an index list."""
+    out = 0
+    while bits:
+        lsb = bits & -bits
+        out |= 1 << image[lsb.bit_length() - 1]
+        bits ^= lsb
+    return out
+
+
 class Subset:
     """An immutable subset of a group, stored as an int bitmask."""
 
@@ -82,31 +92,16 @@ class Subset:
 
     def left_translate(self, x):
         """The set {x * a : a in self}."""
-        row = self.group.left_row(x)
-        bits, out = self.bits, 0
-        while bits:
-            lsb = bits & -bits
-            out |= 1 << row[lsb.bit_length() - 1]
-            bits ^= lsb
-        return Subset(self.group, out)
+        return Subset(self.group, _map_bits(self.bits, self.group.left_row(x)))
 
     def right_translate(self, x):
+        """The set {a * x : a in self}."""
         G = self.group
-        bits, out = self.bits, 0
-        while bits:
-            lsb = bits & -bits
-            out |= 1 << G.mul(lsb.bit_length() - 1, x)
-            bits ^= lsb
-        return Subset(G, out)
+        return Subset(G, _map_bits(self.bits, [G.mul(a, x) for a in G.elements()]))
 
     def inverse_set(self):
         G = self.group
-        bits, out = self.bits, 0
-        while bits:
-            lsb = bits & -bits
-            out |= 1 << G.inv(lsb.bit_length() - 1)
-            bits ^= lsb
-        return Subset(G, out)
+        return Subset(G, _map_bits(self.bits, [G.inv(a) for a in G.elements()]))
 
     def is_symmetric(self):
         return self.bits == self.inverse_set().bits
@@ -158,20 +153,6 @@ def format_rational(q):
     return f"{f.numerator}/{f.denominator}"
 
 
-def _translate_masks(A):
-    """Bitmask of x*A for every x, as a list indexed by x."""
-    G = A.group
-    out = [0] * G.order
-    idxs = A.indices()
-    for x in G.elements():
-        row = G.left_row(x)
-        m = 0
-        for a in idxs:
-            m |= 1 << row[a]
-        out[x] = m
-    return out
-
-
 def translate_intersection_measure(sets, xs):
     """Exact measure of x_1 A_1 ∩ ... ∩ x_n A_n."""
     if len(sets) != len(xs) or not sets:
@@ -219,7 +200,7 @@ def average_translate_intersection(sets, budget=DEFAULT_TUPLE_SPACE_BUDGET):
         raise TupleSpaceTooLarge(
             f"{G.order}^{n} translate tuples exceed budget {budget}"
         )
-    per_set_masks = [_translate_masks(A) for A in sets]
+    per_set_masks = [[A.left_translate(x).bits for x in G.elements()] for A in sets]
     full = (1 << G.order) - 1
     total = 0
     last = per_set_masks[-1]

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import __version__
 from .engel import CentralSeries, CommutatorReport
 from .groups import Subgroup
 from .measure import LargenessCertificate, Subset, format_rational
@@ -24,7 +25,6 @@ from .wordsets import (
 )
 
 TOOL_NAME = "finhaar"
-TOOL_VERSION = "0.1.0"
 
 
 def jsonable(obj):
@@ -61,7 +61,7 @@ def jsonable(obj):
             "members": obj.subset.indices(),
         }
     if isinstance(obj, CosetWitness):
-        return {
+        out = {
             "subgroup": jsonable(obj.subgroup),
             "t": obj.t,
             "coset": sorted(
@@ -69,6 +69,9 @@ def jsonable(obj):
             ),
             "valid": obj.validate(),
         }
+        if obj.fallback is not None:
+            out["fallback"] = obj.fallback
+        return out
     if isinstance(obj, LargenessCertificate):
         return {
             "k": obj.k,
@@ -141,7 +144,7 @@ class Report:
 
     def payload(self):
         return {
-            "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+            "tool": {"name": TOOL_NAME, "version": __version__},
             "catalog": self.catalog,
             "command": self.command,
             "parameters": jsonable(self.parameters),

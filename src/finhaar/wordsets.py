@@ -52,22 +52,16 @@ def torsion_set(G, n):
     """Solutions of x^n = identity."""
     if n < 1:
         raise ValueError("exponent must be >= 1")
-    bits = 0
-    for g in G.elements():
-        if G.power(g, n) == G.identity:
-            bits |= 1 << g
-    return WordSet(group=G, kind="torsion", subset=Subset(G, bits), exponent=n)
+    subset = Subset.from_predicate(G, lambda g: G.power(g, n) == G.identity)
+    return WordSet(group=G, kind="torsion", subset=subset, exponent=n)
 
 
 def inverted_set(G, aut):
     """Elements sent to their inverse by the automorphism."""
     if aut.group is not G:
         raise WrongKind("automorphism belongs to a different group")
-    bits = 0
-    for g in G.elements():
-        if aut.map[g] == G.inv(g):
-            bits |= 1 << g
-    return WordSet(group=G, kind="inverted", subset=Subset(G, bits), aut=aut)
+    subset = Subset.from_predicate(G, lambda g: aut.map[g] == G.inv(g))
+    return WordSet(group=G, kind="inverted", subset=subset, aut=aut)
 
 
 def splitting_set(G, aut):
@@ -79,11 +73,10 @@ def splitting_set(G, aut):
             f"{G.label}/{aut.name}: order {aut.order} does not divide 3"
         )
     second = aut.map_power(2)
-    bits = 0
-    for g in G.elements():
-        if G.mul(G.mul(second[g], aut.map[g]), g) == G.identity:
-            bits |= 1 << g
-    return WordSet(group=G, kind="splitting", subset=Subset(G, bits), aut=aut)
+    subset = Subset.from_predicate(
+        G, lambda g: G.mul(G.mul(second[g], aut.map[g]), g) == G.identity
+    )
+    return WordSet(group=G, kind="splitting", subset=subset, aut=aut)
 
 
 # -- coset witnesses -----------------------------------------------------------
@@ -91,12 +84,17 @@ def splitting_set(G, aut):
 
 @dataclass(frozen=True)
 class CosetWitness:
-    """A subgroup H and an element t with the whole coset tH inside the target."""
+    """A subgroup H and an element t with the whole coset tH inside the target.
+
+    ``fallback`` says why the trivial witness was returned without a
+    search; it is None for a searched witness.
+    """
 
     group: object
     subgroup: Subgroup
     t: int
     target: WordSet
+    fallback: Optional[str] = None
 
     def validate(self):
         G = self.group
@@ -111,7 +109,7 @@ def coset_witness(X, limit=SUBGROUP_SCAN_LIMIT):
 
     Scans the whole subgroup lattice (group order capped by ``limit``;
     beyond the cap the always-valid fallback ({identity}, least element
-    of X) is returned).  Ties break to the lexicographically smallest
+    of X) is returned, marked with its reason).  Ties break to the lexicographically smallest
     member tuple, then the least t.
     """
     G = X.group
@@ -125,6 +123,7 @@ def coset_witness(X, limit=SUBGROUP_SCAN_LIMIT):
             subgroup=Subgroup(G, [G.identity]),
             t=members_of_x[0],
             target=X,
+            fallback=f"subgroup scan capped at order {limit}",
         )
     ranked = sorted(all_subgroups(G, limit), key=lambda s: (-s.size, s.members))
     for H in ranked:
@@ -135,26 +134,6 @@ def coset_witness(X, limit=SUBGROUP_SCAN_LIMIT):
 
 
 # -- pair certificates ----------------------------------------------------------
-
-
-class _TranslateCache:
-    """Lazily computed left translates c * X as bitmasks."""
-
-    def __init__(self, subset):
-        self.group = subset.group
-        self.base = subset.bits
-        self.indices = subset.indices()
-        self._masks = {}
-
-    def mask(self, c):
-        m = self._masks.get(c)
-        if m is None:
-            row = self.group.left_row(c)
-            m = 0
-            for a in self.indices:
-                m |= 1 << row[a]
-            self._masks[c] = m
-        return m
 
 
 def _least_bit(mask):
@@ -169,15 +148,11 @@ def commuting_certificate(X, a, b):
     """
     if X.kind != "inverted":
         raise WrongKind(f"need an inverted set, got {X.kind}")
-    G = X.group
-    cache = _TranslateCache(X.subset)
+    G, A = X.group, X.subset
     ab = G.mul(a, b)
-    mask = (
-        X.subset.bits
-        & cache.mask(G.inv(b))
-        & cache.mask(G.inv(a))
-        & cache.mask(G.inv(ab))
-    )
+    mask = A.bits
+    for c in (G.inv(b), G.inv(a), G.inv(ab)):
+        mask &= A.left_translate(c).bits
     if not mask:
         return None
     witness = _least_bit(mask)
@@ -196,20 +171,12 @@ def engel_pair_certificate(X, a, b):
     """
     if X.kind != "splitting":
         raise WrongKind(f"need a splitting set, got {X.kind}")
-    G = X.group
-    cache = _TranslateCache(X.subset)
+    G, A = X.group, X.subset
     inv_a, inv_b = G.inv(a), G.inv(b)
     ab = G.mul(a, b)
-    mask = (
-        X.subset.bits
-        & cache.mask(inv_b)
-        & cache.mask(a)
-        & cache.mask(inv_a)
-        & cache.mask(G.mul(a, inv_b))
-        & cache.mask(G.mul(b, inv_a))
-        & cache.mask(ab)
-        & cache.mask(G.inv(ab))
-    )
+    mask = A.bits
+    for c in (inv_b, a, inv_a, G.mul(a, inv_b), G.mul(b, inv_a), ab, G.inv(ab)):
+        mask &= A.left_translate(c).bits
     if not mask:
         return None
     witness = _least_bit(mask)

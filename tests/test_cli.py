@@ -253,3 +253,72 @@ def test_all_commands_deterministic(capsys, argv):
     code4, out4 = run(capsys, argv + ["--workers", "4"])
     assert code4 == 0
     assert out4 == out1
+
+
+def test_klarge_exhaustive_skips_large_groups(capsys):
+    argv = ["klarge", "--set", "torsion:2", "--k", "2", "--strategy", "exhaustive"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    results = {r["label"]: r for r in payload(out)["results"]}
+    for label in ("Heis27", "Z27"):
+        assert results[label] == {
+            "label": label,
+            "skipped": "order 27 above exhaustive limit 24",
+        }
+    code, out = run(capsys, argv + ["--group", "S4"])
+    assert code == 0
+    assert payload(out)["results"] == [results["S4"]]
+    code, _ = run(capsys, argv + ["--group", "Heis27"])
+    assert code == 1
+
+
+def test_witness_fallback_is_marked(capsys):
+    argv = ["witness", "--set", "torsion:2", "--group", "S3"]
+    code, out = run(capsys, argv + ["--max-order", "4"])
+    assert code == 0
+    (res,) = payload(out)["results"]
+    assert res["fallback"] == "subgroup scan capped at order 4"
+    assert res["subgroup"]["members"] == [0] and res["valid"]
+    code, out = run(capsys, argv)
+    assert "fallback" not in payload(out)["results"][0]
+
+
+_S3_GENS = [[1, 0, 2], [1, 2, 0]]
+
+
+@pytest.mark.parametrize(
+    "group, extra",
+    [
+        ({"label": "Z2", "kind": "table", "table": [[0, 1], [1.7, 0]]}, []),
+        ({"label": "Z2", "kind": "table", "table": [[0, 1], ["a", 0]]}, []),
+        ({"label": "S3", "kind": "perm", "degree": 3, "generators": _S3_GENS, "cap": "x"}, []),
+        (
+            {"label": "Z2", "kind": "table", "table": [[0, 1], [1, 0]],
+             "automorphisms": [{"name": "x", "map": [0, 1.7]}]},
+            [],
+        ),
+        (
+            {"label": "S7", "kind": "perm", "degree": 7,
+             "generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]},
+            [],
+        ),
+        ({"label": "S3", "kind": "perm", "degree": 3, "generators": _S3_GENS}, ["--out"]),
+    ],
+    ids=[
+        "float-entry",
+        "string-entry",
+        "string-cap",
+        "float-aut-map",
+        "above-default-cap",
+        "out-missing-dir",
+    ],
+)
+def test_bad_input_exits_2_with_message(tmp_path, capsys, group, extra):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"groups": [group]}))
+    if extra:
+        extra = extra + [str(tmp_path / "missing" / "report.json")]
+    code = main(["validate", "--catalog", str(path)] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("finhaar: ")

@@ -1,0 +1,49 @@
+"""Property tests for set translates on S4 and D16."""
+
+import pytest
+
+from finhaar.groups import dihedral_group, symmetric_group
+from finhaar.measure import Subset
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+GROUPS = {"S4": symmetric_group(4), "D16": dihedral_group(8)}
+
+
+@st.composite
+def subset_and_points(draw):
+    G = GROUPS[draw(st.sampled_from(sorted(GROUPS)))]
+    bits = draw(st.integers(0, (1 << G.order) - 1))
+    x = draw(st.integers(0, G.order - 1))
+    y = draw(st.integers(0, G.order - 1))
+    return Subset(G, bits), x, y
+
+
+SETTINGS = hypothesis.settings(max_examples=200, deadline=None)
+
+
+@SETTINGS
+@hypothesis.given(subset_and_points())
+def test_left_translates_compose(data):
+    A, x, y = data
+    G = A.group
+    assert A.left_translate(x).left_translate(y) == A.left_translate(G.mul(y, x))
+
+
+@SETTINGS
+@hypothesis.given(subset_and_points())
+def test_inverse_set_is_an_involution(data):
+    A, _, _ = data
+    G = A.group
+    assert A.inverse_set().inverse_set() == A
+    inverses = {b for a in A.indices() for b in G.elements() if G.mul(a, b) == G.identity}
+    assert A.inverse_set() == Subset.from_indices(G, inverses)
+
+
+@SETTINGS
+@hypothesis.given(subset_and_points())
+def test_right_translate_is_the_set_of_products(data):
+    A, x, _ = data
+    G = A.group
+    assert A.right_translate(x) == Subset.from_indices(G, {G.mul(a, x) for a in A.indices()})
