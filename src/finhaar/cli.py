@@ -16,6 +16,7 @@ import numpy as np
 
 from .catalog import bundled_catalog, parse_catalog
 from .engel import (
+    DEFAULT_TRIPLE_SCAN_LIMIT,
     is_2engel,
     left_normed_idx,
     lower_central_series,
@@ -47,6 +48,20 @@ from .wordsets import (
     torsion_set,
 )
 
+
+def _min_int(option, low):
+    """argparse type for an integer >= ``low``.  Its ParseError is not
+    caught by argparse, so ``main`` reports it with exit code 2."""
+    def parse(text):
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise ParseError(f"{option} must be an integer >= {low}, got {text!r}")
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="finhaar",
@@ -63,14 +78,16 @@ def build_parser():
         help="word set: torsion:N | inverted:AUT | splitting:AUT (repeatable)",
     )
     common.add_argument("--mode", choices=["proof", "direct", "both"], default="both")
-    common.add_argument("--k", type=int, default=1)
+    common.add_argument("--k", type=_min_int("--k", 1), default=1)
     common.add_argument("--strategy", choices=["greedy", "exhaustive"], default="greedy")
-    common.add_argument("--max-order", type=int, default=None)
-    common.add_argument("--budget", type=int, default=None)
+    common.add_argument("--max-order", type=_min_int("--max-order", 1), default=None)
+    common.add_argument("--budget", type=_min_int("--budget", 0), default=None)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--at", help="comma separated element indices")
-    common.add_argument("--n", type=int, default=2, help="function count for psi")
-    common.add_argument("--length", type=int, default=2, help="product length in proof mode")
+    common.add_argument("--n", type=_min_int("--n", 1), default=2, help="psi function count")
+    common.add_argument(
+        "--length", type=_min_int("--length", 1), default=2, help="product length in proof mode"
+    )
     common.add_argument("--workers", type=int, default=1)
     common.add_argument("--out", help="write the report to a file instead of stdout")
     common.add_argument("--format", choices=["json", "csv"], default="json")
@@ -265,8 +282,6 @@ def _cmd_average(catalog, entries, explicit, args):
 
 
 def _cmd_psi(catalog, entries, explicit, args):
-    if args.n < 1:
-        raise OperationError("--n must be >= 1")
     xs_fixed = _parse_at(args, expected=args.n)
 
     def task(entry):
@@ -386,7 +401,7 @@ def _cmd_class(catalog, entries, explicit, args):
 
 
 def _cmd_verify(catalog, entries, explicit, args):
-    max_order = args.max_order if args.max_order is not None else 64
+    max_order = args.max_order if args.max_order is not None else DEFAULT_TRIPLE_SCAN_LIMIT
     check = (
         verify_cube_law if args.law == "lemma-2engel" else verify_engel_consequences
     )
@@ -494,8 +509,8 @@ def run_command(args):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         report, finding = run_command(args)
     except (ParseError, ValidationError) as exc:
         print(f"finhaar: {exc}", file=sys.stderr)

@@ -10,6 +10,11 @@ passed: beyond that a dense table no longer fits comfortably.  All heavy
 operations work on plain ``int`` indices; the thin :class:`GroupElement`
 wrapper exists for ergonomic arithmetic.
 
+Validation is exact at every order, with no sampling: associativity by
+Light's test (Clifford and Preston 1961) and maps between groups by
+``check_homomorphism``, both on a greedy generating set of at most
+log2(order) elements.
+
 Groups, subgroups and automorphisms are immutable after construction and
 safe to share between threads.  Lazily cached attributes only memoise
 pure recomputations.
@@ -17,10 +22,7 @@ pure recomputations.
 
 from __future__ import annotations
 
-import random
 from functools import reduce
-
-import numpy as np
 
 from .errors import (
     CapExceeded,
@@ -34,12 +36,6 @@ from .errors import (
     OrderNotDividing3,
 )
 
-# Beyond this order the O(n^3) associativity check and the O(n^2)
-# multiplicativity check switch to seeded sampling.
-EXHAUSTIVE_CHECK_LIMIT = 256
-SAMPLED_TRIPLES = 10_000
-SAMPLING_SEED = 2166
-
 DEFAULT_CLOSURE_CAP = 4096
 
 
@@ -48,9 +44,11 @@ class FiniteGroup:
 
     ``mul`` and ``inv`` are total on indices; ``identity`` is the index
     of the neutral element.  ``backend`` is "table" or "permutation".
+    ``generators`` adds, in index order, each element the closure so far
+    misses; each one at least doubles the closure.
     """
 
-    def __init__(self, label, table=None, perms=None, validate=True):
+    def __init__(self, label, table=None, perms=None):
         if table is None and perms is None:
             raise ValueError("need a Cayley table or a permutation list")
         self.label = label
@@ -72,8 +70,12 @@ class FiniteGroup:
             ]
         self.identity = self._find_identity()
         self._inv = self._find_inverses()
-        if validate:
-            self._check_associativity()
+        closure = generate_subgroup(self, ())
+        for x in range(self.order):
+            if x not in closure:
+                closure = generate_subgroup(self, closure.generators + (x,))
+        self.generators = closure.generators
+        self._check_associativity()
         self._abelian = None
         self._subgroups = None
 
@@ -90,37 +92,26 @@ class FiniteGroup:
         raise NoIdentity(f"{self.label}: no two-sided identity")
 
     def _find_inverses(self):
-        n, e = self.order, self.identity
-        inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if self.mul(x, y) == e and self.mul(y, x) == e:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise NoInverse(f"{self.label}: element {x} has no inverse")
+        t, e = self._table, self.identity
+        inv = [
+            next((y for y, xy in enumerate(row) if xy == e and t[y][x] == e), None)
+            for x, row in enumerate(t)
+        ]
+        if None in inv:
+            raise NoInverse(f"{self.label}: element {inv.index(None)} has no inverse")
         return inv
 
     def _check_associativity(self):
-        n = self.order
-        if n <= EXHAUSTIVE_CHECK_LIMIT:
-            t = np.asarray(self._table, dtype=np.int64)
-            for x in range(n):
-                lhs = t[t[x], :]        # (y, z) -> (x*y)*z
-                rhs = t[x][t]           # (y, z) -> x*(y*z)
-                if not np.array_equal(lhs, rhs):
-                    y, z = map(int, np.argwhere(lhs != rhs)[0])
-                    raise NotAssociative(
-                        f"{self.label}: ({x}*{y})*{z} != {x}*({y}*{z})"
-                    )
-        else:
-            rng = random.Random(SAMPLING_SEED)
-            for _ in range(SAMPLED_TRIPLES):
-                x, y, z = (rng.randrange(n) for _ in range(3))
-                if self.mul(self.mul(x, y), z) != self.mul(x, self.mul(y, z)):
-                    raise NotAssociative(
-                        f"{self.label}: ({x}*{y})*{z} != {x}*({y}*{z})"
-                    )
+        """Light's test: (x*g)*z == x*(g*z) for all x, z and each generator g;
+        exact, because the g that pass are closed under products."""
+        t = self._table
+        for g in self.generators:
+            column = t[g]
+            for x, row in enumerate(t):
+                lhs, rhs = t[row[g]], [row[v] for v in column]
+                if lhs != rhs:
+                    z = next(z for z, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                    raise NotAssociative(f"{self.label}: ({x}*{g})*{z} != {x}*({g}*{z})")
 
     # -- arithmetic --------------------------------------------------------
 
@@ -464,7 +455,18 @@ def normal_core(G, H):
     return Subgroup(G, core, generators=())
 
 
-# -- automorphisms ------------------------------------------------------------
+# -- homomorphisms and automorphisms -------------------------------------------
+
+
+def check_homomorphism(source, target, phi, what):
+    """Raise NotMultiplicative unless the index list ``phi`` has
+    phi(x*g) == phi(x)*phi(g) for all x and each generator g of ``source``.
+    That is exact: the g that pass are closed under products."""
+    for g in source.generators:
+        image = phi[g]
+        for x, row in enumerate(source._table):
+            if phi[row[g]] != target.mul(phi[x], image):
+                raise NotMultiplicative(f"{what}: map(x*y) != map(x)*map(y) at ({x},{g})")
 
 
 class Automorphism:
@@ -472,12 +474,11 @@ class Automorphism:
 
     __slots__ = ("group", "map", "order", "name")
 
-    def __init__(self, group, mapping, name="aut", validate=True):
+    def __init__(self, group, mapping, name="aut"):
         self.group = group
         self.map = tuple(int(v) for v in mapping)
         self.name = name
-        if validate:
-            self._validate()
+        self._validate()
         self.order = self._compute_order()
 
     def _validate(self):
@@ -487,16 +488,7 @@ class Automorphism:
             raise NotBijective(f"{G.label}/{self.name}: map is not a permutation of indices")
         if m[G.identity] != G.identity:
             raise NotMultiplicative(f"{G.label}/{self.name}: identity not fixed")
-        if n <= EXHAUSTIVE_CHECK_LIMIT:
-            pairs = ((x, y) for x in range(n) for y in range(n))
-        else:
-            rng = random.Random(SAMPLING_SEED)
-            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(SAMPLED_TRIPLES))
-        for x, y in pairs:
-            if m[G.mul(x, y)] != G.mul(m[x], m[y]):
-                raise NotMultiplicative(
-                    f"{G.label}/{self.name}: map(x*y) != map(x)*map(y) at ({x},{y})"
-                )
+        check_homomorphism(G, G, m, f"{G.label}/{self.name}")
 
     def _compute_order(self):
         ident = tuple(range(self.group.order))

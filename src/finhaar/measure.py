@@ -344,23 +344,23 @@ class _TupleBudget:
             )
 
 
-def _valid_extension(base_bits, masks, members, new_members, k, budget):
-    """Check k-tuples over ``members`` that involve a new member.
+def _valid_extension(base_bits, masks, old, new, k, budget):
+    """Check the k-tuples over ``old`` and ``new`` that involve a new member.
 
     Intersection is order independent, so unordered tuples with
-    repetition suffice; previously checked tuples are skipped.
+    repetition suffice: j >= 1 new members, then k - j old ones, which
+    enumerates exactly the tuples not checked before.
     """
-    new_set = set(new_members)
-    ordered = sorted(members)
-    for tup in itertools.combinations_with_replacement(ordered, k):
-        if not new_set.intersection(tup):
-            continue
-        budget.spend(1)
-        acc = base_bits
-        for u in tup:
-            acc &= masks[u]
-            if not acc:
-                return False
+    new, old = sorted(new), sorted(old)
+    for j in range(1, k + 1):
+        for head in itertools.combinations_with_replacement(new, j):
+            for tail in itertools.combinations_with_replacement(old, k - j):
+                budget.spend(1)
+                acc = base_bits
+                for u in head + tail:
+                    acc &= masks[u]
+                    if not acc:
+                        return False
     return True
 
 
@@ -392,7 +392,7 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
     mask_of(e)
     if strategy == "greedy":
         members = {e}
-        if not _valid_extension(A.bits, masks, members, [e], k, tracker):
+        if not _valid_extension(A.bits, masks, (), members, k, tracker):
             raise EmptyBase("base set misses its own translates")  # unreachable
         for x in G.elements():
             if x in members:
@@ -400,9 +400,8 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
             new = {x, G.inv(x)} - members
             for u in new:
                 mask_of(u)
-            trial = members | new
-            if _valid_extension(A.bits, masks, trial, new, k, tracker):
-                members = trial
+            if _valid_extension(A.bits, masks, members, new, k, tracker):
+                members = members | new
         return LargenessCertificate(G, A, k, Subset.from_indices(G, members))
     if strategy == "exhaustive":
         if G.order > EXHAUSTIVE_ORDER_LIMIT:
@@ -435,9 +434,8 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
                 return
             for i in range(idx, len(classes)):
                 cls = classes[i]
-                trial = members | set(cls)
-                if _valid_extension(A.bits, masks, trial, cls, k, tracker):
-                    extend(trial, i + 1)
+                if _valid_extension(A.bits, masks, members, cls, k, tracker):
+                    extend(members | set(cls), i + 1)
 
         extend({e}, 0)
         return LargenessCertificate(G, A, k, Subset.from_indices(G, best_members))

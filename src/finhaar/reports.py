@@ -64,9 +64,7 @@ def jsonable(obj):
         out = {
             "subgroup": jsonable(obj.subgroup),
             "t": obj.t,
-            "coset": sorted(
-                obj.group.mul(obj.t, h) for h in obj.subgroup.members
-            ),
+            "coset": list(obj.subgroup.left_coset(obj.t)),
             "valid": obj.validate(),
         }
         if obj.fallback is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotMultiplicative, NotSurjective
+from .groups import check_homomorphism
 from .wordsets import torsion_set
 
 
@@ -43,12 +44,7 @@ def build_tower(levels, maps, name="tower"):
             raise ValueError(f"{name}: map {i} has values outside the coarse group")
         if len(set(phi)) != coarse.order:
             raise NotSurjective(f"{name}: map {i} is not onto the coarse group")
-        for x in fine.elements():
-            for y in fine.elements():
-                if phi[fine.mul(x, y)] != coarse.mul(phi[x], phi[y]):
-                    raise NotMultiplicative(
-                        f"{name}: map {i} is not multiplicative at ({x},{y})"
-                    )
+        check_homomorphism(fine, coarse, phi, f"{name}: map {i}")
         if phi[fine.identity] != coarse.identity:
             raise NotMultiplicative(f"{name}: map {i} moves the identity")
     return Tower(name=name, levels=levels, maps=maps)

@@ -284,6 +284,7 @@ def test_witness_fallback_is_marked(capsys):
 
 
 _S3_GENS = [[1, 0, 2], [1, 2, 0]]
+_S3 = {"label": "S3", "kind": "perm", "degree": 3, "generators": _S3_GENS}
 
 
 @pytest.mark.parametrize(
@@ -302,7 +303,13 @@ _S3_GENS = [[1, 0, 2], [1, 2, 0]]
              "generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]},
             [],
         ),
-        ({"label": "S3", "kind": "perm", "degree": 3, "generators": _S3_GENS}, ["--out"]),
+        (_S3, ["--out"]),
+        (_S3, ["--length", "0"]),
+        (_S3, ["--max-order", "-1"]),
+        (_S3, ["--max-order", "-5"]),
+        (_S3, ["--k", "0"]),
+        (_S3, ["--n", "0"]),
+        (_S3, ["--budget", "-1"]),
     ],
     ids=[
         "float-entry",
@@ -311,12 +318,18 @@ _S3_GENS = [[1, 0, 2], [1, 2, 0]]
         "float-aut-map",
         "above-default-cap",
         "out-missing-dir",
+        "length-0",
+        "max-order-minus-1",
+        "max-order-minus-5",
+        "k-0",
+        "n-0",
+        "budget-minus-1",
     ],
 )
 def test_bad_input_exits_2_with_message(tmp_path, capsys, group, extra):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps({"groups": [group]}))
-    if extra:
+    if extra == ["--out"]:
         extra = extra + [str(tmp_path / "missing" / "report.json")]
     code = main(["validate", "--catalog", str(path)] + extra)
     err = capsys.readouterr().err

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -289,3 +291,38 @@ def test_greedy_never_beats_exhaustive(s3, z9, k=2):
             exhaustive = k_large_certificate(A, k, strategy="exhaustive")
             assert greedy.validate()
             assert greedy.u_set.size <= exhaustive.u_set.size
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_greedy_checks_each_tuple_once(s4, k):
+    # on the full base every extension succeeds, so the search checks
+    # each unordered k-tuple of S4 exactly once
+    tuples = math.comb(s4.order + k - 1, k)
+    cert = k_large_certificate(Subset.full(s4), k, budget=tuples)
+    assert cert.u_set.size == s4.order
+    with pytest.raises(SearchBudgetExceeded):
+        k_large_certificate(Subset.full(s4), k, budget=tuples - 1)
+
+
+def brute_force_greedy_u(A, k):
+    """Oracle: the greedy walk, re-checking every ordered k-tuple."""
+    G = A.group
+    members = {G.identity}
+    for x in G.elements():
+        trial = members | {x, G.inv(x)}
+        if all(
+            A.bits & functools.reduce(int.__and__, (A.left_translate(u).bits for u in tup))
+            for tup in itertools.product(sorted(trial), repeat=k)
+        ):
+            members = trial
+    return sorted(members)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_klarge_greedy_matches_brute_force(s3, d8, z9, k):
+    rng = random.Random(f"greedy-{k}")
+    for G in (s3, d8, z9):
+        for _ in range(6):
+            A = Subset(G, rng.getrandbits(G.order) | 1 << G.identity)
+            cert = k_large_certificate(A, k)
+            assert cert.u_set.indices() == brute_force_greedy_u(A, k)
