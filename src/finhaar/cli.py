@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 operation error, 2 parse/validation error
 (argparse errors and an unwritable --out included), 3 when a
-verification command found a counterexample to a published law.
+verification command found a counterexample to a published law or a
+guaranteed postcondition failed (SoundnessError, reported, never
+swallowed).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .engel import (
     verify_cube_law,
     verify_engel_consequences,
 )
-from .errors import OperationError, ParseError, ValidationError
+from .errors import FinhaarError, OperationError, ParseError, SoundnessError, ValidationError
 from .lattice import SUBGROUP_SCAN_LIMIT
 from .measure import (
     DEFAULT_KLARGE_BUDGET,
@@ -82,13 +84,13 @@ def build_parser():
     common.add_argument("--strategy", choices=["greedy", "exhaustive"], default="greedy")
     common.add_argument("--max-order", type=_min_int("--max-order", 1), default=None)
     common.add_argument("--budget", type=_min_int("--budget", 0), default=None)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_min_int("--seed", 0), default=0)
     common.add_argument("--at", help="comma separated element indices")
     common.add_argument("--n", type=_min_int("--n", 1), default=2, help="psi function count")
     common.add_argument(
         "--length", type=_min_int("--length", 1), default=2, help="product length in proof mode"
     )
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=_min_int("--workers", 1), default=1)
     common.add_argument("--out", help="write the report to a file instead of stdout")
     common.add_argument("--format", choices=["json", "csv"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -163,7 +165,7 @@ def _check_elements(G, values):
 
 
 def _map_entries(entries, fn, workers):
-    if workers and workers > 1:
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -515,7 +517,10 @@ def main(argv=None):
     except (ParseError, ValidationError) as exc:
         print(f"finhaar: {exc}", file=sys.stderr)
         return 2
-    except (OperationError, ValueError) as exc:
+    except SoundnessError as exc:
+        print(f"finhaar: {exc}", file=sys.stderr)
+        return 3
+    except (FinhaarError, ValueError) as exc:
         print(f"finhaar: {exc}", file=sys.stderr)
         return 1
     text = report.to_json() if args.format == "json" else report.to_csv()

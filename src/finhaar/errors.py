@@ -4,7 +4,9 @@ Validation errors mean the input object is not what it claims to be
 (not a group table, not an automorphism, ...).  Operation errors mean a
 well-formed request could not be carried out (mismatched groups,
 exhausted budgets, empty targets).  The CLI maps validation/parse
-failures to exit code 2 and operation failures to exit code 1.
+failures to exit code 2, a failed guaranteed postcondition
+(SoundnessError) to exit code 3, and every other error, operation
+failures included, to exit code 1.
 """
 
 

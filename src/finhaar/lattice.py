@@ -5,8 +5,11 @@ known subgroups by one extra generator until nothing new appears: a
 subgroup is extended by closing its own generators plus the new element,
 never its whole member list (the cyclic-extension method; Neubueser
 1960, Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-2005).  This is exhaustive and only intended for the desk-scale orders
-the maximal searches are gated to.
+2005).  Extending H by g and by any h1 * g * h2 with h1, h2 in H gives
+the same subgroup, so only the least element of each double coset HgH
+is extended; the first closure that finds a subgroup is unchanged, and
+so are its members and generators.  This is exhaustive and only
+intended for the desk-scale orders the maximal searches are gated to.
 """
 
 from __future__ import annotations
@@ -48,16 +51,33 @@ def all_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):
         for sub in frontier:
             if sub.size == G.order:
                 continue
+            done = bytearray(G.order)
+            _mark_double_coset(G, sub.generators, G.identity, done)  # H itself
             for g in G.elements():
-                if g in sub:
+                if done[g]:
                     continue
                 bigger = generate_subgroup(G, sub.generators + (g,))
                 if add(bigger):
                     next_frontier.append(bigger)
+                _mark_double_coset(G, sub.generators, g, done)
         frontier = next_frontier
     result = sorted(known.values(), key=lambda s: (s.size, s.members))
     G._subgroups = result
     return result
+
+
+def _mark_double_coset(G, gens, g, done):
+    """Set ``done`` on HgH, H generated by ``gens``: the orbit of g under
+    left and right multiplication by the generators."""
+    done[g] = 1
+    orbit = [g]
+    for x in orbit:
+        row = G.left_row(x)
+        for s in gens:
+            for y in (G.mul(s, x), row[s]):
+                if not done[y]:
+                    done[y] = 1
+                    orbit.append(y)
 
 
 def normal_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):

@@ -1,9 +1,13 @@
 """Counting measure on finite groups and largeness certificates.
 
 Subsets are bitmasks over element indices; every measure is an exact
-``fractions.Fraction``.  The one deliberately inexact operation is
-:func:`translate_product_mean`, which works with complex-valued
-functions in floating point (documented tolerance 1e-10).
+``fractions.Fraction``.  A subset is immutable, so it keeps each left
+translate it has computed: certificates, cube-law checks, averaging and
+k-largeness ask one set for the same shift many times, and only the
+first call per shift maps bits (``Subset.left_translate``).  The one
+deliberately inexact operation is :func:`translate_product_mean`, which
+works with complex-valued functions in floating point (documented
+tolerance 1e-10).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ def _map_bits(bits, image):
 class Subset:
     """An immutable subset of a group, stored as an int bitmask."""
 
-    __slots__ = ("group", "bits")
+    __slots__ = ("group", "bits", "_translates")
 
     def __init__(self, group, bits):
         if bits < 0 or bits >> group.order:
@@ -91,8 +95,15 @@ class Subset:
         return out
 
     def left_translate(self, x):
-        """The set {x * a : a in self}."""
-        return Subset(self.group, _map_bits(self.bits, self.group.left_row(x)))
+        """The set {x * a : a in self}, computed once per x."""
+        try:
+            memo = self._translates
+        except AttributeError:
+            memo = self._translates = {}
+        out = memo.get(x)
+        if out is None:
+            out = memo[x] = Subset(self.group, _map_bits(self.bits, self.group.left_row(x)))
+        return out
 
     def right_translate(self, x):
         """The set {a * x : a in self}."""

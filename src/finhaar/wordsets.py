@@ -241,11 +241,13 @@ def _grow_seed_set(G, word_set, cert_fn, law_holds, length):
     the enlarged V admits a certificate and the generated subgroup still
     satisfies the target law; the direct law check replaces the
     nonconstructive product-length bound that would otherwise be needed
-    to propagate the certificates to the whole subgroup.
+    to propagate the certificates to the whole subgroup.  Many trials
+    generate the same subgroup, so the law is checked once per subgroup.
     """
     e = G.identity
     members = {e}
     cert_cache = {}
+    law_cache = {}
 
     def certified(a, b):
         key = (a, b)
@@ -253,11 +255,16 @@ def _grow_seed_set(G, word_set, cert_fn, law_holds, length):
             cert_cache[key] = cert_fn(word_set, a, b)
         return cert_cache[key]
 
+    def lawful(H):
+        if H.members not in law_cache:
+            law_cache[H.members] = law_holds(H)
+        return law_cache[H.members]
+
     for x in G.elements():
         if x in members:
             continue
         trial = members | {x, G.inv(x)}
-        if not law_holds(generate_subgroup(G, sorted(trial))):
+        if not lawful(generate_subgroup(G, sorted(trial))):
             continue
         products = _products_up_to(G, sorted(trial), length)
         if all(

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from finhaar import cli, wordsets
 from finhaar.cli import main
+from finhaar.errors import FinhaarError
 
 ALL_COMMANDS = [
     ["validate"],
@@ -310,6 +312,9 @@ _S3 = {"label": "S3", "kind": "perm", "degree": 3, "generators": _S3_GENS}
         (_S3, ["--k", "0"]),
         (_S3, ["--n", "0"]),
         (_S3, ["--budget", "-1"]),
+        (_S3, ["--seed", "-1"]),
+        (_S3, ["--workers", "0"]),
+        (_S3, ["--workers", "-2"]),
     ],
     ids=[
         "float-entry",
@@ -324,6 +329,9 @@ _S3 = {"label": "S3", "kind": "perm", "degree": 3, "generators": _S3_GENS}
         "k-0",
         "n-0",
         "budget-minus-1",
+        "seed-minus-1",
+        "workers-0",
+        "workers-minus-2",
     ],
 )
 def test_bad_input_exits_2_with_message(tmp_path, capsys, group, extra):
@@ -335,3 +343,27 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, group, extra):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("finhaar: ")
+
+
+@pytest.mark.parametrize(
+    "command, spec", [("commute-cert", "inverted:id"), ("engel-cert", "splitting:id")]
+)
+def test_failed_recheck_exits_3_with_message(monkeypatch, capsys, command, spec):
+    # every commutator reads as nontrivial, so the certificate's own
+    # re-verification of the witnessed pair (e, e) must fail
+    monkeypatch.setattr(wordsets, "left_normed_idx", lambda G, *xs: (G.identity + 1) % G.order)
+    code = main([command, "--set", spec, "--at", "0,0", "--group", "S3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("finhaar: S3: witness 0 found but [0,0")
+
+
+def test_other_package_error_exits_1(monkeypatch, capsys):
+    def fail(*_args, **_kwargs):
+        raise FinhaarError("unexpected")
+
+    monkeypatch.setattr(cli, "coset_witness", fail)
+    code = main(["witness", "--set", "torsion:2", "--group", "S3"])
+    assert code == 1
+    assert capsys.readouterr().err == "finhaar: unexpected\n"

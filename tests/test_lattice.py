@@ -9,8 +9,12 @@ import random
 
 import pytest
 
+from finhaar import lattice
+from finhaar.catalog import bundled_catalog
 from finhaar.groups import (
+    Subgroup,
     automorphism_from_map,
+    build_perm_group,
     build_table_group,
     cyclic_group,
     dihedral_group,
@@ -97,3 +101,75 @@ def test_generate_subgroup_against_sympy_and_brute_force(degree):
         assert H.size == reference.order()
         members = {G.index_of_perm(p) for p in _perm_closure(degree, perms)}
         assert set(H.members) == members
+
+
+def _heis81():
+    heis = bundled_catalog().get("Heis27")
+    return semidirect_c3(heis.group, heis.automorphisms["conj-x"], label="Heis27:conj-x")
+
+
+EXTENSION_GROUPS = {
+    "S4": lambda: symmetric_group(4),
+    "A5": lambda: build_perm_group(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], label="A5"),
+    "D48": lambda: dihedral_group(24),
+    "Heis27:conj-x": _heis81,
+    "S5": lambda: symmetric_group(5),
+}
+
+
+def _plain_cyclic_extension(G):
+    """Cyclic extension by every element outside each subgroup, no skip."""
+    known = {(G.identity,): Subgroup(G, [G.identity])}
+    frontier = []
+    for g in G.elements():
+        sub = generate_subgroup(G, [g])
+        if sub.members not in known:
+            known[sub.members] = sub
+            frontier.append(sub)
+    while frontier:
+        next_frontier = []
+        for sub in frontier:
+            for g in G.elements():
+                if g in sub:
+                    continue
+                bigger = generate_subgroup(G, sub.generators + (g,))
+                if bigger.members not in known:
+                    known[bigger.members] = bigger
+                    next_frontier.append(bigger)
+        frontier = next_frontier
+    return sorted(known.values(), key=lambda s: (s.size, s.members))
+
+
+def _double_coset_count(G, H):
+    """Number of double cosets HgH, each built as {a * g * b}."""
+    seen, count = set(), 0
+    for g in G.elements():
+        if g not in seen:
+            count += 1
+            seen |= {G.mul(G.mul(a, g), b) for a in H.members for b in H.members}
+    return count
+
+
+@pytest.mark.parametrize("label", sorted(EXTENSION_GROUPS))
+def test_double_coset_skip_keeps_the_lattice(label):
+    G = EXTENSION_GROUPS[label]()
+    expected = [(H.members, H.generators) for H in _plain_cyclic_extension(G)]
+    G = EXTENSION_GROUPS[label]()
+    assert [(H.members, H.generators) for H in all_subgroups(G)] == expected
+
+
+@pytest.mark.parametrize("label", ["S4", "A5", "D48", "Heis27:conj-x"])
+def test_one_closure_per_double_coset(monkeypatch, label):
+    calls = []
+    real = lattice.generate_subgroup
+    monkeypatch.setattr(
+        lattice, "generate_subgroup", lambda G, gens: calls.append(gens) or real(G, gens)
+    )
+    G = EXTENSION_GROUPS[label]()
+    subs = all_subgroups(G)
+    # one cyclic closure per element, then each nontrivial proper
+    # subgroup is extended once per double coset other than H itself
+    expected = G.order + sum(
+        _double_coset_count(G, H) - 1 for H in subs if 1 < H.size < G.order
+    )
+    assert len(calls) == expected

@@ -47,3 +47,28 @@ def test_right_translate_is_the_set_of_products(data):
     A, x, _ = data
     G = A.group
     assert A.right_translate(x) == Subset.from_indices(G, {G.mul(a, x) for a in A.indices()})
+
+
+def _table_translate(A, x):
+    G = A.group
+    return {G.mul(x, a) for a in A.indices()}
+
+
+@SETTINGS
+@hypothesis.given(
+    subset_and_points(),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=40),
+)
+def test_remembered_translates_match_the_table(data, calls):
+    """Repeated, nested and interleaved calls all see the table's translate."""
+    A, _, _ = data
+    G = A.group
+    current = A
+    for from_base, x in calls:
+        x %= G.order
+        source = A if from_base else current
+        translate = source.left_translate(x)
+        assert set(translate.indices()) == _table_translate(source, x)
+        current = translate
+    for x in G.elements():
+        assert set(A.left_translate(x).indices()) == _table_translate(A, x)

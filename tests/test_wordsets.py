@@ -1,17 +1,23 @@
+import importlib
 from fractions import Fraction
 
 import pytest
 
+from finhaar import wordsets
+from finhaar.catalog import bundled_catalog
 from finhaar.engel import left_normed_idx
 from finhaar.errors import OrderNotDividing3, SearchBudgetExceeded, WrongKind
 from finhaar.groups import (
     automorphism_from_map,
+    dihedral_group,
     identity_automorphism,
     inner_automorphism,
     inversion_automorphism,
     semidirect_c3,
 )
 from finhaar.wordsets import (
+    _grow_seed_set,
+    _subgroup_is_2engel,
     commuting_certificate,
     coset_witness,
     engel_pair_certificate,
@@ -346,3 +352,48 @@ def test_engel_extract_modes_monotone(s3, s4, d8, q8, heis27):
             report.proof_following.subgroup.size
             <= report.direct_search.subgroup.size
         )
+
+
+def _heis81():
+    heis = bundled_catalog().get("Heis27")
+    return semidirect_c3(heis.group, heis.automorphisms["conj-x"], label="Heis27:conj-x")
+
+
+def test_proof_mode_maps_each_translate_once(monkeypatch):
+    # finhaar.measure the module, not the function that finhaar exports
+    measure_module = importlib.import_module("finhaar.measure")
+    real = measure_module._map_bits
+    calls = []
+    monkeypatch.setattr(
+        measure_module, "_map_bits", lambda bits, image: calls.append(1) or real(bits, image)
+    )
+    G = _heis81()
+    report = extract_engel_subgroup(G, identity_automorphism(G), mode="proof")
+    # one splitting set, so at most one translate per element of G
+    assert len(calls) <= G.order
+    assert report.verified_normal and report.verified_law
+
+
+@pytest.mark.parametrize(
+    "make", [_heis81, lambda: dihedral_group(8)], ids=["Heis27:conj-x", "D16"]
+)
+def test_seed_growth_checks_each_generated_subgroup_once(monkeypatch, make):
+    G = make()
+    generated, checked = [], []
+    real_generate, real_is_2engel = wordsets.generate_subgroup, wordsets.is_2engel
+
+    def generate(G, gens):
+        H = real_generate(G, gens)
+        generated.append(H.members)
+        return H
+
+    def is_2engel(H):
+        checked.append(H.members)
+        return real_is_2engel(H)
+
+    monkeypatch.setattr(wordsets, "generate_subgroup", generate)
+    monkeypatch.setattr(wordsets, "is_2engel", is_2engel)
+    word = splitting_set(G, identity_automorphism(G))
+    _grow_seed_set(G, word, engel_pair_certificate, _subgroup_is_2engel, 2)
+    assert checked == list(dict.fromkeys(generated))
+    assert len(generated) > len(checked)
