@@ -179,7 +179,9 @@ def build_bundled_dict():
     """Construct the bundled catalog content from scratch.
 
     The packaged data/catalog.json is this dictionary frozen to disk; a
-    unit test keeps the two in sync.
+    unit test keeps the two in sync.  Regenerate the file with
+    ``json.dump(build_bundled_dict(), fh, indent=2, sort_keys=True)``
+    followed by a newline.
     """
     groups = []
 
@@ -308,10 +310,3 @@ def bundled_catalog():
     except FileNotFoundError as exc:  # packaging bug, not a user error
         raise FinhaarError("bundled catalog data is missing") from exc
     return parse_catalog_dict(doc, source="bundled")
-
-
-def write_bundled_catalog(path):
-    """Regenerate the packaged catalog file (maintenance helper)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(build_bundled_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

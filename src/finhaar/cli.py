@@ -1,10 +1,10 @@
 """Command-line driver: catalog in, deterministic reports out.
 
 Exit codes: 0 success, 1 operation error, 2 parse/validation error
-(argparse errors and an unwritable --out included), 3 when a
-verification command found a counterexample to a published law or a
-guaranteed postcondition failed (SoundnessError, reported, never
-swallowed).
+(argparse errors, a malformed --set or --at and an unwritable --out
+included), 3 when a verification command found a counterexample to a
+published law or a guaranteed postcondition failed (SoundnessError,
+reported, never swallowed).
 """
 
 from __future__ import annotations
@@ -90,7 +90,9 @@ def build_parser():
     common.add_argument(
         "--length", type=_min_int("--length", 1), default=2, help="product length in proof mode"
     )
-    common.add_argument("--workers", type=_min_int("--workers", 1), default=1)
+    common.add_argument(
+        "--workers", type=_min_int("--workers", 1), default=1, help="accepted; has no effect"
+    )
     common.add_argument("--out", help="write the report to a file instead of stdout")
     common.add_argument("--format", choices=["json", "csv"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -118,43 +120,54 @@ def _entries(catalog, args):
     return list(catalog.entries), False
 
 
-def _parse_at(args, expected=None):
+def _parse_at(args, expected):
     if args.at is None:
         return None
     try:
-        values = [int(v) for v in args.at.split(",") if v != ""]
-    except ValueError as exc:
-        raise OperationError(f"--at must be comma separated integers: {exc}") from None
-    if expected is not None and len(values) != expected:
+        values = [int(v) for v in args.at.split(",")]
+    except ValueError:
+        raise ParseError(f"--at must be comma separated integers, got {args.at!r}") from None
+    if len(values) != expected:
         raise OperationError(f"--at needs {expected} indices, got {len(values)}")
     return values
 
 
-def _single_set(args):
+def _single_set(args, kind):
+    """The command's one --set; unless ``kind`` is None, it must be of that kind."""
     if not args.sets or len(args.sets) != 1:
         raise OperationError("this command needs exactly one --set")
-    return args.sets[0]
+    spec = args.sets[0]
+    if kind is not None and spec.partition(":")[0] != kind:
+        raise OperationError(f"{args.command} needs a {kind}:* set, got {spec!r}")
+    return spec
+
+
+def _exponent(spec):
+    """N of a torsion:N spec, an integer >= 1."""
+    try:
+        n = int(spec.partition(":")[2])
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ParseError(f"bad torsion spec {spec!r}; N must be an integer >= 1")
+    return n
 
 
 def _resolve_set(entry, spec):
-    """WordSet for this entry, or a skip reason string."""
+    """WordSet for this entry, or the reason the spec does not fit it."""
     kind, _, param = spec.partition(":")
     G = entry.group
     if kind == "torsion":
-        try:
-            n = int(param)
-        except ValueError:
-            raise ParseError(f"bad torsion spec {spec!r}") from None
-        return torsion_set(G, n), None
+        return torsion_set(G, _exponent(spec))
     if kind in ("inverted", "splitting"):
         aut = entry.automorphisms.get(param)
         if aut is None:
-            return None, f"no automorphism named {param!r}"
+            return f"no automorphism named {param!r}"
         if kind == "inverted":
-            return inverted_set(G, aut), None
+            return inverted_set(G, aut)
         if 3 % aut.order != 0:
-            return None, f"automorphism {param!r} has order {aut.order}, not dividing 3"
-        return splitting_set(G, aut), None
+            return f"automorphism {param!r} has order {aut.order}, not dividing 3"
+        return splitting_set(G, aut)
     raise ParseError(f"bad set spec {spec!r}; use torsion:N | inverted:AUT | splitting:AUT")
 
 
@@ -164,43 +177,30 @@ def _check_elements(G, values):
             raise OperationError(f"{G.label}: element index {v} out of range")
 
 
-def _map_entries(entries, fn, workers):
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(fn, e) for e in entries]
-            return [f.result() for f in futures]
-    return [fn(e) for e in entries]
-
-
-def _per_group(entries, explicit, args, specs, fn):
-    """Run fn(entry, *word_sets) per entry, one word set per spec,
-    skipping entries where some spec does not apply."""
-
-    def task(entry):
-        words = []
-        for spec in specs:
-            word, reason = _resolve_set(entry, spec)
-            if word is None:
-                if explicit:
-                    raise OperationError(f"{entry.label}: {reason}")
-                return {"label": entry.label, "skipped": reason}
-            words.append(word)
-        out = {"label": entry.label}
-        out.update(fn(entry, *words))
-        return out
-
-    return _map_entries(entries, task, args.workers)
+def _per_group(entries, explicit, specs, fn):
+    """One row per entry: its label plus fn(entry, *word_sets), one word
+    set per spec.  The row is {"label", "skipped"} where a spec does not
+    fit the entry or fn returns a reason string; a spec that does not fit
+    the entry named by --group is an error instead."""
+    results = []
+    for entry in entries:
+        words = [_resolve_set(entry, spec) for spec in specs]
+        reason = next((w for w in words if isinstance(w, str)), None)
+        if reason is not None and explicit:
+            raise OperationError(f"{entry.label}: {reason}")
+        out = reason or fn(entry, *words)
+        if isinstance(out, str):
+            out = {"skipped": out}
+        results.append({"label": entry.label, **out})
+    return results
 
 
 # -- command handlers -----------------------------------------------------------
 
 
 def _cmd_validate(catalog, entries, explicit, args):
-    def task(entry):
+    def fn(entry):
         return {
-            "label": entry.label,
             "order": entry.group.order,
             "backend": entry.group.backend,
             "abelian": entry.group.is_abelian(),
@@ -210,7 +210,7 @@ def _cmd_validate(catalog, entries, explicit, args):
             ],
         }
 
-    results = _map_entries(entries, task, args.workers)
+    results = _per_group(entries, explicit, [], fn)
     if not args.group:
         for name in sorted(catalog.towers):
             tower = catalog.towers[name]
@@ -225,8 +225,6 @@ def _cmd_validate(catalog, entries, explicit, args):
 
 
 def _cmd_measure(catalog, entries, explicit, args):
-    spec = _single_set(args)
-
     def fn(entry, word):
         return {
             "set": word.spec_string(),
@@ -234,21 +232,12 @@ def _cmd_measure(catalog, entries, explicit, args):
             "measure": word.measure,
         }
 
-    return _per_group(entries, explicit, args, [spec], fn), False
+    return _per_group(entries, explicit, [_single_set(args, None)], fn), False
 
 
 def _cmd_word_set(catalog, entries, explicit, args):
-    spec = _single_set(args)
-    kind = spec.partition(":")[0]
-    if kind != args.command:
-        raise OperationError(
-            f"command {args.command!r} needs a {args.command}:* set, got {spec!r}"
-        )
-
-    def fn(entry, word):
-        return jsonable(word)
-
-    return _per_group(entries, explicit, args, [spec], fn), False
+    spec = _single_set(args, args.command)
+    return _per_group(entries, explicit, [spec], lambda entry, word: jsonable(word)), False
 
 
 def _cmd_lambda(catalog, entries, explicit, args):
@@ -263,7 +252,7 @@ def _cmd_lambda(catalog, entries, explicit, args):
         value = translate_intersection_measure([w.subset for w in words], xs)
         return {"sets": [w.spec_string() for w in words], "at": xs, "measure": value}
 
-    return _per_group(entries, explicit, args, args.sets, fn), False
+    return _per_group(entries, explicit, args.sets, fn), False
 
 
 def _cmd_average(catalog, entries, explicit, args):
@@ -280,13 +269,13 @@ def _cmd_average(catalog, entries, explicit, args):
             "identity_holds": out.identity_holds,
         }
 
-    return _per_group(entries, explicit, args, args.sets, fn), False
+    return _per_group(entries, explicit, args.sets, fn), False
 
 
 def _cmd_psi(catalog, entries, explicit, args):
     xs_fixed = _parse_at(args, expected=args.n)
 
-    def task(entry):
+    def fn(entry):
         G = entry.group
         rng = np.random.default_rng([args.seed, zlib.crc32(entry.label.encode())])
         funcs = [GroupFunction.random_unit(G, rng) for _ in range(args.n)]
@@ -295,19 +284,18 @@ def _cmd_psi(catalog, entries, explicit, args):
         ]
         _check_elements(G, xs)
         value = translate_product_mean(funcs, xs)
-        return {"label": entry.label, "n": args.n, "at": xs, "value": value}
+        return {"n": args.n, "at": xs, "value": value}
 
-    return _map_entries(entries, task, args.workers), False
+    return _per_group(entries, explicit, [], fn), False
 
 
 def _cmd_klarge(catalog, entries, explicit, args):
-    spec = _single_set(args)
     budget = args.budget if args.budget is not None else DEFAULT_KLARGE_BUDGET
 
     def fn(entry, word):
         order = entry.group.order
         if args.strategy == "exhaustive" and order > EXHAUSTIVE_ORDER_LIMIT and not explicit:
-            return {"skipped": f"order {order} above exhaustive limit {EXHAUSTIVE_ORDER_LIMIT}"}
+            return f"order {order} above exhaustive limit {EXHAUSTIVE_ORDER_LIMIT}"
         cert = k_large_certificate(
             word.subset, args.k, strategy=args.strategy, budget=budget
         )
@@ -315,11 +303,10 @@ def _cmd_klarge(catalog, entries, explicit, args):
         out.update(jsonable(cert))
         return out
 
-    return _per_group(entries, explicit, args, [spec], fn), False
+    return _per_group(entries, explicit, [_single_set(args, None)], fn), False
 
 
 def _cmd_witness(catalog, entries, explicit, args):
-    spec = _single_set(args)
     limit = args.max_order if args.max_order is not None else SUBGROUP_SCAN_LIMIT
 
     def fn(entry, word):
@@ -328,14 +315,12 @@ def _cmd_witness(catalog, entries, explicit, args):
         out.update(jsonable(W))
         return out
 
-    return _per_group(entries, explicit, args, [spec], fn), False
+    return _per_group(entries, explicit, [_single_set(args, None)], fn), False
 
 
 def _cmd_pair_cert(catalog, entries, explicit, args):
-    spec = _single_set(args)
-    needed = "inverted" if args.command == "commute-cert" else "splitting"
-    if spec.partition(":")[0] != needed:
-        raise OperationError(f"{args.command} needs a {needed}:* set, got {spec!r}")
+    commute = args.command == "commute-cert"
+    spec = _single_set(args, "inverted" if commute else "splitting")
     ab = _parse_at(args, expected=2)
     if ab is None:
         raise OperationError("--at a,b is required for this command")
@@ -344,7 +329,7 @@ def _cmd_pair_cert(catalog, entries, explicit, args):
     def fn(entry, word):
         G = entry.group
         _check_elements(G, (a, b))
-        if args.command == "commute-cert":
+        if commute:
             witness = commuting_certificate(word, a, b)
             law_holds = G.mul(a, b) == G.mul(b, a)
             law_key = "commutator_trivial"
@@ -360,20 +345,14 @@ def _cmd_pair_cert(catalog, entries, explicit, args):
             law_key: law_holds,
         }
 
-    return _per_group(entries, explicit, args, [spec], fn), False
+    return _per_group(entries, explicit, [spec], fn), False
 
 
 def _cmd_extract(catalog, entries, explicit, args):
-    spec = _single_set(args)
-    needed = "inverted" if args.command == "extract-abelian" else "splitting"
-    if spec.partition(":")[0] != needed:
-        raise OperationError(f"{args.command} needs a {needed}:* set, got {spec!r}")
+    abelian = args.command == "extract-abelian"
+    spec = _single_set(args, "inverted" if abelian else "splitting")
     limit = args.max_order if args.max_order is not None else SUBGROUP_SCAN_LIMIT
-    extract = (
-        extract_abelian_subgroup
-        if args.command == "extract-abelian"
-        else extract_engel_subgroup
-    )
+    extract = extract_abelian_subgroup if abelian else extract_engel_subgroup
 
     def fn(entry, word):
         report = extract(
@@ -381,25 +360,16 @@ def _cmd_extract(catalog, entries, explicit, args):
         )
         return jsonable(report)
 
-    return _per_group(entries, explicit, args, [spec], fn), False
+    return _per_group(entries, explicit, [spec], fn), False
 
 
-def _cmd_engel(catalog, entries, explicit, args):
-    def task(entry):
-        out = {"label": entry.label}
-        out.update(jsonable(is_2engel(entry.group)))
-        return out
+def _cmd_series(catalog, entries, explicit, args):
+    series = is_2engel if args.command == "engel" else lower_central_series
 
-    return _map_entries(entries, task, args.workers), False
+    def fn(entry):
+        return jsonable(series(entry.group))
 
-
-def _cmd_class(catalog, entries, explicit, args):
-    def task(entry):
-        out = {"label": entry.label}
-        out.update(jsonable(lower_central_series(entry.group)))
-        return out
-
-    return _map_entries(entries, task, args.workers), False
+    return _per_group(entries, explicit, [], fn), False
 
 
 def _cmd_verify(catalog, entries, explicit, args):
@@ -408,34 +378,18 @@ def _cmd_verify(catalog, entries, explicit, args):
         verify_cube_law if args.law == "lemma-2engel" else verify_engel_consequences
     )
 
-    def task(entry):
+    def fn(entry):
         if entry.group.order > max_order:
-            return {
-                "label": entry.label,
-                "skipped": f"order {entry.group.order} above --max-order {max_order}",
-            }
-        out = {"label": entry.label}
-        out.update(jsonable(check(entry.group, max_order=max_order)))
-        return out
+            return f"order {entry.group.order} above --max-order {max_order}"
+        return jsonable(check(entry.group, max_order=max_order))
 
-    results = _map_entries(entries, task, args.workers)
-    finding = any(
-        r.get("applicable", False) and not r.get("holds", True)
-        for r in results
-        if "skipped" not in r
-    )
+    results = _per_group(entries, explicit, [], fn)
+    finding = any(r.get("applicable", False) and not r.get("holds", True) for r in results)
     return results, finding
 
 
 def _cmd_tower(catalog, entries, explicit, args):
-    spec = _single_set(args)
-    kind, _, param = spec.partition(":")
-    if kind != "torsion":
-        raise OperationError(f"tower sequences need a torsion:N set, got {spec!r}")
-    try:
-        n = int(param)
-    except ValueError:
-        raise ParseError(f"bad torsion spec {spec!r}") from None
+    n = _exponent(_single_set(args, "torsion"))
     results = []
     for name in sorted(catalog.towers):
         tower = catalog.towers[name]
@@ -469,8 +423,8 @@ _HANDLERS = {
     "engel-cert": _cmd_pair_cert,
     "extract-abelian": _cmd_extract,
     "extract-engel": _cmd_extract,
-    "engel": _cmd_engel,
-    "class": _cmd_class,
+    "engel": _cmd_series,
+    "class": _cmd_series,
     "verify": _cmd_verify,
     "tower": _cmd_tower,
 }

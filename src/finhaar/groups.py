@@ -394,11 +394,13 @@ class Subgroup:
         return hash((id(self.group), self.members))
 
     def is_normal(self):
+        """gHg^-1 inside H for each generator g of G, checked on H's
+        generators (on its members where none are recorded)."""
         G = self.group
         return all(
             G.conjugate(g, h) in self._member_set
-            for g in G.elements()
-            for h in self.members
+            for g in G.generators
+            for h in self.generators or self.members
         )
 
     def is_abelian(self):
@@ -570,9 +572,6 @@ class SemidirectExtension(FiniteGroup):
 
     def pair_index(self, g, i):
         return g + self.base.order * (i % 3)
-
-    def pair_of(self, idx):
-        return idx % self.base.order, idx // self.base.order
 
 
 def semidirect_c3(G, aut, label=None):

@@ -129,9 +129,6 @@ class Subset:
         self._same_group(other)
         return Subset(self.group, self.bits & ~other.bits)
 
-    def complement(self):
-        return Subset(self.group, ~self.bits & ((1 << self.group.order) - 1))
-
     def __contains__(self, idx):
         return bool(self.bits >> idx & 1)
 
@@ -275,9 +272,6 @@ class GroupFunction:
         row = G.left_row(G.inv(x))
         return GroupFunction(G, self.values[np.asarray(row)])
 
-    def l2_norm(self):
-        return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))
-
     def __repr__(self):
         return f"GroupFunction({self.group.label})"
 
@@ -389,18 +383,13 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
     if A.size == 0:
         raise EmptyBase("base set has measure zero")
     G = A.group
+    if strategy == "exhaustive" and G.order > EXHAUSTIVE_ORDER_LIMIT:
+        raise SearchBudgetExceeded(
+            f"exhaustive search capped at order {EXHAUSTIVE_ORDER_LIMIT}"
+        )
     tracker = _TupleBudget(budget)
-    masks = {}
-
-    def mask_of(u):
-        m = masks.get(u)
-        if m is None:
-            m = A.left_translate(u).bits
-            masks[u] = m
-        return m
-
+    masks = {u: A.left_translate(u).bits for u in G.elements()}
     e = G.identity
-    mask_of(e)
     if strategy == "greedy":
         members = {e}
         if not _valid_extension(A.bits, masks, (), members, k, tracker):
@@ -409,16 +398,10 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
             if x in members:
                 continue
             new = {x, G.inv(x)} - members
-            for u in new:
-                mask_of(u)
             if _valid_extension(A.bits, masks, members, new, k, tracker):
                 members = members | new
         return LargenessCertificate(G, A, k, Subset.from_indices(G, members))
     if strategy == "exhaustive":
-        if G.order > EXHAUSTIVE_ORDER_LIMIT:
-            raise SearchBudgetExceeded(
-                f"exhaustive search capped at order {EXHAUSTIVE_ORDER_LIMIT}"
-            )
         classes = []
         seen = set()
         for x in G.elements():
@@ -427,8 +410,6 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
             cls = frozenset((x, G.inv(x)))
             seen |= cls
             classes.append(tuple(sorted(cls)))
-        for x in (u for c in classes for u in c):
-            mask_of(x)
         best_size, best_members = 1, (e,)
 
         def extend(members, idx):

@@ -302,15 +302,6 @@ def _best_coset_slice(G, X, K):
     return t, slice_members
 
 
-def _is_subgroup(G, members):
-    mset = set(members)
-    if G.identity not in mset:
-        return False
-    return all(
-        G.mul(a, b) in mset for a in mset for b in mset
-    ) and all(G.inv(a) in mset for a in mset)
-
-
 def _subgroup_is_2engel(H):
     return is_2engel(H).holds
 
@@ -370,7 +361,7 @@ def _extract(G, aut, kind, mode, length, limit, min_measure):
     slice_subgroup = None
     if kind == "abelian":
         t, slice_members = _best_coset_slice(G, word, result)
-        if _is_subgroup(G, slice_members):
+        if generate_subgroup(G, slice_members).members == tuple(slice_members):
             slice_subgroup = Subgroup(G, slice_members)
             witness = CosetWitness(
                 group=G, subgroup=slice_subgroup, t=t, target=word

@@ -367,3 +367,77 @@ def test_other_package_error_exits_1(monkeypatch, capsys):
     code = main(["witness", "--set", "torsion:2", "--group", "S3"])
     assert code == 1
     assert capsys.readouterr().err == "finhaar: unexpected\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--set", "torsion:x"],
+        ["measure", "--set", "torsion:0"],
+        ["tower", "--set", "torsion:0"],
+        ["witness", "--set", "torsion:-1"],
+        ["lambda", "--set", "torsion:0", "--set", "torsion:2", "--at", "0,0"],
+        ["lambda", "--set", "torsion:2", "--set", "torsion:3", "--at", "0,,1"],
+        ["lambda", "--set", "torsion:2", "--set", "torsion:3", "--at", "0,x"],
+        ["commute-cert", "--set", "inverted:id", "--at", "1,4,", "--group", "S3"],
+        ["psi", "--at", ",0,1"],
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_malformed_set_or_at_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("finhaar: ")
+
+
+# every command that resolves word sets per group, with a set that only
+# D8, S3 and S4 declare (conj-r has order 2 in D8, 3 in S3 and S4)
+SET_COMMANDS = [
+    ["measure", "--set", "inverted:conj-r"],
+    ["measure", "--set", "splitting:conj-r"],
+    ["lambda", "--set", "torsion:2", "--set", "inverted:conj-r", "--at", "0,0"],
+    ["average", "--set", "inverted:conj-r", "--set", "torsion:2"],
+    ["klarge", "--set", "inverted:conj-r"],
+    ["inverted", "--set", "inverted:conj-r"],
+    ["splitting", "--set", "splitting:conj-r"],
+    ["witness", "--set", "inverted:conj-r"],
+    ["commute-cert", "--set", "inverted:conj-r", "--at", "0,0"],
+    ["engel-cert", "--set", "splitting:conj-r", "--at", "0,0"],
+    ["extract-abelian", "--set", "inverted:conj-r"],
+    ["extract-engel", "--set", "splitting:conj-r"],
+]
+
+
+def _expected_skip(entry, argv):
+    if "conj-r" not in entry.automorphisms:
+        return "no automorphism named 'conj-r'"
+    order = entry.automorphisms["conj-r"].order
+    if any(a.startswith("splitting:") for a in argv) and 3 % order:
+        return f"automorphism 'conj-r' has order {order}, not dividing 3"
+    return None
+
+
+@pytest.mark.parametrize("argv", SET_COMMANDS, ids=lambda a: " ".join(a))
+def test_sets_that_do_not_fit_are_skipped(capsys, argv):
+    from finhaar.catalog import bundled_catalog
+
+    entries = bundled_catalog().entries
+    code, out = run(capsys, argv)
+    assert code == 0
+    results = payload(out)["results"]
+    assert [r["label"] for r in results] == [e.label for e in entries]
+    skipped = {}
+    for entry, row in zip(entries, results):
+        reason = _expected_skip(entry, argv)
+        if reason is None:
+            assert "skipped" not in row
+        else:
+            assert row == {"label": entry.label, "skipped": reason}
+            skipped[entry.label] = reason
+    assert 0 < len(skipped) < len(entries)
+    for label, reason in skipped.items():
+        code = main(argv + ["--group", label])
+        assert code == 1
+        assert capsys.readouterr().err == f"finhaar: {label}: {reason}\n"

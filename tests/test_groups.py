@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from finhaar.catalog import bundled_catalog
 from finhaar.errors import (
     CapExceeded,
     InvalidPermutation,
@@ -11,17 +12,23 @@ from finhaar.errors import (
     OrderNotDividing3,
 )
 from finhaar.groups import (
+    Subgroup,
     automorphism_from_map,
     build_perm_group,
     build_table_group,
     cyclic_group,
+    dihedral_group,
     generate_subgroup,
+    heisenberg_group_3,
     identity_automorphism,
     inner_automorphism,
     inversion_automorphism,
     normal_core,
+    quaternion_group,
     semidirect_c3,
+    symmetric_group,
 )
+from finhaar.lattice import all_subgroups
 
 from conftest import S3_CYCLIC, S3_ELEMS, S3_TRANSPOSITIONS
 
@@ -158,6 +165,44 @@ def test_normal_core_is_normal_and_idempotent(s3, s4, d8):
             core = normal_core(G, H)
             assert core.is_normal()
             assert normal_core(G, core).members == core.members
+
+
+def _normal_by_all_pairs(G, members):
+    """Oracle: g * h * g^-1 lies in the set for every g in G and every member h."""
+    ms = set(members)
+    return all(G.mul(G.mul(g, h), G.inv(g)) in ms for g in G.elements() for h in ms)
+
+
+def _heis27_rtimes_c3():
+    heis = bundled_catalog().get("Heis27")
+    return semidirect_c3(heis.group, heis.automorphisms["conj-x"])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: symmetric_group(4),
+        lambda: dihedral_group(8),
+        quaternion_group,
+        heisenberg_group_3,
+        lambda: symmetric_group(5),
+        _heis27_rtimes_c3,
+    ],
+    ids=["S4", "D16", "Q8", "Heis27", "S5", "Heis27:conj-x"],
+)
+def test_is_normal_and_normal_core_against_all_pairs(make):
+    G = make()
+    subgroups = all_subgroups(G)
+    normal = {H.members for H in subgroups if _normal_by_all_pairs(G, H.members)}
+    for H in subgroups:
+        # as built (with generators) and re-wrapped without generators
+        assert H.is_normal() == (H.members in normal)
+        assert Subgroup(G, H.members).is_normal() == (H.members in normal)
+        core = normal_core(G, H)
+        inside = [K for K in subgroups if set(K.members) <= set(H.members)]
+        largest = max((K for K in inside if K.members in normal), key=lambda K: K.size)
+        assert core.members == largest.members
+        assert core.is_normal()
 
 
 def test_inverse_antihomomorphism(s3, d8, q8):
