@@ -10,10 +10,14 @@ passed: beyond that a dense table no longer fits comfortably.  All heavy
 operations work on plain ``int`` indices; the thin :class:`GroupElement`
 wrapper exists for ergonomic arithmetic.
 
-Validation is exact at every order, with no sampling: associativity by
-Light's test (Clifford and Preston 1961) and maps between groups by
-``check_homomorphism``, both on a greedy generating set of at most
-log2(order) elements.
+Validation is exact at every order, with no sampling: associativity of
+a given table by Light's test (Clifford and Preston 1961) and maps
+between groups by ``check_homomorphism``, both on a greedy generating
+set of at most log2(order) elements.  A table composed from
+permutations is associative by construction and is not tested.
+
+Conjugacy classes, normal closures and the double cosets of the lattice
+search are orbits of an index under index maps (``orbit``).
 
 Groups, subgroups and automorphisms are immutable after construction and
 safe to share between threads.  Lazily cached attributes only memoise
@@ -70,12 +74,10 @@ class FiniteGroup:
             ]
         self.identity = self._find_identity()
         self._inv = self._find_inverses()
-        closure = generate_subgroup(self, ())
-        for x in range(self.order):
-            if x not in closure:
-                closure = generate_subgroup(self, closure.generators + (x,))
-        self.generators = closure.generators
-        self._check_associativity()
+        self.generators = greedy_closure(self, range(self.order)).generators
+        if self._perms is None:
+            # a table composed from permutations is associative by construction
+            self._check_associativity()
         self._abelian = None
         self._subgroups = None
 
@@ -145,8 +147,13 @@ class FiniteGroup:
         return k
 
     def left_row(self, x):
-        """Row of the Cayley table: [x*g for g in elements]."""
+        """Row of the Cayley table: [x*g for g in elements], which is
+        also the index map of left multiplication by x."""
         return self._table[x]
+
+    def right_map(self, g):
+        """Index map of right multiplication by g: [x*g for x in elements]."""
+        return [row[g] for row in self._table]
 
     def is_abelian(self):
         if self._abelian is None:
@@ -443,18 +450,100 @@ def generate_subgroup(G, gens):
     return Subgroup(G, elems, generators=gens)
 
 
+def greedy_closure(G, candidates):
+    """generate_subgroup of ``candidates``, generated by those candidates,
+    in order, that the closure so far misses; each one at least doubles
+    the closure, so there are at most log2 of its order."""
+    closure = generate_subgroup(G, ())
+    for x in candidates:
+        if x not in closure:
+            closure = generate_subgroup(G, closure.generators + (x,))
+    return closure
+
+
+def as_subgroup(H):
+    """A FiniteGroup or Subgroup as a Subgroup that records generators.
+
+    A FiniteGroup becomes its whole subgroup.  A Subgroup without
+    recorded generators, such as ``Subgroup(G, members)``, gets a greedy
+    generating set of its members; ValueError if those members do not
+    form a subgroup.
+    """
+    if isinstance(H, FiniteGroup):
+        return Subgroup(H, H.elements(), H.generators)
+    if not isinstance(H, Subgroup):
+        raise TypeError(f"expected FiniteGroup or Subgroup, got {type(H)!r}")
+    if H.generators:
+        return H
+    closure = greedy_closure(H.group, H.members)
+    if closure.members != H.members:
+        raise ValueError(f"{H.group.label}: {list(H.members)} is not a subgroup")
+    return closure
+
+
+def orbit(start, maps, seen):
+    """Indices reachable from ``start`` by the index maps ``maps`` (lists
+    or dicts), in breadth-first order.  Each is marked in the bytearray
+    ``seen``; indices marked before are not entered.  For maps that are
+    bijections (left or right multiplication, conjugation) this is the
+    orbit of ``start`` under the group they generate."""
+    seen[start] = 1
+    out = [start]
+    for x in out:
+        for m in maps:
+            y = m[x]
+            if not seen[y]:
+                seen[y] = 1
+                out.append(y)
+    return out
+
+
+def _conjugations(G, gens, domain):
+    """Index maps {x: s*x*s^-1 for x in domain}, one per s in ``gens``."""
+    t, inv = G._table, G._inv
+    return [{x: t[t[s][x]][inv[s]] for x in domain} for s in gens]
+
+
+def conjugacy_classes(H):
+    """Conjugacy classes of a FiniteGroup or Subgroup, each the orbit of
+    its least member under conjugation by H's generators, in order of
+    least member."""
+    H = as_subgroup(H)
+    maps = _conjugations(H.group, H.generators, H.members)
+    seen = bytearray(H.group.order)
+    return [tuple(sorted(orbit(x, maps, seen))) for x in H.members if not seen[x]]
+
+
+def normal_closure(H, elements):
+    """Smallest normal subgroup of H containing ``elements`` (members of
+    H): the subgroup generated by their conjugacy classes in H."""
+    H = as_subgroup(H)
+    maps = _conjugations(H.group, H.generators, H.members)
+    seen = bytearray(H.group.order)
+    return greedy_closure(
+        H.group, [y for x in elements if not seen[x] for y in orbit(x, maps, seen)]
+    )
+
+
 def normal_core(G, H):
     """Intersection of all conjugates of H: the largest normal subgroup
-    of G inside H.  Equals H exactly when H is normal."""
+    of G inside H.  Equals H exactly when H is normal.
+
+    K <- K & sKs^-1 over the generators s of G until K stops changing:
+    the core lies in every iterate, and the fixed point is normal.
+    """
     if H.group is not G:
         raise GroupMismatch("subgroup belongs to a different group")
+    maps = _conjugations(G, G.generators, H.members)  # every iterate lies in H
     core = set(H.members)
-    for g in G.elements():
-        conj = {G.conjugate(g, h) for h in H.members}
-        core &= conj
-        if len(core) == 1:
-            break
-    return Subgroup(G, core, generators=())
+    changed = True
+    while changed and len(core) > 1:
+        changed = False
+        for m in maps:
+            kept = core.intersection([m[k] for k in core])
+            if len(kept) < len(core):
+                core, changed = kept, True
+    return greedy_closure(G, sorted(core))
 
 
 # -- homomorphisms and automorphisms -------------------------------------------

@@ -15,7 +15,7 @@ intended for the desk-scale orders the maximal searches are gated to.
 from __future__ import annotations
 
 from .errors import SearchBudgetExceeded
-from .groups import Subgroup, generate_subgroup
+from .groups import Subgroup, generate_subgroup, orbit
 
 SUBGROUP_SCAN_LIMIT = 200
 
@@ -51,33 +51,23 @@ def all_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):
         for sub in frontier:
             if sub.size == G.order:
                 continue
+            # HgH is the orbit of g under left and right multiplication
+            # by the generators of H
+            shifts = [G.left_row(s) for s in sub.generators]
+            shifts += [G.right_map(s) for s in sub.generators]
             done = bytearray(G.order)
-            _mark_double_coset(G, sub.generators, G.identity, done)  # H itself
+            orbit(G.identity, shifts, done)  # H itself
             for g in G.elements():
                 if done[g]:
                     continue
                 bigger = generate_subgroup(G, sub.generators + (g,))
                 if add(bigger):
                     next_frontier.append(bigger)
-                _mark_double_coset(G, sub.generators, g, done)
+                orbit(g, shifts, done)
         frontier = next_frontier
     result = sorted(known.values(), key=lambda s: (s.size, s.members))
     G._subgroups = result
     return result
-
-
-def _mark_double_coset(G, gens, g, done):
-    """Set ``done`` on HgH, H generated by ``gens``: the orbit of g under
-    left and right multiplication by the generators."""
-    done[g] = 1
-    orbit = [g]
-    for x in orbit:
-        row = G.left_row(x)
-        for s in gens:
-            for y in (G.mul(s, x), row[s]):
-                if not done[y]:
-                    done[y] = 1
-                    orbit.append(y)
 
 
 def normal_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):

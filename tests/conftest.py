@@ -22,6 +22,9 @@ S3_TRANSPOSITIONS = (1, 3, 4)
 S3_THREE_CYCLES = (2, 5)
 S3_CYCLIC = (0, 2, 5)
 
+# (0 1 2) and (0 1 2 3 4) generate the alternating group A5
+A5_GENS = [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]
+
 
 @pytest.fixture(scope="session")
 def s3():

@@ -1,7 +1,10 @@
 import itertools
+import random
 
 import pytest
 
+from finhaar import engel
+from finhaar.catalog import bundled_catalog
 from finhaar.engel import (
     commutator,
     commutator_idx,
@@ -12,9 +15,23 @@ from finhaar.engel import (
     verify_engel_consequences,
 )
 from finhaar.errors import BudgetExceeded, GroupMismatch
-from finhaar.groups import build_table_group, cyclic_group, generate_subgroup
+from finhaar.groups import (
+    Subgroup,
+    build_perm_group,
+    build_table_group,
+    conjugacy_classes,
+    cyclic_group,
+    dihedral_group,
+    generate_subgroup,
+    heisenberg_group_3,
+    identity_automorphism,
+    quaternion_group,
+    semidirect_c3,
+    symmetric_group,
+)
+from finhaar.lattice import all_subgroups
 
-from conftest import S3_CYCLIC
+from conftest import A5_GENS, S3_CYCLIC
 
 
 def test_commutator_with_identity(s3):
@@ -169,10 +186,33 @@ def test_cube_law_exponent3(heis27):
     assert report.qualifying_triples == 27**3
 
 
-def test_cube_law_matches_brute_force(s3, d8, z9):
-    for G in (s3, d8, z9, cyclic_group(4)):
+def _pairs_emptied_late(G):
+    """Pairs (a, b) with some x meeting the four cube conditions on x,
+    a*x, a^-1*x and b*x, but none meeting all eight: the pairs that no
+    condition on a alone, or on b alone, rules out."""
+    e = G.identity
+
+    def cube_root(y):
+        return G.power(y, 3) == e
+
+    count = 0
+    for a, b in itertools.product(G.elements(), repeat=2):
+        ia, ib = G.inv(a), G.inv(b)
+        early = [x for x in G.elements()
+                 if all(cube_root(G.mul(c, x)) for c in (e, a, ia, b))]
+        late = (G.mul(a, ib), G.mul(b, ia), G.mul(a, b), G.mul(ib, ia))
+        if early and not any(all(cube_root(G.mul(c, x)) for c in late) for x in early):
+            count += 1
+    return count
+
+
+def test_cube_law_matches_brute_force(s3, s4, d8, z9):
+    f21 = bundled_catalog().get("F21").group
+    assert _pairs_emptied_late(s4) == 96 and _pairs_emptied_late(f21) == 336
+    for G in (s3, s4, d8, z9, cyclic_group(4), f21):
         report = verify_cube_law(G)
         qualifying, worst = brute_cube_law(G)
+        assert report.triples_checked == G.order**3
         assert report.qualifying_triples == qualifying
         assert report.counterexample == worst
         assert worst is None
@@ -212,3 +252,184 @@ def test_consequences_class2_groups(d8, q8):
 def test_consequences_budget(heis27):
     with pytest.raises(BudgetExceeded):
         verify_engel_consequences(heis27, max_order=8)
+
+
+# -- the pair scan and the all-commutator series as oracles ---------------------
+
+
+def pair_scan(G, members):
+    """Oracle: (least-index counterexample to [a, b, b] = 1, pairs scanned)."""
+    checked = 0
+    for a in members:
+        for b in members:
+            checked += 1
+            if left_normed_idx(G, a, b, b) != G.identity:
+                return (a, b), checked
+    return None, checked
+
+
+def all_commutator_series(G, members):
+    """Oracle: member tuples of the lower central series, each term the
+    closure of every commutator of a member and a member of the last term."""
+    terms = [tuple(sorted(members))]
+    while len(terms[-1]) > 1:
+        comms = {commutator_idx(G, g, h) for g in members for h in terms[-1]}
+        nxt = generate_subgroup(G, sorted(comms)).members
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return terms
+
+
+def brute_classes(G, members):
+    """Oracle: the sets {h x h^-1 : h in H}."""
+    return {frozenset(G.mul(G.mul(h, x), G.inv(h)) for h in members) for x in members}
+
+
+def _heis27_rtimes_c3():
+    heis = bundled_catalog().get("Heis27")
+    return semidirect_c3(heis.group, heis.automorphisms["conj-x"], label="Heis27:conj-x")
+
+
+def _assert_matches_oracles(G, H):
+    members = H.members if isinstance(H, Subgroup) else tuple(G.elements())
+    report = is_2engel(H)
+    assert (report.counterexample, report.triples_checked) == pair_scan(G, members)
+    series = lower_central_series(G, support=None if H is G else H.members)
+    assert [t.members for t in series.terms] == all_commutator_series(G, members)
+    for term in series.terms:
+        assert generate_subgroup(G, term.generators).members == term.members
+    classes = conjugacy_classes(H)
+    assert {frozenset(c) for c in classes} == brute_classes(G, members)
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: symmetric_group(4),
+        lambda: dihedral_group(8),
+        quaternion_group,
+        heisenberg_group_3,
+        _heis27_rtimes_c3,
+        lambda: symmetric_group(5),
+    ],
+    ids=["S4", "D16", "Q8", "Heis27", "Heis27:conj-x", "S5"],
+)
+def test_engel_checks_match_oracles_on_every_subgroup(make):
+    G = make()
+    for H in all_subgroups(G):
+        # as built (with generators) and re-wrapped without them
+        _assert_matches_oracles(G, H)
+        _assert_matches_oracles(G, Subgroup(G, H.members))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cyclic_group(512), lambda: dihedral_group(256), lambda: symmetric_group(6)],
+    ids=["Z512", "D512", "S6"],
+)
+def test_engel_checks_match_oracles_on_whole_groups(make):
+    G = make()
+    _assert_matches_oracles(G, G)
+
+
+def test_engel_checks_refuse_a_set_that_is_not_a_subgroup(s3):
+    not_closed = Subgroup(s3, [0, 1, 3])
+    for check in (is_2engel, conjugacy_classes, lambda H: lower_central_series(s3, H.members)):
+        with pytest.raises(ValueError, match="is not a subgroup"):
+            check(not_closed)
+
+
+# -- sympy as an independent implementation ---------------------------------------------
+
+
+def _sympy_subgroups():
+    """(finhaar group, Subgroup or None, sympy group) for S4, A5, S5, S6 and
+    seeded two-generator subgroups of S5 and S6."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    def sympy_group(G, indices):
+        degree = len(G.perm_of(0))
+        return combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(G.perm_of(i)), size=degree) for i in indices]
+        )
+
+    cases = []
+    for G in (
+        symmetric_group(4),
+        build_perm_group(5, A5_GENS, label="A5"),
+        symmetric_group(5),
+        symmetric_group(6),
+    ):
+        cases.append((G, None, sympy_group(G, G.generators)))
+    rng = random.Random(7)
+    for G in (symmetric_group(5), symmetric_group(6)):
+        for _ in range(6):
+            gens = [rng.randrange(G.order) for _ in range(2)]
+            cases.append((G, generate_subgroup(G, gens), sympy_group(G, gens)))
+    return cases
+
+
+def test_series_and_classes_against_sympy():
+    cases = _sympy_subgroups()
+    assert len({H.size for _G, H, _ref in cases if H is not None}) > 3
+    for G, H, ref in cases:
+        subject = G if H is None else H
+        series = lower_central_series(G, support=None if H is None else H.members)
+        assert [t.size for t in series.terms] == [T.order() for T in ref.lower_central_series()]
+        assert len(conjugacy_classes(subject)) == len(ref.conjugacy_classes())
+
+
+# -- the swap law against a plain triple loop -------------------------------------------
+
+
+def swap_law_triple_loop(G):
+    """Oracle: (first (x, y, z) with [x,y,z][x,z,y] != 1, triples scanned)."""
+    t, inv = G.table(), [G.inv(x) for x in G.elements()]
+
+    def comm(a, b):
+        return t[t[t[inv[a]][inv[b]]][a]][b]
+
+    checked = 0
+    for x in G.elements():
+        for y in G.elements():
+            for z in G.elements():
+                checked += 1
+                if t[comm(comm(x, y), z)][comm(comm(x, z), y)] != G.identity:
+                    return (x, y, z), checked
+    return None, checked
+
+
+def _heis27_times_c3():
+    heis = heisenberg_group_3()
+    return semidirect_c3(heis, identity_automorphism(heis))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: dihedral_group(4), quaternion_group, heisenberg_group_3, _heis27_times_c3],
+    ids=["D8", "Q8", "Heis27", "Heis27xC3"],
+)
+def test_consequences_match_a_triple_loop(make):
+    G = make()
+    report = verify_engel_consequences(G, max_order=G.order)
+    assert report.applicable
+    assert (report.counterexample, report.triples_checked) == swap_law_triple_loop(G)
+    assert report.triples_checked == G.order**3
+    assert report.nilpotency_class == len(all_commutator_series(G, range(G.order))) - 1
+
+
+def test_consequences_report_the_first_failing_triple(monkeypatch):
+    # D16 has class 3 but is not 2-Engel, and the swap law fails there;
+    # with the 2-Engel gate forced open the scan must find the same triple
+    G = dihedral_group(8)
+    monkeypatch.setattr(
+        engel, "is_2engel",
+        lambda H: engel.CommutatorReport(group=G, law="two-engel", counterexample=None,
+                                         triples_checked=0),
+    )
+    report = verify_engel_consequences(G)
+    expected = swap_law_triple_loop(G)
+    assert expected[0] is not None
+    assert (report.counterexample, report.triples_checked) == expected
+    assert report.nilpotency_class == 3

@@ -12,6 +12,7 @@ from finhaar.errors import (
     OrderNotDividing3,
 )
 from finhaar.groups import (
+    FiniteGroup,
     Subgroup,
     automorphism_from_map,
     build_perm_group,
@@ -30,7 +31,7 @@ from finhaar.groups import (
 )
 from finhaar.lattice import all_subgroups
 
-from conftest import S3_CYCLIC, S3_ELEMS, S3_TRANSPOSITIONS
+from conftest import A5_GENS, S3_CYCLIC, S3_ELEMS, S3_TRANSPOSITIONS
 
 
 def test_trivial_table_group():
@@ -203,6 +204,7 @@ def test_is_normal_and_normal_core_against_all_pairs(make):
         largest = max((K for K in inside if K.members in normal), key=lambda K: K.size)
         assert core.members == largest.members
         assert core.is_normal()
+        assert generate_subgroup(G, core.generators).members == core.members
 
 
 def test_inverse_antihomomorphism(s3, d8, q8):
@@ -314,3 +316,35 @@ def test_table_group_associativity_witness():
 def test_s3_transpositions_have_order_2(s3):
     for t in S3_TRANSPOSITIONS:
         assert s3.element_order(t) == 2
+
+
+
+def test_permutation_tables_compose_the_permutations():
+    # the table of a permutation group is not checked by Light's test, so
+    # rebuild it here from the permutations, cell by cell
+    catalog = bundled_catalog()
+    groups = [symmetric_group(4), build_perm_group(5, A5_GENS, label="A5"), symmetric_group(5)]
+    groups += [
+        catalog.get(label).group
+        for label in catalog.labels()
+        if catalog.get(label).group.backend == "permutation"
+    ]
+    assert [(G.label, G.order) for G in groups] == [
+        ("S4", 24), ("A5", 60), ("S5", 120), ("S3", 6), ("S4", 24)
+    ]
+    for G in groups:
+        perms = [G.perm_of(i) for i in G.elements()]
+        for i, p in enumerate(perms):
+            for j, q in enumerate(perms):
+                # mul(i, j) applies j first, then i
+                assert G.mul(i, j) == G.index_of_perm([p[x] for x in q])
+
+
+def test_light_test_runs_on_tables_only(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{self.label}: associativity checked")
+
+    monkeypatch.setattr(FiniteGroup, "_check_associativity", refuse)
+    assert symmetric_group(5).order == 120
+    with pytest.raises(AssertionError, match="Z4: associativity checked"):
+        cyclic_group(4)
