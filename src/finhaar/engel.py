@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceeded, GroupMismatch
+from .errors import BudgetExceeded, GroupMismatch, SoundnessError
 from .groups import Subgroup, as_subgroup, conjugacy_classes, normal_closure
 from .measure import Subset
 
@@ -186,7 +186,8 @@ def verify_engel_consequences(H, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
     The swap law is checked on all |H|^3 triples, in least-index order,
     from a table of the commutators of H: [x,y,z][x,z,y] = 1 exactly
     when [[x,y],z] = [y,[x,z]].  Reports not-applicable when the subject
-    is not 2-Engel.
+    is not 2-Engel, and raises SoundnessError, naming the class, when a
+    2-Engel subject's class is not at most 3.
     """
     H = as_subgroup(H)
     G, members = H.group, H.members
@@ -202,15 +203,11 @@ def verify_engel_consequences(H, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
             triples_checked=0,
             applicable=False,
         )
-    series = lower_central_series(G, support=members)
-    cls = series.nilpotency_class
+    cls = lower_central_series(G, support=members).nilpotency_class
     if cls is None or cls > 3:
-        return CommutatorReport(
-            group=G,
-            law="class-bound-3",
-            counterexample=None,
-            triples_checked=0,
-            nilpotency_class=cls,
+        raise SoundnessError(
+            f"{G.label}: 2-Engel subject has nilpotency class {cls}, "
+            "but a 2-Engel group has class at most 3"
         )
     # comm[i][j] is the position in members of [members[i], members[j]]
     position = {x: i for i, x in enumerate(members)}

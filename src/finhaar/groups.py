@@ -3,18 +3,27 @@
 Every group keeps its full Cayley table as a list of lists, so ``mul``
 and ``left_row`` are plain lookups.  A group is given either by that
 table (table backend) or as a closure of permutations with
-deterministic breadth-first indexing (permutation backend), whose table
-is then composed once at construction.  Permutation closures stop at
-``DEFAULT_CLOSURE_CAP`` = 4096 elements unless a larger ``cap`` is
-passed: beyond that a dense table no longer fits comfortably.  All heavy
-operations work on plain ``int`` indices; the thin :class:`GroupElement`
-wrapper exists for ergonomic arithmetic.
+deterministic breadth-first indexing (permutation backend).  Both build
+the table a whole row at a time with list operations that run in C:
+
+* table backend: each given row is converted with ``int`` and
+  range-checked once (``build_table_group``);
+* permutation backend: the closure records each new element as p*g for
+  an earlier element p and a generator g (a Schreier tree), and its row
+  is the row of p read through the row of g, since (p*g)*x = p*(g*x).
+  Only the generators' own rows are composed from permutations
+  (``build_perm_group``).
+
+Permutation closures stop at ``DEFAULT_CLOSURE_CAP`` = 4096 elements
+unless a larger ``cap`` is passed: beyond that a dense table no longer
+fits comfortably.  All heavy operations work on plain ``int`` indices;
+the thin :class:`GroupElement` wrapper exists for ergonomic arithmetic.
 
 Validation is exact at every order, with no sampling: associativity of
 a given table by Light's test (Clifford and Preston 1961) and maps
 between groups by ``check_homomorphism``, both on a greedy generating
-set of at most log2(order) elements.  A table composed from
-permutations is associative by construction and is not tested.
+set of at most log2(order) elements.  A table built from permutations
+is associative by construction and is not tested.
 
 Conjugacy classes, normal closures and the double cosets of the lattice
 search are orbits of an index under index maps (``orbit``).
@@ -26,6 +35,7 @@ pure recomputations.
 
 from __future__ import annotations
 
+import operator
 from functools import reduce
 
 from .errors import (
@@ -50,33 +60,30 @@ class FiniteGroup:
     of the neutral element.  ``backend`` is "table" or "permutation".
     ``generators`` adds, in index order, each element the closure so far
     misses; each one at least doubles the closure.
+
+    ``table`` is a list of rows of ``int`` indices, kept as given; with
+    ``perms``, ``perms[i]`` is the permutation of element i and the
+    table is their composition.  Build groups with ``build_table_group``
+    and ``build_perm_group``, which check their input and make the rows.
     """
 
-    def __init__(self, label, table=None, perms=None):
-        if table is None and perms is None:
-            raise ValueError("need a Cayley table or a permutation list")
+    def __init__(self, label, table, perms=None):
         self.label = label
-        if table is not None:
+        self._table = table
+        self.order = len(table)
+        if perms is None:
             self.backend = "table"
-            self._table = [list(map(int, row)) for row in table]
-            self.order = len(self._table)
             self._perms = None
             self._perm_index = None
         else:
             self.backend = "permutation"
-            self._perms = [tuple(p) for p in perms]
-            self._perm_index = {p: i for i, p in enumerate(self._perms)}
-            self.order = len(self._perms)
-            # mul(i, j) applies permutation j first, then i.
-            self._table = [
-                [self._perm_index[tuple([p[x] for x in q])] for q in self._perms]
-                for p in self._perms
-            ]
+            self._perms = perms
+            self._perm_index = {p: i for i, p in enumerate(perms)}
         self.identity = self._find_identity()
         self._inv = self._find_inverses()
         self.generators = greedy_closure(self, range(self.order)).generators
-        if self._perms is None:
-            # a table composed from permutations is associative by construction
+        if perms is None:
+            # a table built from permutations is associative by construction
             self._check_associativity()
         self._abelian = None
         self._subgroups = None
@@ -84,23 +91,29 @@ class FiniteGroup:
     # -- construction internals ------------------------------------------
 
     def _find_identity(self):
-        n = self.order
-        if self._perms is not None:
-            ident = tuple(range(len(self._perms[0])))
-            return self._perm_index[ident]
-        for e in range(n):
-            if all(self.mul(e, x) == x and self.mul(x, e) == x for x in range(n)):
+        t = self._table
+        ident = list(range(self.order))
+        for e, row in enumerate(t):
+            if row == ident and all(r[e] == x for x, r in enumerate(t)):
                 return e
         raise NoIdentity(f"{self.label}: no two-sided identity")
 
     def _find_inverses(self):
+        """The least y with x*y = e = y*x, for each x: the first right
+        inverse, unless it is not also a left one; then the whole row
+        is scanned."""
         t, e = self._table, self.identity
-        inv = [
-            next((y for y, xy in enumerate(row) if xy == e and t[y][x] == e), None)
-            for x, row in enumerate(t)
-        ]
-        if None in inv:
-            raise NoInverse(f"{self.label}: element {inv.index(None)} has no inverse")
+        inv = []
+        for x, row in enumerate(t):
+            try:
+                y = row.index(e)
+            except ValueError:
+                y = None
+            if y is None or t[y][x] != e:
+                y = next((y for y, xy in enumerate(row) if xy == e and t[y][x] == e), None)
+                if y is None:
+                    raise NoInverse(f"{self.label}: element {x} has no inverse")
+            inv.append(y)
         return inv
 
     def _check_associativity(self):
@@ -108,9 +121,9 @@ class FiniteGroup:
         exact, because the g that pass are closed under products."""
         t = self._table
         for g in self.generators:
-            column = t[g]
+            through_g = _read_through(t[g])
             for x, row in enumerate(t):
-                lhs, rhs = t[row[g]], [row[v] for v in column]
+                lhs, rhs = t[row[g]], through_g(row)
                 if lhs != rhs:
                     z = next(z for z, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
                     raise NotAssociative(f"{self.label}: ({x}*{g})*{z} != {x}*({g}*{z})")
@@ -241,19 +254,24 @@ class GroupElement:
 def build_table_group(table, label="table-group"):
     """Validate a Cayley table and wrap it as a FiniteGroup.
 
-    Raises NoIdentity / NoInverse / NotAssociative naming a witness, and
-    ValueError for malformed input (non-square, entries out of range).
+    Each row is converted with ``int`` and range-checked once.  Raises
+    NoIdentity / NoInverse / NotAssociative naming a witness, and
+    ValueError for malformed input (non-square, entries out of range,
+    naming the first offending entry).
     """
     n = len(table)
     if n == 0:
         raise ValueError("empty table")
+    rows = []
     for row in table:
         if len(row) != n:
             raise ValueError(f"{label}: table is not square")
-        for v in row:
-            if not 0 <= int(v) < n:
-                raise ValueError(f"{label}: entry {v} out of range 0..{n - 1}")
-    return FiniteGroup(label, table=table)
+        ints = _int_row(row)
+        if ints is None or min(ints) < 0 or max(ints) >= n:
+            v = next(v for v in row if not 0 <= int(v) < n)
+            raise ValueError(f"{label}: entry {v} out of range 0..{n - 1}")
+        rows.append(ints)
+    return FiniteGroup(label, table=rows)
 
 
 def build_perm_group(degree, generators, cap=DEFAULT_CLOSURE_CAP, label="perm-group"):
@@ -261,8 +279,12 @@ def build_perm_group(degree, generators, cap=DEFAULT_CLOSURE_CAP, label="perm-gr
 
     Indices follow discovery order: identity is 0, then products in
     queue order with generators applied in input order, so the indexing
-    is reproducible.  Raises CapExceeded when the closure grows past
-    ``cap`` and InvalidPermutation for bad generators.
+    is reproducible.  The closure records each new element as p*g, with
+    p found earlier and g a generator, so its table row is the row of p
+    read through the row of g, because (p*g)*x = p*(g*x); the generators'
+    rows, g*x for every x, are the only rows composed from permutations.
+    Raises CapExceeded when the closure grows past ``cap`` and
+    InvalidPermutation for bad generators.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -274,24 +296,55 @@ def build_perm_group(degree, generators, cap=DEFAULT_CLOSURE_CAP, label="perm-gr
         gens.append(g)
     identity = tuple(range(degree))
     elems = [identity]
-    seen = {identity}
-    head = 0
-    while head < len(elems):
-        current = elems[head]
-        head += 1
-        for g in gens:
-            new = tuple(current[g[x]] for x in range(degree))
-            if new not in seen:
+    position = {identity: 0}
+    tree = []  # (p, k) for elements 1, 2, ...: element = elems[p] * gens[k]
+    for p, current in enumerate(elems):
+        for k, g in enumerate(gens):
+            # mul(i, j) applies permutation j first, then i
+            new = tuple(map(current.__getitem__, g))
+            if new not in position:
                 if len(elems) + 1 > cap:
                     raise CapExceeded(f"{label}: closure exceeds cap {cap}")
-                seen.add(new)
+                position[new] = len(elems)
                 elems.append(new)
-    return FiniteGroup(label, perms=elems)
+                tree.append((p, k))
+    through = [
+        _read_through([position[tuple(map(g.__getitem__, q))] for q in elems]) for g in gens
+    ]
+    rows = [list(range(len(elems)))]
+    for p, k in tree:
+        rows.append(through[k](rows[p]))
+    return FiniteGroup(label, table=rows, perms=elems)
+
+
+def _int_row(row):
+    """``row`` as a list of the ints ``int`` makes of its entries, or None
+    if one has no int value.  ``operator.index`` makes the same ints of
+    integer entries (bool and numpy integers too) at a third of the cost."""
+    try:
+        return list(map(operator.index, row))
+    except TypeError:
+        pass
+    try:
+        return list(map(int, row))
+    except (TypeError, ValueError):
+        return None
+
+
+def _read_through(index_map):
+    """The function row -> [row[i] for i in index_map], run in C; with a
+    table row as ``index_map`` it composes rows: g's row read through
+    h's is the row of g*h."""
+    if len(index_map) == 1:  # itemgetter of one index returns a bare item
+        i = index_map[0]
+        return lambda row: [row[i]]
+    get = operator.itemgetter(*index_map)
+    return lambda row: list(get(row))
 
 
 def cyclic_group(n, label=None):
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return build_table_group(table, label or f"Z{n}")
+    ident = list(range(n))
+    return build_table_group([ident[i:] + ident[:i] for i in range(n)], label or f"Z{n}")
 
 
 def symmetric_group(n, label=None):
@@ -567,7 +620,7 @@ class Automorphism:
 
     def __init__(self, group, mapping, name="aut"):
         self.group = group
-        self.map = tuple(int(v) for v in mapping)
+        self.map = tuple(map(int, mapping))
         self.name = name
         self._validate()
         self.order = self._compute_order()
@@ -583,9 +636,10 @@ class Automorphism:
 
     def _compute_order(self):
         ident = tuple(range(self.group.order))
+        step = self.map.__getitem__
         current, k = self.map, 1
         while current != ident:
-            current = tuple(self.map[v] for v in current)
+            current = tuple(map(step, current))
             k += 1
         return k
 
@@ -595,9 +649,10 @@ class Automorphism:
     def map_power(self, k):
         """Index map of the k-th iterate."""
         k %= self.order
+        step = self.map.__getitem__
         current = tuple(range(self.group.order))
         for _ in range(k):
-            current = tuple(self.map[v] for v in current)
+            current = tuple(map(step, current))
         return current
 
     def __repr__(self):
@@ -645,16 +700,17 @@ class SemidirectExtension(FiniteGroup):
                 f"{base.label}/{aut.name}: automorphism order {aut.order} does not divide 3"
             )
         n = base.order
-        powers = [aut.map_power((3 - i) % 3) for i in range(3)]
-        table = [[0] * (3 * n) for _ in range(3 * n)]
-        for i in range(3):
-            twist = powers[i]
+        # block j of row (g, i) is g's row read through the twist, shifted
+        # into block (i + j) mod 3
+        twists = [_read_through(aut.map_power((3 - i) % 3)) for i in range(3)]
+        shifted = [[list(map((n * b).__add__, row)) for row in base._table] for b in range(3)]
+        table = []
+        for i, twist in enumerate(twists):
             for g in range(n):
-                row = table[g + n * i]
+                row = []
                 for j in range(3):
-                    block = n * ((i + j) % 3)
-                    for h in range(n):
-                        row[h + n * j] = base.mul(g, twist[h]) + block
+                    row += twist(shifted[(i + j) % 3][g])
+                table.append(row)
         self.base = base
         self.twist = aut
         super().__init__(label or f"{base.label}:rtimes3", table=table)

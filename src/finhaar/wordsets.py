@@ -243,6 +243,9 @@ def _grow_seed_set(G, word_set, cert_fn, law_holds, length):
     nonconstructive product-length bound that would otherwise be needed
     to propagate the certificates to the whole subgroup.  Many trials
     generate the same subgroup, so the law is checked once per subgroup.
+    The pairs of products of the last accepted V are all certified, so a
+    trial walks, in the same (a, b) order, only the pairs with a product
+    outside them.
     """
     e = G.identity
     members = {e}
@@ -260,6 +263,7 @@ def _grow_seed_set(G, word_set, cert_fn, law_holds, length):
             law_cache[H.members] = law_holds(H)
         return law_cache[H.members]
 
+    accepted = set()  # products of the last accepted V; none before the first
     for x in G.elements():
         if x in members:
             continue
@@ -267,14 +271,17 @@ def _grow_seed_set(G, word_set, cert_fn, law_holds, length):
         if not lawful(generate_subgroup(G, sorted(trial))):
             continue
         products = _products_up_to(G, sorted(trial), length)
+        fresh = [b for b in products if b not in accepted]
         if all(
-            certified(a, b) is not None for a in products for b in products
+            certified(a, b) is not None
+            for a in products
+            for b in (fresh if a in accepted else products)
         ):
-            members = trial
+            members, accepted = trial, set(products)
     seed = tuple(sorted(members))
     products = _products_up_to(G, seed, length)
     certificates = tuple(
-        PairCertificate(a, b, cert_cache[(a, b)])
+        PairCertificate(a, b, certified(a, b))
         for a in products
         for b in products
     )

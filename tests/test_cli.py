@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from finhaar import cli, wordsets
+from finhaar import cli, engel, wordsets
 from finhaar.cli import main
 from finhaar.errors import FinhaarError
 
@@ -441,3 +441,42 @@ def test_sets_that_do_not_fit_are_skipped(capsys, argv):
         code = main(argv + ["--group", label])
         assert code == 1
         assert capsys.readouterr().err == f"finhaar: {label}: {reason}\n"
+
+
+def test_verify_consequences_class_above_3_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(
+        engel, "is_2engel",
+        lambda H: engel.CommutatorReport(group=H.group, law="two-engel", counterexample=None,
+                                         triples_checked=0),
+    )
+    code = main(["verify", "engel-consequences", "--group", "S3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "S3: 2-Engel subject has nilpotency class None" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["extract-abelian", "--set", "inverted:id"], ["extract-engel", "--set", "splitting:id"]],
+    ids=["abelian", "engel"],
+)
+def test_proof_extraction_on_the_trivial_group_exits_0(tmp_path, capsys, argv):
+    cat = tmp_path / "t1.json"
+    cat.write_text(
+        json.dumps(
+            {
+                "groups": [
+                    {
+                        "label": "T1",
+                        "kind": "table",
+                        "table": [[0]],
+                        "automorphisms": [{"name": "id", "map": [0]}],
+                    }
+                ]
+            }
+        )
+    )
+    code, out = run(capsys, argv + ["--catalog", str(cat), "--mode", "proof"])
+    assert code == 0
+    (res,) = payload(out)["results"]
+    assert res["result"]["members"] == [0]

@@ -14,7 +14,7 @@ from finhaar.engel import (
     verify_cube_law,
     verify_engel_consequences,
 )
-from finhaar.errors import BudgetExceeded, GroupMismatch
+from finhaar.errors import BudgetExceeded, GroupMismatch, SoundnessError
 from finhaar.groups import (
     Subgroup,
     build_perm_group,
@@ -433,3 +433,21 @@ def test_consequences_report_the_first_failing_triple(monkeypatch):
     assert expected[0] is not None
     assert (report.counterexample, report.triples_checked) == expected
     assert report.nilpotency_class == 3
+
+
+@pytest.mark.parametrize(
+    "make, cls", [(lambda: symmetric_group(3), None), (lambda: dihedral_group(16), 4)],
+    ids=["S3", "D32"],
+)
+def test_consequences_refuse_a_2engel_subject_of_class_above_3(monkeypatch, make, cls):
+    # a 2-Engel group has class at most 3; with the 2-Engel gate forced
+    # open, S3 (not nilpotent) and D32 (class 4) must be reported, not passed
+    G = make()
+    assert lower_central_series(G).nilpotency_class == cls
+    monkeypatch.setattr(
+        engel, "is_2engel",
+        lambda H: engel.CommutatorReport(group=G, law="two-engel", counterexample=None,
+                                         triples_checked=0),
+    )
+    with pytest.raises(SoundnessError, match=rf"{G.label}: 2-Engel subject has nilpotency class {cls},"):
+        verify_engel_consequences(G)

@@ -1,8 +1,11 @@
 import itertools
+import json
+import random
+import re
 
 import pytest
 
-from finhaar.catalog import bundled_catalog
+from finhaar.catalog import bundled_catalog, bundled_catalog_text
 from finhaar.errors import (
     CapExceeded,
     InvalidPermutation,
@@ -248,12 +251,13 @@ def test_inner_automorphism_order(s3):
 
 
 def test_semidirect_identity_is_direct_product(z6):
-    ext = semidirect_c3(z6, identity_automorphism(z6))
-    assert ext.order == 18
-    for g, i in itertools.product(range(6), range(3)):
-        for h, j in itertools.product(range(6), range(3)):
-            lhs = ext.mul(ext.pair_index(g, i), ext.pair_index(h, j))
-            assert lhs == ext.pair_index(z6.mul(g, h), (i + j) % 3)
+    for G in (cyclic_group(1), z6):
+        ext = semidirect_c3(G, identity_automorphism(G))
+        assert ext.order == 3 * G.order
+        for g, i in itertools.product(G.elements(), range(3)):
+            for h, j in itertools.product(G.elements(), range(3)):
+                lhs = ext.mul(ext.pair_index(g, i), ext.pair_index(h, j))
+                assert lhs == ext.pair_index(G.mul(g, h), (i + j) % 3)
 
 
 def test_semidirect_frobenius21(z7):
@@ -319,25 +323,162 @@ def test_s3_transpositions_have_order_2(s3):
 
 
 
+def _composed_perm_group(degree, gens):
+    """Reference construction, by composition alone: the breadth-first
+    closure, then every pair of permutations composed and looked up; the
+    least two-sided inverses; and greedy generators, each the least
+    index the closure so far misses."""
+    identity = tuple(range(degree))
+    perms, position = [identity], {identity: 0}
+    for current in perms:
+        for g in gens:
+            new = tuple(current[g[x]] for x in range(degree))
+            if new not in position:
+                position[new] = len(perms)
+                perms.append(new)
+    # mul(i, j) applies j first, then i
+    table = [[position[tuple([p[x] for x in q])] for q in perms] for p in perms]
+    inverses = [
+        next(y for y, xy in enumerate(row) if xy == 0 and table[y][x] == 0)
+        for x, row in enumerate(table)
+    ]
+    generators, closure = [], [0]
+    for x in range(len(perms)):
+        if x not in closure:
+            generators.append(x)
+            closure = [0]
+            for y in closure:
+                for g in generators:
+                    if table[y][g] not in closure:
+                        closure.append(table[y][g])
+    return perms, table, inverses, generators
+
+
+S4_SWAP, S4_CYCLE = (1, 0, 2, 3), (1, 2, 3, 0)
+
+
 def test_permutation_tables_compose_the_permutations():
     # the table of a permutation group is not checked by Light's test, so
-    # rebuild it here from the permutations, cell by cell
+    # rebuild it here the old way and compare element by element
+    catalog_specs = [
+        spec for spec in json.loads(bundled_catalog_text())["groups"] if spec["kind"] == "perm"
+    ]
+    assert [spec["label"] for spec in catalog_specs] == ["S3", "S4"]
+    s6_gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
+    cases = [
+        (symmetric_group(4), 4, [S4_SWAP, S4_CYCLE]),
+        (build_perm_group(5, A5_GENS, label="A5"), 5, A5_GENS),
+        (symmetric_group(5), 5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
+        (symmetric_group(6), 6, s6_gens),
+        (build_perm_group(4, []), 4, []),
+        (build_perm_group(4, [(0, 1, 2, 3)]), 4, [(0, 1, 2, 3)]),
+        (build_perm_group(4, [S4_SWAP, S4_SWAP, S4_CYCLE, S4_SWAP]), 4,
+         [S4_SWAP, S4_SWAP, S4_CYCLE, S4_SWAP]),
+        # (0 1)(0 1 2 3) is a product of the two before it
+        (build_perm_group(4, [S4_SWAP, S4_CYCLE, (2, 1, 3, 0)]), 4,
+         [S4_SWAP, S4_CYCLE, (2, 1, 3, 0)]),
+        (build_perm_group(1, [(0,)]), 1, [(0,)]),
+        (build_perm_group(1, []), 1, []),
+        (build_perm_group(4, [S4_CYCLE, S4_SWAP]), 4, [S4_CYCLE, S4_SWAP]),
+    ]
+    cases += [
+        (bundled_catalog().get(spec["label"]).group, spec["degree"],
+         [tuple(g) for g in spec["generators"]])
+        for spec in catalog_specs
+    ]
+    assert [G.order for G, _, _ in cases] == [24, 60, 120, 720, 1, 1, 24, 24, 1, 1, 24, 6, 24]
+    for G, degree, gens in cases:
+        perms, table, inverses, generators = _composed_perm_group(degree, gens)
+        assert G.backend == "permutation"
+        assert [G.perm_of(i) for i in G.elements()] == perms
+        assert G.table() == table
+        assert G.identity == 0
+        assert [G.inv(x) for x in G.elements()] == inverses
+        assert list(G.generators) == generators
+    # both orders of the S4 generators index S4 differently
+    assert cases[0][0].table() != cases[-3][0].table()
+
+
+def _least_two_sided_inverses(t):
+    """Least y with x*y = 0 = y*x for each x, or the first x with none."""
+    inverses = []
+    for x, row in enumerate(t):
+        y = next((y for y in range(len(t)) if row[y] == 0 and t[y][x] == 0), None)
+        if y is None:
+            return x
+        inverses.append(y)
+    return inverses
+
+
+def test_inverses_when_the_first_right_inverse_is_not_a_left_one(monkeypatch):
+    # 0 is a two-sided identity throughout; these magmas are not groups, so
+    # Light's test is switched off to see the inverses that were found
+    monkeypatch.setattr(FiniteGroup, "_check_associativity", lambda self: None)
+    # 1*2 = 0 but 2*1 = 3; 1*3 = 0 = 3*1
+    later = [[0, 1, 2, 3], [1, 2, 0, 0], [2, 3, 1, 0], [3, 0, 0, 1]]
+    assert _least_two_sided_inverses(later) == [0, 3, 3, 1]
+    assert build_table_group(later)._inv == [0, 3, 3, 1]
+    # 1's only right inverse, 2, is not a left one: 2*1 = 3
+    none = [[0, 1, 2, 3], [1, 2, 0, 1], [2, 3, 1, 1], [3, 1, 2, 0]]
+    assert _least_two_sided_inverses(none) == 1
+    with pytest.raises(NoInverse, match=r"element 1 has no inverse"):
+        build_table_group(none)
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randrange(2, 6)
+        t = [list(range(n))] + [[x] + [rng.randrange(n) for _ in range(n - 1)] for x in range(1, n)]
+        expected = _least_two_sided_inverses(t)
+        if isinstance(expected, int):
+            with pytest.raises(NoInverse, match=rf"element {expected} has no inverse$"):
+                build_table_group(t)
+        else:
+            assert build_table_group(t)._inv == expected
+        outcomes.add(type(expected))
+    assert outcomes == {int, list}
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1, 2], [1, -1, 7], [2, 0, 1]], "entry -1 out of range 0..2"),
+        ([[0, 1, 2], [1, 7, -1], [2, 0, 9]], "entry 7 out of range 0..2"),
+        ([[0, 1], [3, "x"]], "entry 3 out of range 0..1"),
+        ([[0, 1], ["x", 3]], "invalid literal for int"),
+        ([[0, 1], [1, 2.0]], "entry 2.0 out of range 0..1"),
+    ],
+)
+def test_out_of_range_message_names_the_first_offending_entry(table, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_table_group(table, label="bad")
+
+
+def test_table_entries_become_ints():
+    G = build_table_group([[0.0, True], [1, False]], label="Z2")
+    assert G.table() == [[0, 1], [1, 0]]
+    assert {type(v) for row in G.table() for v in row} == {int}
+
+
+def _order_by_a_loop(mapping):
+    ident, current, k = list(range(len(mapping))), list(mapping), 1
+    while current != ident:
+        current = [mapping[v] for v in current]
+        k += 1
+    return k
+
+
+def test_automorphism_order_and_powers_against_a_loop():
     catalog = bundled_catalog()
-    groups = [symmetric_group(4), build_perm_group(5, A5_GENS, label="A5"), symmetric_group(5)]
-    groups += [
-        catalog.get(label).group
-        for label in catalog.labels()
-        if catalog.get(label).group.backend == "permutation"
-    ]
-    assert [(G.label, G.order) for G in groups] == [
-        ("S4", 24), ("A5", 60), ("S5", 120), ("S3", 6), ("S4", 24)
-    ]
-    for G in groups:
-        perms = [G.perm_of(i) for i in G.elements()]
-        for i, p in enumerate(perms):
-            for j, q in enumerate(perms):
-                # mul(i, j) applies j first, then i
-                assert G.mul(i, j) == G.index_of_perm([p[x] for x in q])
+    auts = [aut for label in catalog.labels() for aut in catalog.get(label).automorphisms.values()]
+    z512 = cyclic_group(512)
+    auts.append(automorphism_from_map(z512, [(5 * x) % 512 for x in range(512)], name="mul"))
+    assert auts[-1].order == 128
+    for aut in auts:
+        assert aut.order == _order_by_a_loop(aut.map)
+        power = list(range(aut.group.order))
+        for k in range(aut.order + 2):
+            assert list(aut.map_power(k)) == power
+            power = [aut.map[v] for v in power]
 
 
 def test_light_test_runs_on_tables_only(monkeypatch):

@@ -9,7 +9,9 @@ from finhaar.engel import left_normed_idx
 from finhaar.errors import OrderNotDividing3, SearchBudgetExceeded, WrongKind
 from finhaar.groups import (
     automorphism_from_map,
+    build_table_group,
     dihedral_group,
+    generate_subgroup,
     identity_automorphism,
     inner_automorphism,
     inversion_automorphism,
@@ -397,3 +399,64 @@ def test_seed_growth_checks_each_generated_subgroup_once(monkeypatch, make):
     _grow_seed_set(G, word, engel_pair_certificate, _subgroup_is_2engel, 2)
     assert checked == list(dict.fromkeys(generated))
     assert len(generated) > len(checked)
+
+
+def _grow_seed_set_by_rewalking(G, word_set, cert_fn, law_holds, length):
+    """Reference seed growth by the plain rule: every trial walks every
+    pair of its products, certified before or not."""
+    members, cache = {G.identity}, {}
+
+    def certified(a, b):
+        if (a, b) not in cache:
+            cache[(a, b)] = cert_fn(word_set, a, b)
+        return cache[(a, b)]
+
+    for x in G.elements():
+        if x in members:
+            continue
+        trial = members | {x, G.inv(x)}
+        if not law_holds(generate_subgroup(G, sorted(trial))):
+            continue
+        products = wordsets._products_up_to(G, sorted(trial), length)
+        if all(certified(a, b) is not None for a in products for b in products):
+            members = trial
+    seed = tuple(sorted(members))
+    products = wordsets._products_up_to(G, seed, length)
+    return seed, tuple(
+        wordsets.PairCertificate(a, b, certified(a, b)) for a in products for b in products
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_heis81, lambda: dihedral_group(8), lambda: bundled_catalog().get("S4").group],
+    ids=["Heis27:conj-x", "D16", "S4"],
+)
+@pytest.mark.parametrize("kind", ["abelian", "two-engel"])
+def test_seed_growth_certifies_each_pair_once_as_a_rewalk_would(make, kind):
+    G = make()
+    aut = identity_automorphism(G)
+    if kind == "abelian":
+        word, cert_fn, law = inverted_set(G, aut), commuting_certificate, lambda H: H.is_abelian()
+    else:
+        word, cert_fn, law = splitting_set(G, aut), engel_pair_certificate, _subgroup_is_2engel
+    calls, oracle_calls = [], []
+
+    def recording(into):
+        return lambda X, a, b: into.append((a, b)) or cert_fn(X, a, b)
+
+    grown = _grow_seed_set(G, word, recording(calls), law, 2)
+    expected = _grow_seed_set_by_rewalking(G, word, recording(oracle_calls), law, 2)
+    assert grown == expected
+    assert calls == oracle_calls
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("extract", [extract_abelian_subgroup, extract_engel_subgroup])
+def test_proof_mode_on_the_trivial_group(extract):
+    G = build_table_group([[0]], label="T1")
+    report = extract(G, identity_automorphism(G), mode="proof")
+    assert report.result.members == (0,)
+    assert report.proof_following.seed_set == (0,)
+    assert report.proof_following.certificates == (wordsets.PairCertificate(0, 0, 0),)
+    assert report.verified_normal and report.verified_law
