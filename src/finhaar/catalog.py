@@ -72,6 +72,45 @@ def _require(condition, message):
         raise ParseError(message)
 
 
+def _parse_group(spec, label, where):
+    """The CatalogEntry of one object of ``groups``."""
+    kind = spec.get("kind")
+    if kind == "table":
+        table = spec.get("table")
+        _require(isinstance(table, list) and table, f"{where}: missing table")
+        _require(all(isinstance(r, list) for r in table), f"{where}: table rows must be lists")
+        group = build_table_group(table, label=label)
+    elif kind == "perm":
+        degree = spec.get("degree")
+        gens = spec.get("generators")
+        _require(type(degree) is int and degree >= 1, f"{where}: bad degree")
+        _require(isinstance(gens, list), f"{where}: missing generators")
+        _require(all(isinstance(g, list) for g in gens), f"{where}: generators must be lists")
+        cap = spec.get("cap", DEFAULT_CLOSURE_CAP)
+        _require(type(cap) is int and cap >= 1, f"{where}: cap must be a positive integer")
+        group = build_perm_group(degree, gens, cap=cap, label=label)
+    else:
+        raise ParseError(f"{where}: kind must be 'table' or 'perm'")
+    auts = {}
+    aspecs = spec.get("automorphisms", [])
+    _require(isinstance(aspecs, list), f"{where}: automorphisms must be a list")
+    for apos, aspec in enumerate(aspecs):
+        awhere = f"{where}: automorphisms[{apos}]"
+        _require(isinstance(aspec, dict), f"{awhere}: must be an object")
+        name = aspec.get("name")
+        _require(isinstance(name, str) and name, f"{awhere}: missing name")
+        _require(name not in auts, f"{awhere}: duplicate name {name!r}")
+        _require(isinstance(aspec.get("map"), list), f"{awhere}: missing map")
+        aut = automorphism_from_map(group, aspec["map"], name=name)
+        declared = aspec.get("order")
+        _require(
+            declared is None or (type(declared) is int and declared == aut.order),
+            f"{awhere}: declared order {declared!r} but computed {aut.order}",
+        )
+        auts[name] = aut
+    return CatalogEntry(label=label, group=group, automorphisms=auts)
+
+
 def parse_catalog_dict(doc, source="<dict>"):
     _require(isinstance(doc, dict), f"{source}: top level must be an object")
     _require("groups" in doc, f"{source}: missing 'groups'")
@@ -85,54 +124,14 @@ def parse_catalog_dict(doc, source="<dict>"):
         _require(isinstance(label, str) and label, f"{where}: missing label")
         _require(label not in seen, f"{where}: duplicate label {label!r}")
         seen.add(label)
-        kind = spec.get("kind")
-        if kind == "table":
-            table = spec.get("table")
-            _require(isinstance(table, list) and table, f"{where}: missing table")
-            n = len(table)
-            for row in table:
-                _require(
-                    isinstance(row, list) and len(row) == n,
-                    f"{where}: table is not square",
-                )
-                _require(
-                    set(map(type, row)) == {int}, f"{where}: table entries must be integers"
-                )
-            group = build_table_group(table, label=label)
-        elif kind == "perm":
-            degree = spec.get("degree")
-            gens = spec.get("generators")
-            _require(isinstance(degree, int) and degree >= 1, f"{where}: bad degree")
-            _require(isinstance(gens, list), f"{where}: missing generators")
-            cap = spec.get("cap", DEFAULT_CLOSURE_CAP)
-            _require(
-                type(cap) is int and cap >= 1, f"{where}: cap must be a positive integer"
-            )
-            group = build_perm_group(degree, gens, cap=cap, label=label)
-        else:
-            raise ParseError(f"{where}: kind must be 'table' or 'perm'")
-        auts = {}
-        for apos, aspec in enumerate(spec.get("automorphisms", [])):
-            awhere = f"{where}: automorphisms[{apos}]"
-            _require(isinstance(aspec, dict), f"{awhere}: must be an object")
-            name = aspec.get("name")
-            _require(isinstance(name, str) and name, f"{awhere}: missing name")
-            _require(name not in auts, f"{awhere}: duplicate name {name!r}")
-            _require(isinstance(aspec.get("map"), list), f"{awhere}: missing map")
-            _require(
-                set(map(type, aspec["map"])) <= {int}, f"{awhere}: map entries must be integers"
-            )
-            aut = automorphism_from_map(group, aspec["map"], name=name)
-            declared = aspec.get("order")
-            if declared is not None and declared != aut.order:
-                raise ParseError(
-                    f"{awhere}: declared order {declared} but computed {aut.order}"
-                )
-            auts[name] = aut
-        entries.append(CatalogEntry(label=label, group=group, automorphisms=auts))
+        try:
+            entries.append(_parse_group(spec, label, where))
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
     entries.sort(key=lambda e: e.label)
     by_label = {e.label: e for e in entries}
     towers = {}
+    _require(isinstance(doc.get("towers", []), list), f"{source}: 'towers' must be a list")
     for pos, tspec in enumerate(doc.get("towers", [])):
         where = f"{source}: towers[{pos}]"
         _require(isinstance(tspec, dict), f"{where}: must be an object")
@@ -141,12 +140,16 @@ def parse_catalog_dict(doc, source="<dict>"):
         _require(name not in towers, f"{where}: duplicate name {name!r}")
         levels = tspec.get("levels")
         _require(
-            isinstance(levels, list) and len(levels) >= 1, f"{where}: missing levels"
+            isinstance(levels, list) and levels and all(isinstance(x, str) for x in levels),
+            f"{where}: levels must be a non-empty list of labels",
         )
         for lab in levels:
             _require(lab in by_label, f"{where}: unknown level label {lab!r}")
         maps = tspec.get("maps", [])
-        _require(isinstance(maps, list), f"{where}: maps must be a list")
+        _require(
+            isinstance(maps, list) and all(isinstance(m, list) for m in maps),
+            f"{where}: maps must be a list of lists",
+        )
         try:
             towers[name] = build_tower(
                 [by_label[lab].group for lab in levels], maps, name=name

@@ -6,8 +6,8 @@ table (table backend) or as a closure of permutations with
 deterministic breadth-first indexing (permutation backend).  Both build
 the table a whole row at a time with list operations that run in C:
 
-* table backend: each given row is converted with ``int`` and
-  range-checked once (``build_table_group``);
+* table backend: each given row is checked once by the one rule for
+  element indices (``build_table_group``);
 * permutation backend: the closure records each new element as p*g for
   an earlier element p and a generator g (a Schreier tree), and its row
   is the row of p read through the row of g, since (p*g)*x = p*(g*x).
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
+from numbers import Integral
 
 from .errors import (
     CapExceeded,
@@ -61,8 +62,8 @@ class FiniteGroup:
     ``generators`` adds, in index order, each element the closure so far
     misses; each one at least doubles the closure.
 
-    ``table`` is a list of rows of ``int`` indices, kept as given; with
-    ``perms``, ``perms[i]`` is the permutation of element i and the
+    ``table`` is a list of rows of Python ``int`` indices, kept as given;
+    with ``perms``, ``perms[i]`` is the permutation of element i and the
     table is their composition.  Build groups with ``build_table_group``
     and ``build_perm_group``, which check their input and make the rows.
     """
@@ -180,8 +181,6 @@ class FiniteGroup:
     # -- conveniences -------------------------------------------------------
 
     def element(self, i):
-        if not 0 <= i < self.order:
-            raise IndexError(f"{self.label}: element index {i} out of range")
         return GroupElement(self, i)
 
     def elements(self):
@@ -254,24 +253,17 @@ class GroupElement:
 def build_table_group(table, label="table-group"):
     """Validate a Cayley table and wrap it as a FiniteGroup.
 
-    Each row is converted with ``int`` and range-checked once.  Raises
-    NoIdentity / NoInverse / NotAssociative naming a witness, and
-    ValueError for malformed input (non-square, entries out of range,
+    Each row is checked once by ``_index_list``.  Raises NoIdentity /
+    NoInverse / NotAssociative naming a witness, and ValueError for
+    malformed input (non-square, an entry that is not an int in 0..n-1,
     naming the first offending entry).
     """
     n = len(table)
     if n == 0:
         raise ValueError("empty table")
-    rows = []
-    for row in table:
-        if len(row) != n:
-            raise ValueError(f"{label}: table is not square")
-        ints = _int_row(row)
-        if ints is None or min(ints) < 0 or max(ints) >= n:
-            v = next(v for v in row if not 0 <= int(v) < n)
-            raise ValueError(f"{label}: entry {v} out of range 0..{n - 1}")
-        rows.append(ints)
-    return FiniteGroup(label, table=rows)
+    if any(len(row) != n for row in table):
+        raise ValueError(f"{label}: table is not square")
+    return FiniteGroup(label, table=[_index_list(row, n, label) for row in table])
 
 
 def build_perm_group(degree, generators, cap=DEFAULT_CLOSURE_CAP, label="perm-group"):
@@ -283,14 +275,15 @@ def build_perm_group(degree, generators, cap=DEFAULT_CLOSURE_CAP, label="perm-gr
     p found earlier and g a generator, so its table row is the row of p
     read through the row of g, because (p*g)*x = p*(g*x); the generators'
     rows, g*x for every x, are the only rows composed from permutations.
-    Raises CapExceeded when the closure grows past ``cap`` and
-    InvalidPermutation for bad generators.
+    Raises CapExceeded when the closure grows past ``cap``, ValueError
+    for an entry that is not an int in 0..degree-1 (``_index_list``) and
+    InvalidPermutation for a generator that is no permutation.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     gens = []
     for g in generators:
-        g = tuple(int(v) for v in g)
+        g = tuple(_index_list(g, degree, label))
         if sorted(g) != list(range(degree)):
             raise InvalidPermutation(f"{label}: {g} is not a permutation of 0..{degree - 1}")
         gens.append(g)
@@ -317,18 +310,20 @@ def build_perm_group(degree, generators, cap=DEFAULT_CLOSURE_CAP, label="perm-gr
     return FiniteGroup(label, table=rows, perms=elems)
 
 
-def _int_row(row):
-    """``row`` as a list of the ints ``int`` makes of its entries, or None
-    if one has no int value.  ``operator.index`` makes the same ints of
-    integer entries (bool and numpy integers too) at a third of the cost."""
-    try:
-        return list(map(operator.index, row))
-    except TypeError:
-        pass
-    try:
-        return list(map(int, row))
-    except (TypeError, ValueError):
-        return None
+def _index_list(values, n, what):
+    """``values`` as a new list of Python ints in 0..n-1: the one rule for
+    element indices given from outside (table rows, permutations, maps).
+    Python and numpy integers pass; bool, float and str entries do not,
+    integral or not.  ValueError names the first bad entry."""
+    values = list(values)
+    out = values if set(map(type, values)) <= {int} else [
+        operator.index(v) if isinstance(v, Integral) and type(v) is not bool else -1
+        for v in values
+    ]  # -1 marks an entry that is not an integer
+    if out and (min(out) < 0 or max(out) >= n):
+        v = next(v for v, i in zip(values, out) if not 0 <= i < n)
+        raise ValueError(f"{what}: entry {v!r} out of range 0..{n - 1}")
+    return out
 
 
 def _read_through(index_map):
@@ -620,7 +615,7 @@ class Automorphism:
 
     def __init__(self, group, mapping, name="aut"):
         self.group = group
-        self.map = tuple(map(int, mapping))
+        self.map = tuple(_index_list(mapping, group.order, f"{group.label}/{name}"))
         self.name = name
         self._validate()
         self.order = self._compute_order()

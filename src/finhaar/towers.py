@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotMultiplicative, NotSurjective
-from .groups import check_homomorphism
+from .groups import _index_list, check_homomorphism
 from .wordsets import torsion_set
 
 
@@ -27,21 +27,22 @@ class Tower:
 
 
 def build_tower(levels, maps, name="tower"):
-    """Validate level-joining maps: total, surjective, multiplicative."""
+    """Validate level-joining maps: index lists, total, surjective, multiplicative."""
     levels = tuple(levels)
-    maps = tuple(tuple(int(v) for v in m) for m in maps)
+    maps = tuple(maps)
     if len(maps) != len(levels) - 1:
         raise ValueError(
             f"{name}: {len(levels)} levels need {len(levels) - 1} maps, got {len(maps)}"
         )
+    maps = tuple(
+        tuple(_index_list(m, levels[i].order, f"{name}: map {i}")) for i, m in enumerate(maps)
+    )
     for i, phi in enumerate(maps):
         coarse, fine = levels[i], levels[i + 1]
         if len(phi) != fine.order:
             raise ValueError(
                 f"{name}: map {i} has {len(phi)} entries for a group of order {fine.order}"
             )
-        if any(not 0 <= v < coarse.order for v in phi):
-            raise ValueError(f"{name}: map {i} has values outside the coarse group")
         if len(set(phi)) != coarse.order:
             raise NotSurjective(f"{name}: map {i} is not onto the coarse group")
         check_homomorphism(fine, coarse, phi, f"{name}: map {i}")

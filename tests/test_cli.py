@@ -287,6 +287,16 @@ def test_witness_fallback_is_marked(capsys):
 
 _S3_GENS = [[1, 0, 2], [1, 2, 0]]
 _S3 = {"label": "S3", "kind": "perm", "degree": 3, "generators": _S3_GENS}
+_Z2 = {"label": "Z2", "kind": "table", "table": [[0, 1], [1, 0]]}
+
+
+def _s2(generators):
+    return {"label": "S2", "kind": "perm", "degree": 2, "generators": generators}
+
+
+def _z2_tower(maps):
+    """A whole document: Z2 and one tower Z2 <- Z2 with ``maps``."""
+    return {"groups": [_Z2], "towers": [{"name": "t", "levels": ["Z2", "Z2"], "maps": maps}]}
 
 
 @pytest.mark.parametrize(
@@ -315,6 +325,19 @@ _S3 = {"label": "S3", "kind": "perm", "degree": 3, "generators": _S3_GENS}
         (_S3, ["--seed", "-1"]),
         (_S3, ["--workers", "0"]),
         (_S3, ["--workers", "-2"]),
+        ({"label": "Z2", "kind": "table", "table": [[0, 5], [1, 0]]}, []),
+        (_s2([5]), []),
+        (_s2(["10"]), []),
+        (_s2([[1.5, 0]]), []),
+        (_s2([[True, False]]), []),
+        (_z2_tower([[0, 1.7]]), []),
+        (_z2_tower([[0, "1"]]), []),
+        (_z2_tower([5]), []),
+        ({"label": "T", "kind": "perm", "degree": True, "generators": []}, []),
+        (dict(_Z2, automorphisms=[{"name": "id", "map": [0, 1], "order": True}]), []),
+        (dict(_Z2, automorphisms=5), []),
+        ({"groups": [_Z2], "towers": 5}, []),
+        ({"groups": [_Z2], "towers": [{"name": "t", "levels": [["Z2"]], "maps": []}]}, []),
     ],
     ids=[
         "float-entry",
@@ -332,17 +355,30 @@ _S3 = {"label": "S3", "kind": "perm", "degree": 3, "generators": _S3_GENS}
         "seed-minus-1",
         "workers-0",
         "workers-minus-2",
+        "table-entry-out-of-range",
+        "generator-not-a-list",
+        "string-generator",
+        "float-generator-entry",
+        "bool-generator-entries",
+        "float-tower-map",
+        "string-tower-map",
+        "tower-map-not-a-list",
+        "bool-degree",
+        "bool-declared-order",
+        "automorphisms-not-a-list",
+        "towers-not-a-list",
+        "level-not-a-label",
     ],
 )
 def test_bad_input_exits_2_with_message(tmp_path, capsys, group, extra):
     path = tmp_path / "catalog.json"
-    path.write_text(json.dumps({"groups": [group]}))
+    path.write_text(json.dumps(group if "towers" in group else {"groups": [group]}))
     if extra == ["--out"]:
         extra = extra + [str(tmp_path / "missing" / "report.json")]
     code = main(["validate", "--catalog", str(path)] + extra)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("finhaar: ")
+    assert err.startswith("finhaar: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from finhaar.groups import (
     generate_subgroup,
     heisenberg_group_3,
     identity_automorphism,
+    normal_closure,
     quaternion_group,
     semidirect_c3,
     symmetric_group,
@@ -345,15 +346,15 @@ def test_engel_checks_refuse_a_set_that_is_not_a_subgroup(s3):
 
 
 def _sympy_subgroups():
-    """(finhaar group, Subgroup or None, sympy group) for S4, A5, S5, S6 and
-    seeded two-generator subgroups of S5 and S6."""
+    """(finhaar group, Subgroup or None, sympy subgroup, sympy group) for S4,
+    A5, S5, S6, seeded two-generator subgroups of S5 and S6, and the
+    bundled S3 and S4 with every subgroup of each."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
 
     def sympy_group(G, indices):
-        degree = len(G.perm_of(0))
-        return combinatorics.PermutationGroup(
-            [combinatorics.Permutation(list(G.perm_of(i)), size=degree) for i in indices]
-        )
+        # the trivial subgroup records no generators
+        perms = [_sympy_perm(G, i) for i in indices or [G.identity]]
+        return combinatorics.PermutationGroup(perms)
 
     cases = []
     for G in (
@@ -368,17 +369,35 @@ def _sympy_subgroups():
         for _ in range(6):
             gens = [rng.randrange(G.order) for _ in range(2)]
             cases.append((G, generate_subgroup(G, gens), sympy_group(G, gens)))
-    return cases
+    for label in ("S3", "S4"):
+        G = bundled_catalog().get(label).group
+        cases.append((G, None, sympy_group(G, G.generators)))
+        cases += [(G, H, sympy_group(G, H.generators)) for H in all_subgroups(G)]
+    return [(G, H, ref, sympy_group(G, G.generators)) for G, H, ref in cases]
+
+
+def _sympy_perm(G, x):
+    """Element x of a permutation-backed group as a sympy Permutation."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    return combinatorics.Permutation(list(G.perm_of(x)), size=len(G.perm_of(0)))
 
 
 def test_series_and_classes_against_sympy():
     cases = _sympy_subgroups()
-    assert len({H.size for _G, H, _ref in cases if H is not None}) > 3
-    for G, H, ref in cases:
+    assert len({H.size for _G, H, _ref, _refG in cases if H is not None}) > 3
+    normal = set()
+    for G, H, ref, ref_G in cases:
         subject = G if H is None else H
         series = lower_central_series(G, support=None if H is None else H.members)
         assert [t.size for t in series.terms] == [T.order() for T in ref.lower_central_series()]
         assert len(conjugacy_classes(subject)) == len(ref.conjugacy_classes())
+        if H is not None:
+            assert H.is_normal() == ref.is_normal(ref_G)
+            normal.add(H.is_normal())
+        for x in subject.generators:
+            closure = ref_G.normal_closure(_sympy_perm(G, x))
+            assert normal_closure(G, [x]).size == closure.order()
+    assert normal == {True, False}
 
 
 # -- the swap law against a plain triple loop -------------------------------------------

@@ -3,6 +3,7 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
 
 from finhaar.catalog import bundled_catalog, bundled_catalog_text
@@ -33,6 +34,7 @@ from finhaar.groups import (
     symmetric_group,
 )
 from finhaar.lattice import all_subgroups
+from finhaar.towers import build_tower
 
 from conftest import A5_GENS, S3_CYCLIC, S3_ELEMS, S3_TRANSPOSITIONS
 
@@ -295,6 +297,9 @@ def test_element_wrapper(s3):
     assert (a**-1).idx == s3.inv(1)
     assert a.inverse() == a**-1
     assert b.order() == 3
+    for i in (-1, 6):
+        with pytest.raises(IndexError, match=f"S3: element index {i} out of range"):
+            s3.element(i)
 
 
 def test_abelianness(z6, s3):
@@ -444,7 +449,7 @@ def test_inverses_when_the_first_right_inverse_is_not_a_left_one(monkeypatch):
         ([[0, 1, 2], [1, -1, 7], [2, 0, 1]], "entry -1 out of range 0..2"),
         ([[0, 1, 2], [1, 7, -1], [2, 0, 9]], "entry 7 out of range 0..2"),
         ([[0, 1], [3, "x"]], "entry 3 out of range 0..1"),
-        ([[0, 1], ["x", 3]], "invalid literal for int"),
+        ([[0, 1], ["x", 3]], "entry 'x' out of range 0..1"),
         ([[0, 1], [1, 2.0]], "entry 2.0 out of range 0..1"),
     ],
 )
@@ -453,10 +458,33 @@ def test_out_of_range_message_names_the_first_offending_entry(table, message):
         build_table_group(table, label="bad")
 
 
+def test_non_integer_entries_are_rejected_not_truncated():
+    z2 = cyclic_group(2)
+    for build, message in [
+        (lambda: build_table_group([[0, 1], [1, 0.7]], label="bad"), "bad: entry 0.7"),
+        (lambda: build_table_group([[0, True], [1, 0]], label="bad"), "bad: entry True"),
+        (lambda: automorphism_from_map(cyclic_group(3), [0, 2.9, 1]), "Z3/aut: entry 2.9"),
+        (lambda: automorphism_from_map(cyclic_group(3), [0, "2", 1]), "Z3/aut: entry '2'"),
+        (lambda: build_perm_group(2, [(1.5, 0)], label="bad"), "bad: entry 1.5"),
+        (lambda: build_perm_group(2, [(False, True)], label="bad"), "bad: entry False"),
+        (lambda: build_tower([z2, z2], [[0, 1.9]], name="t"), "t: map 0: entry 1.9"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+
 def test_table_entries_become_ints():
-    G = build_table_group([[0.0, True], [1, False]], label="Z2")
+    # numpy integers are integers; bool and integral floats are not
+    table = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    G = build_table_group(table, label="Z2")
     assert G.table() == [[0, 1], [1, 0]]
     assert {type(v) for row in G.table() for v in row} == {int}
+    aut = automorphism_from_map(G, np.arange(2, dtype=np.int64))
+    perms = build_perm_group(2, [np.array([1, 0], dtype=np.int64)])
+    tower = build_tower([G, G], [np.arange(2, dtype=np.int64)])
+    assert {type(v) for v in aut.map + perms.perm_of(1) + tower.maps[0]} == {int}
+    with pytest.raises(ValueError, match=re.escape("Z2: entry 0.0 out of range 0..1")):
+        build_table_group([[0.0, True], [1, False]], label="Z2")
 
 
 def _order_by_a_loop(mapping):
