@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceeded, GroupMismatch, SoundnessError
-from .groups import Subgroup, as_subgroup, conjugacy_classes, normal_closure
+from .groups import as_subgroup, conjugacy_classes, normal_closure
 from .measure import Subset
 
 DEFAULT_TRIPLE_SCAN_LIMIT = 64
@@ -101,9 +101,8 @@ class CentralSeries:
     nilpotency_class: Optional[int]
 
 
-def lower_central_series(G, support=None):
-    """Lower central series of G (or of the subgroup H with members
-    ``support``).
+def lower_central_series(H):
+    """Lower central series of a FiniteGroup or Subgroup H.
 
     Each term is the normal closure in H of the commutators [s, t] of a
     generator s of H and a generator t of the term before, which is the
@@ -111,7 +110,8 @@ def lower_central_series(G, support=None):
     stabilize; the class is defined only when the series reaches the
     trivial subgroup.
     """
-    H = as_subgroup(G if support is None else Subgroup(G, support))
+    H = as_subgroup(H)
+    G = H.group
     terms = [H]
     while terms[-1].size > 1:
         last = terms[-1]
@@ -121,11 +121,8 @@ def lower_central_series(G, support=None):
         if nxt.members == last.members:
             break
         terms.append(nxt)
-    stabilized = True
     cls = len(terms) - 1 if terms[-1].size == 1 else None
-    return CentralSeries(
-        group=G, terms=tuple(terms), stabilized=stabilized, nilpotency_class=cls
-    )
+    return CentralSeries(group=G, terms=tuple(terms), stabilized=True, nilpotency_class=cls)
 
 
 def verify_cube_law(G, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
@@ -203,7 +200,7 @@ def verify_engel_consequences(H, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
             triples_checked=0,
             applicable=False,
         )
-    cls = lower_central_series(G, support=members).nilpotency_class
+    cls = lower_central_series(H).nilpotency_class
     if cls is None or cls > 3:
         raise SoundnessError(
             f"{G.label}: 2-Engel subject has nilpotency class {cls}, "

@@ -28,6 +28,14 @@ is associative by construction and is not tested.
 Conjugacy classes, normal closures and the double cosets of the lattice
 search are orbits of an index under index maps (``orbit``).
 
+One rule decides what an element index from outside is (``_index_list``
+for lists, ``_index`` for one): a Python or numpy integer in 0..n-1,
+never a bool, float or str, kept as a Python int.  Every public call
+that takes indices checks them by it and names itself in its ValueError,
+except the raw kernels ``mul``, ``inv``, ``conjugate``, ``power``,
+``left_row``, ``right_map`` and ``Subset.left_translate``, the
+per-element arithmetic built on them and the ``Subgroup`` constructor.
+
 Groups, subgroups and automorphisms are immutable after construction and
 safe to share between threads.  Lazily cached attributes only memoise
 pure recomputations.
@@ -86,7 +94,6 @@ class FiniteGroup:
         if perms is None:
             # a table built from permutations is associative by construction
             self._check_associativity()
-        self._abelian = None
         self._subgroups = None
 
     # -- construction internals ------------------------------------------
@@ -170,13 +177,7 @@ class FiniteGroup:
         return [row[g] for row in self._table]
 
     def is_abelian(self):
-        if self._abelian is None:
-            self._abelian = all(
-                self.mul(x, y) == self.mul(y, x)
-                for x in range(self.order)
-                for y in range(x)
-            )
-        return self._abelian
+        return _commute_pairwise(self, self.generators)
 
     # -- conveniences -------------------------------------------------------
 
@@ -214,10 +215,8 @@ class GroupElement:
     __slots__ = ("group", "idx")
 
     def __init__(self, group, idx):
-        if not 0 <= idx < group.order:
-            raise IndexError(f"{group.label}: element index {idx} out of range")
         self.group = group
-        self.idx = idx
+        self.idx = _index(idx, group.order, f"GroupElement on {group.label}")
 
     def __mul__(self, other):
         if other.group is not self.group:
@@ -324,6 +323,14 @@ def _index_list(values, n, what):
         v = next(v for v, i in zip(values, out) if not 0 <= i < n)
         raise ValueError(f"{what}: entry {v!r} out of range 0..{n - 1}")
     return out
+
+
+def _index(v, n, what):
+    """``v`` as a Python int in 0..n-1 by the rule of ``_index_list``; an
+    int in range is returned at once."""
+    if type(v) is int and 0 <= v < n:
+        return v
+    return _index_list((v,), n, what)[0]
 
 
 def _read_through(index_map):
@@ -459,11 +466,8 @@ class Subgroup:
         )
 
     def is_abelian(self):
-        G = self.group
-        ms = self.members
-        return all(
-            G.mul(a, b) == G.mul(b, a) for i, a in enumerate(ms) for b in ms[:i]
-        )
+        """Checked on H's generators (on its members if none), like ``is_normal``."""
+        return _commute_pairwise(self.group, self.generators or self.members)
 
     def index(self):
         return self.group.order // self.size
@@ -475,6 +479,12 @@ class Subgroup:
         return f"Subgroup({self.group.label}, {list(self.members)})"
 
 
+def _commute_pairwise(G, elems):
+    """Whether ``elems`` commute pairwise; on generators, whether their group is abelian."""
+    t = G._table
+    return all(t[a][b] == t[b][a] for i, a in enumerate(elems) for b in elems[:i])
+
+
 def generate_subgroup(G, gens):
     """Smallest subgroup of G containing ``gens``.
 
@@ -482,14 +492,13 @@ def generate_subgroup(G, gens):
     the generators alone; in a finite group the monoid this reaches is
     already the subgroup, so inverses need no separate step.
     """
-    for g in gens:
-        if not 0 <= g < G.order:
-            raise ValueError(f"{G.label}: generator index {g} out of range")
-    gens = tuple(dict.fromkeys(gens))
+    what = f"generate_subgroup on {G.label}"
+    gens = tuple(dict.fromkeys([_index(g, G.order, what) for g in gens]))
+    t = G._table
     elems = [G.identity]
     seen = {G.identity}
     for x in elems:
-        row = G.left_row(x)
+        row = t[x]
         for g in gens:
             y = row[g]
             if y not in seen:
@@ -566,11 +575,11 @@ def normal_closure(H, elements):
     """Smallest normal subgroup of H containing ``elements`` (members of
     H): the subgroup generated by their conjugacy classes in H."""
     H = as_subgroup(H)
-    maps = _conjugations(H.group, H.generators, H.members)
-    seen = bytearray(H.group.order)
-    return greedy_closure(
-        H.group, [y for x in elements if not seen[x] for y in orbit(x, maps, seen)]
-    )
+    G = H.group
+    elements = _index_list(elements, G.order, f"normal_closure on {G.label}")
+    maps = _conjugations(G, H.generators, H.members)
+    seen = bytearray(G.order)
+    return greedy_closure(G, [y for x in elements if not seen[x] for y in orbit(x, maps, seen)])
 
 
 def normal_core(G, H):
@@ -638,9 +647,6 @@ class Automorphism:
             k += 1
         return k
 
-    def apply(self, idx):
-        return self.map[idx]
-
     def map_power(self, k):
         """Index map of the k-th iterate."""
         k %= self.order
@@ -669,6 +675,7 @@ def inversion_automorphism(G):
 
 def inner_automorphism(G, g, name=None):
     """Conjugation x -> g x g^-1."""
+    g = _index(g, G.order, f"inner_automorphism on {G.label}")
     return Automorphism(
         G,
         [G.conjugate(g, x) for x in G.elements()],

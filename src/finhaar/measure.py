@@ -25,6 +25,7 @@ from .errors import (
     TupleSpaceTooLarge,
     UnitBallViolated,
 )
+from .groups import _index, _index_list
 
 DEFAULT_TUPLE_SPACE_BUDGET = 10**8
 DEFAULT_KLARGE_BUDGET = 10**7
@@ -48,27 +49,21 @@ class Subset:
     __slots__ = ("group", "bits", "_translates")
 
     def __init__(self, group, bits):
-        if bits < 0 or bits >> group.order:
-            raise ValueError(f"bitmask has bits outside 0..{group.order - 1}")
+        if type(bits) is not int or bits < 0 or bits >> group.order:
+            raise ValueError(f"bitmask must be an int with bits in 0..{group.order - 1}")
         self.group = group
         self.bits = bits
 
     @classmethod
     def from_indices(cls, group, indices):
         bits = 0
-        for i in indices:
-            if not 0 <= i < group.order:
-                raise ValueError(f"{group.label}: index {i} out of range")
+        for i in _index_list(indices, group.order, f"Subset.from_indices on {group.label}"):
             bits |= 1 << i
         return cls(group, bits)
 
     @classmethod
     def from_predicate(cls, group, pred):
-        bits = 0
-        for i in group.elements():
-            if pred(i):
-                bits |= 1 << i
-        return cls(group, bits)
+        return cls(group, sum(1 << i for i in group.elements() if pred(i)))
 
     @classmethod
     def full(cls, group):
@@ -108,11 +103,11 @@ class Subset:
     def right_translate(self, x):
         """The set {a * x : a in self}."""
         G = self.group
-        return Subset(G, _map_bits(self.bits, [G.mul(a, x) for a in G.elements()]))
+        x = _index(x, G.order, f"Subset.right_translate on {G.label}")
+        return Subset(G, _map_bits(self.bits, G.right_map(x)))
 
     def inverse_set(self):
-        G = self.group
-        return Subset(G, _map_bits(self.bits, [G.inv(a) for a in G.elements()]))
+        return Subset(self.group, _map_bits(self.bits, self.group._inv))
 
     def is_symmetric(self):
         return self.bits == self.inverse_set().bits
@@ -169,6 +164,7 @@ def translate_intersection_measure(sets, xs):
     for A in sets:
         if A.group is not G:
             raise GroupMismatch("sets over different groups")
+    xs = _index_list(xs, G.order, f"translate_intersection_measure on {G.label}")
     mask = (1 << G.order) - 1
     for A, x in zip(sets, xs):
         mask &= A.left_translate(x).bits
@@ -295,6 +291,7 @@ def translate_product_mean(funcs, xs):
     for f in funcs:
         if f.group is not G:
             raise GroupMismatch("functions over different groups")
+    xs = _index_list(xs, G.order, f"translate_product_mean on {G.label}")
     prod = np.ones(G.order, dtype=np.complex128)
     for f, x in zip(funcs, xs):
         prod *= f.left_translate(x).values

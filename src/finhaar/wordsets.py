@@ -21,7 +21,7 @@ from .errors import (
     SoundnessError,
     WrongKind,
 )
-from .groups import Subgroup, generate_subgroup, normal_core
+from .groups import Subgroup, _index, generate_subgroup, normal_core
 from .lattice import SUBGROUP_SCAN_LIMIT, all_subgroups, maximal_subgroup_satisfying
 from .measure import Subset
 
@@ -149,9 +149,12 @@ def commuting_certificate(X, a, b):
     if X.kind != "inverted":
         raise WrongKind(f"need an inverted set, got {X.kind}")
     G, A = X.group, X.subset
-    ab = G.mul(a, b)
+    what = f"commuting_certificate on {G.label}"
+    a, b = _index(a, G.order, what), _index(b, G.order, what)
+    t, inv = G._table, G._inv
+    ab = t[a][b]
     mask = A.bits
-    for c in (G.inv(b), G.inv(a), G.inv(ab)):
+    for c in (inv[b], inv[a], inv[ab]):
         mask &= A.left_translate(c).bits
     if not mask:
         return None
@@ -172,10 +175,12 @@ def engel_pair_certificate(X, a, b):
     if X.kind != "splitting":
         raise WrongKind(f"need a splitting set, got {X.kind}")
     G, A = X.group, X.subset
-    inv_a, inv_b = G.inv(a), G.inv(b)
-    ab = G.mul(a, b)
+    what = f"engel_pair_certificate on {G.label}"
+    a, b = _index(a, G.order, what), _index(b, G.order, what)
+    t, inv = G._table, G._inv
+    ab = t[a][b]
     mask = A.bits
-    for c in (inv_b, a, inv_a, G.mul(a, inv_b), G.mul(b, inv_a), ab, G.inv(ab)):
+    for c in (inv[b], a, inv[a], t[a][inv[b]], t[b][inv[a]], ab, inv[ab]):
         mask &= A.left_translate(c).bits
     if not mask:
         return None

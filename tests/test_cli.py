@@ -428,6 +428,25 @@ def test_malformed_set_or_at_exits_2(capsys, argv):
     assert captured.err.startswith("finhaar: ")
 
 
+@pytest.mark.parametrize(
+    "argv, entry_point",
+    [
+        (["lambda", "--set", "torsion:2", "--at", "6"], "translate_intersection_measure"),
+        (["psi", "--n", "2", "--at", "0,-1"], "translate_product_mean"),
+        (["commute-cert", "--set", "inverted:id", "--at", "0,6"], "commuting_certificate"),
+        (["engel-cert", "--set", "splitting:id", "--at", "6,0"], "engel_pair_certificate"),
+    ],
+    ids=lambda a: a[0] if isinstance(a, list) else a,
+)
+def test_out_of_range_at_exits_1_naming_the_entry_point(capsys, argv, entry_point):
+    code = main(argv + ["--group", "S3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"finhaar: {entry_point} on S3: entry ")
+    assert captured.err.count("\n") == 1
+
+
 # every command that resolves word sets per group, with a set that only
 # D8, S3 and S4 declare (conj-r has order 2 in D8, 3 in S3 and S4)
 SET_COMMANDS = [

@@ -296,7 +296,7 @@ def _assert_matches_oracles(G, H):
     members = H.members if isinstance(H, Subgroup) else tuple(G.elements())
     report = is_2engel(H)
     assert (report.counterexample, report.triples_checked) == pair_scan(G, members)
-    series = lower_central_series(G, support=None if H is G else H.members)
+    series = lower_central_series(H)
     assert [t.members for t in series.terms] == all_commutator_series(G, members)
     for term in series.terms:
         assert generate_subgroup(G, term.generators).members == term.members
@@ -337,7 +337,7 @@ def test_engel_checks_match_oracles_on_whole_groups(make):
 
 def test_engel_checks_refuse_a_set_that_is_not_a_subgroup(s3):
     not_closed = Subgroup(s3, [0, 1, 3])
-    for check in (is_2engel, conjugacy_classes, lambda H: lower_central_series(s3, H.members)):
+    for check in (is_2engel, conjugacy_classes, lower_central_series):
         with pytest.raises(ValueError, match="is not a subgroup"):
             check(not_closed)
 
@@ -388,7 +388,7 @@ def test_series_and_classes_against_sympy():
     normal = set()
     for G, H, ref, ref_G in cases:
         subject = G if H is None else H
-        series = lower_central_series(G, support=None if H is None else H.members)
+        series = lower_central_series(subject)
         assert [t.size for t in series.terms] == [T.order() for T in ref.lower_central_series()]
         assert len(conjugacy_classes(subject)) == len(ref.conjugacy_classes())
         if H is not None:

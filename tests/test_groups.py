@@ -28,13 +28,27 @@ from finhaar.groups import (
     identity_automorphism,
     inner_automorphism,
     inversion_automorphism,
+    normal_closure,
     normal_core,
     quaternion_group,
     semidirect_c3,
     symmetric_group,
 )
 from finhaar.lattice import all_subgroups
+from finhaar.measure import (
+    GroupFunction,
+    Subset,
+    translate_intersection_measure,
+    translate_product_mean,
+)
 from finhaar.towers import build_tower
+from finhaar.wordsets import (
+    commuting_certificate,
+    engel_pair_certificate,
+    inverted_set,
+    splitting_set,
+    torsion_set,
+)
 
 from conftest import A5_GENS, S3_CYCLIC, S3_ELEMS, S3_TRANSPOSITIONS
 
@@ -298,13 +312,26 @@ def test_element_wrapper(s3):
     assert a.inverse() == a**-1
     assert b.order() == 3
     for i in (-1, 6):
-        with pytest.raises(IndexError, match=f"S3: element index {i} out of range"):
+        with pytest.raises(ValueError, match=f"GroupElement on S3: entry {i} out of range 0..5"):
             s3.element(i)
 
 
-def test_abelianness(z6, s3):
+def _commute_by_pair_scan(G, members):
+    return all(G.mul(a, b) == G.mul(b, a) for a in members for b in members)
+
+
+def test_abelianness(z6, s3, s4, d8, q8, heis27):
     assert z6.is_abelian()
     assert not s3.is_abelian()
+    outcomes = set()
+    for G in (s4, d8, q8, heis27, bundled_catalog().get("F21").group):
+        assert G.is_abelian() == _commute_by_pair_scan(G, G.elements())
+        for H in all_subgroups(G):
+            expected = _commute_by_pair_scan(G, H.members)
+            # by the recorded generators, then by the members alone
+            assert H.is_abelian() == Subgroup(G, H.members).is_abelian() == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_table_group_associativity_witness():
@@ -485,6 +512,93 @@ def test_table_entries_become_ints():
     assert {type(v) for v in aut.map + perms.perm_of(1) + tower.maps[0]} == {int}
     with pytest.raises(ValueError, match=re.escape("Z2: entry 0.0 out of range 0..1")):
         build_table_group([[0.0, True], [1, False]], label="Z2")
+
+
+def _s3_subset():
+    return torsion_set(symmetric_group(3), 2).subset
+
+
+def _s3_function():
+    return GroupFunction.indicator(_s3_subset())
+
+
+def _s3_pair_set(kind):
+    G = symmetric_group(3)
+    return (inverted_set if kind == "inverted" else splitting_set)(G, identity_automorphism(G))
+
+
+# (entry point named in the message, call on S3 with one element index,
+# what the call keeps of the index, with the type of each stored index)
+INDEX_ENTRIES = [
+    ("GroupElement", lambda v: symmetric_group(3).element(v), lambda r: (r.idx, type(r.idx))),
+    (
+        "generate_subgroup",
+        lambda v: generate_subgroup(symmetric_group(3), [v]),
+        lambda r: (r.members, [type(g) for g in r.generators]),
+    ),
+    ("normal_closure", lambda v: normal_closure(symmetric_group(3), [v]), lambda r: r.members),
+    (
+        "inner_automorphism",
+        lambda v: inner_automorphism(symmetric_group(3), v),
+        lambda r: (r.map, r.name),
+    ),
+    (
+        "Subset.from_indices",
+        lambda v: Subset.from_indices(symmetric_group(3), [v]),
+        lambda r: (r.bits, r.indices()),
+    ),
+    ("Subset.right_translate", lambda v: _s3_subset().right_translate(v), lambda r: r.bits),
+    (
+        "translate_intersection_measure",
+        lambda v: translate_intersection_measure([_s3_subset()], [v]),
+        lambda r: r,
+    ),
+    (
+        "translate_product_mean",
+        lambda v: translate_product_mean([_s3_function()], [v]),
+        lambda r: r,
+    ),
+    (
+        "commuting_certificate",
+        lambda v: commuting_certificate(_s3_pair_set("inverted"), v, 0),
+        lambda r: r,
+    ),
+    (
+        "commuting_certificate",
+        lambda v: commuting_certificate(_s3_pair_set("inverted"), 0, v),
+        lambda r: r,
+    ),
+    (
+        "engel_pair_certificate",
+        lambda v: engel_pair_certificate(_s3_pair_set("splitting"), v, 2),
+        lambda r: r,
+    ),
+    (
+        "engel_pair_certificate",
+        lambda v: engel_pair_certificate(_s3_pair_set("splitting"), 2, v),
+        lambda r: r,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, kept", INDEX_ENTRIES, ids=[f"{e[0]}-{i}" for i, e in enumerate(INDEX_ENTRIES)]
+)
+def test_every_entry_point_checks_element_indices_by_one_rule(name, call, kept):
+    for bad in (-1, 6, True, 1.5, "1"):
+        message = f"{name} on S3: entry {bad!r} out of range 0..5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(bad)
+    for good in range(6):
+        assert kept(call(np.int64(good))) == kept(call(good))
+
+
+def test_subset_bits_are_python_ints():
+    G = cyclic_group(81)
+    assert Subset.from_indices(G, [np.int64(70)]).indices() == [70]
+    for bits in (True, np.int64(3), 3.0):
+        with pytest.raises(ValueError, match="bitmask must be an int with bits in 0..80"):
+            Subset(G, bits)
 
 
 def _order_by_a_loop(mapping):
