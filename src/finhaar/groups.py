@@ -32,9 +32,13 @@ One rule decides what an element index from outside is (``_index_list``
 for lists, ``_index`` for one): a Python or numpy integer in 0..n-1,
 never a bool, float or str, kept as a Python int.  Every public call
 that takes indices checks them by it and names itself in its ValueError,
-except the raw kernels ``mul``, ``inv``, ``conjugate``, ``power``,
-``left_row``, ``right_map`` and ``Subset.left_translate``, the
-per-element arithmetic built on them and the ``Subgroup`` constructor.
+the ``Subgroup`` constructor included, except the raw kernels ``mul``,
+``inv``, ``conjugate``, ``power``, ``left_row``, ``right_map`` and
+``Subset.left_translate`` and the per-element arithmetic built on them.
+Membership is a question, not an index given to work on: ``x in H`` for
+a ``Subgroup`` or ``Subset`` never raises and answers, as a Python set
+of ints would, whether x equals a member, so -1, 1.5 and n are simply
+not in H.
 
 Groups, subgroups and automorphisms are immutable after construction and
 safe to share between threads.  Lazily cached attributes only memoise
@@ -428,11 +432,36 @@ def heisenberg_group_3(label="Heis27"):
 
 
 class Subgroup:
-    """A verified subgroup: sorted member indices plus the generators used."""
+    """A verified subgroup: sorted member indices plus the generators used.
+
+    The constructor checks its input: members and generators by the
+    index rule, members without repeats, and generators, when given,
+    that generate exactly the members.  Members given without generators
+    are taken as a subgroup; ``as_subgroup`` checks that they are one.
+    """
 
     __slots__ = ("group", "members", "generators", "_member_set")
 
     def __init__(self, group, members, generators=()):
+        what = f"Subgroup on {group.label}"
+        members = _index_list(members, group.order, what)
+        generators = _index_list(generators, group.order, what)
+        if len(set(members)) != len(members):
+            raise ValueError(f"{what}: repeated member in {members}")
+        self._fill(group, members, generators)
+        if generators and generate_subgroup(group, generators).members != self.members:
+            members = list(self.members)
+            raise ValueError(f"{what}: generators {generators} do not generate {members}")
+
+    @classmethod
+    def _trusted(cls, group, members, generators=()):
+        """A Subgroup whose members and generators the caller has just
+        made from the group itself, so they are not checked again."""
+        H = cls.__new__(cls)
+        H._fill(group, members, generators)
+        return H
+
+    def _fill(self, group, members, generators):
         self.group = group
         self.members = tuple(sorted(members))
         self.generators = tuple(generators)
@@ -504,7 +533,7 @@ def generate_subgroup(G, gens):
             if y not in seen:
                 seen.add(y)
                 elems.append(y)
-    return Subgroup(G, elems, generators=gens)
+    return Subgroup._trusted(G, elems, gens)
 
 
 def greedy_closure(G, candidates):
@@ -527,7 +556,7 @@ def as_subgroup(H):
     form a subgroup.
     """
     if isinstance(H, FiniteGroup):
-        return Subgroup(H, H.elements(), H.generators)
+        return Subgroup._trusted(H, H.elements(), H.generators)
     if not isinstance(H, Subgroup):
         raise TypeError(f"expected FiniteGroup or Subgroup, got {type(H)!r}")
     if H.generators:

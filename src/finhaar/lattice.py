@@ -40,7 +40,7 @@ def all_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):
             return True
         return False
 
-    add(Subgroup(G, [G.identity]))
+    add(Subgroup._trusted(G, [G.identity]))
     frontier = []
     for g in G.elements():
         sub = generate_subgroup(G, [g])

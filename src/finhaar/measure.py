@@ -125,7 +125,7 @@ class Subset:
         return Subset(self.group, self.bits & ~other.bits)
 
     def __contains__(self, idx):
-        return bool(self.bits >> idx & 1)
+        return idx in range(self.group.order) and bool(self.bits >> int(idx) & 1)
 
     def __eq__(self, other):
         return (

@@ -6,14 +6,27 @@ order-dividing-3 automorphism.  On top of them sit the translate
 intersection certificates and the two extraction procedures that
 produce a normal abelian (resp. 2-Engel) subgroup together with the
 evidence used.
+
+Pair certificates are made a row at a time by one kernel
+(``_certify_row``): the translates that depend only on a are
+intersected once per row, those that depend on b are read from a table
+filled on first use, and every witness is re-checked against the law.
+The public pair functions call it with a single b.  Proof-following
+extraction grows its seed in one incremental walk
+(``_grow_seed_set``): each trial closes the last accepted subgroup's
+generators plus the candidate, builds the bounded products level by
+level from the accepted seed's, and certifies only the pairs with a
+new product (the standard incremental closure; Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engel import is_2engel, left_normed_idx
+from .engel import is_2engel
 from .errors import (
     EmptyTarget,
     OrderNotDividing3,
@@ -120,7 +133,7 @@ def coset_witness(X, limit=SUBGROUP_SCAN_LIMIT):
     if G.order > limit:
         return CosetWitness(
             group=G,
-            subgroup=Subgroup(G, [G.identity]),
+            subgroup=Subgroup._trusted(G, [G.identity]),
             t=members_of_x[0],
             target=X,
             fallback=f"subgroup scan capped at order {limit}",
@@ -136,8 +149,68 @@ def coset_witness(X, limit=SUBGROUP_SCAN_LIMIT):
 # -- pair certificates ----------------------------------------------------------
 
 
-def _least_bit(mask):
-    return (mask & -mask).bit_length() - 1
+class _Translates(dict):
+    """c -> bitmask of the left translate cA, taken from
+    ``Subset.left_translate`` on first use."""
+
+    def __init__(self, subset):
+        self.subset = subset
+
+    def __missing__(self, c):
+        bits = self[c] = self.subset.left_translate(c).bits
+        return bits
+
+
+def _certify_row(X, a, bs, row, shifted):
+    """Certify the pairs (a, b) for b in ``bs``, in order, up to the first
+    pair without a witness; return whether every pair has one.
+
+    ``row`` maps each b certified before to its least witness (None when
+    there is none), is read instead of recomputing and gets each new
+    pair; ``shifted`` is the ``_Translates`` of X.  An inverted set
+    certifies [a, b] = 1 by A & a^-1A & b^-1A & (ab)^-1A, a splitting set
+    certifies [a, b, b] = 1 by A & aA & a^-1A & b^-1A & ab^-1A & ba^-1A &
+    abA & (ab)^-1A; the translates by a alone are intersected once for
+    the whole row.  Each witness is re-checked against the law read from
+    the table rows: SoundnessError if it fails.
+    """
+    G = X.group
+    t, inv = G._table, G._inv
+    ta, ia = t[a], inv[a]
+    engel = X.kind == "splitting"
+    row_mask = X.subset.bits & shifted[ia]
+    if engel:
+        row_mask &= shifted[a]
+    for b in bs:
+        if b in row:
+            if row[b] is None:
+                return False
+            continue
+        ab, ib = ta[b], inv[b]
+        if engel:
+            mask = row_mask & shifted[ib] & shifted[ta[ib]] & shifted[t[b][ia]]
+            mask &= shifted[ab] & shifted[inv[ab]]
+        else:
+            mask = row_mask & shifted[ib] & shifted[inv[ab]]
+        if not mask:
+            row[b] = None
+            return False
+        witness = row[b] = (mask & -mask).bit_length() - 1
+        if engel:
+            c = t[t[t[ia][ib]][a]][b]  # [a, b]; [a, b, b] = 1 iff it commutes with b
+            if t[c][b] != t[b][c]:
+                raise SoundnessError(
+                    f"{G.label}: witness {witness} found but [{a},{b},{b}] != 1"
+                )
+        elif ab != t[b][a]:
+            raise SoundnessError(f"{G.label}: witness {witness} found but [{a},{b}] != 1")
+    return True
+
+
+def _certify_pair(X, a, b):
+    row = {}
+    _certify_row(X, a, (b,), row, _Translates(X.subset))
+    return row[b]
 
 
 def commuting_certificate(X, a, b):
@@ -148,22 +221,9 @@ def commuting_certificate(X, a, b):
     """
     if X.kind != "inverted":
         raise WrongKind(f"need an inverted set, got {X.kind}")
-    G, A = X.group, X.subset
+    G = X.group
     what = f"commuting_certificate on {G.label}"
-    a, b = _index(a, G.order, what), _index(b, G.order, what)
-    t, inv = G._table, G._inv
-    ab = t[a][b]
-    mask = A.bits
-    for c in (inv[b], inv[a], inv[ab]):
-        mask &= A.left_translate(c).bits
-    if not mask:
-        return None
-    witness = _least_bit(mask)
-    if left_normed_idx(G, a, b) != G.identity:
-        raise SoundnessError(
-            f"{G.label}: witness {witness} found but [{a},{b}] != 1"
-        )
-    return witness
+    return _certify_pair(X, _index(a, G.order, what), _index(b, G.order, what))
 
 
 def engel_pair_certificate(X, a, b):
@@ -174,22 +234,9 @@ def engel_pair_certificate(X, a, b):
     """
     if X.kind != "splitting":
         raise WrongKind(f"need a splitting set, got {X.kind}")
-    G, A = X.group, X.subset
+    G = X.group
     what = f"engel_pair_certificate on {G.label}"
-    a, b = _index(a, G.order, what), _index(b, G.order, what)
-    t, inv = G._table, G._inv
-    ab = t[a][b]
-    mask = A.bits
-    for c in (inv[b], a, inv[a], t[a][inv[b]], t[b][inv[a]], ab, inv[ab]):
-        mask &= A.left_translate(c).bits
-    if not mask:
-        return None
-    witness = _least_bit(mask)
-    if left_normed_idx(G, a, b, b) != G.identity:
-        raise SoundnessError(
-            f"{G.label}: witness {witness} found but [{a},{b},{b}] != 1"
-        )
-    return witness
+    return _certify_pair(X, _index(a, G.order, what), _index(b, G.order, what))
 
 
 # -- extraction ------------------------------------------------------------------
@@ -230,67 +277,90 @@ class ExtractionReport:
     findings: tuple = field(default=())
 
 
-def _products_up_to(G, seed, length):
-    current = set(seed)
-    out = set(seed)
-    for _ in range(length - 1):
-        current = {G.mul(p, v) for p in current for v in seed}
-        out |= current
-    return sorted(out)
+def _next_levels(G, letters, new, levels):
+    """Levels of the letters V + N from the levels of V: ``levels[k-1]``
+    is P_k(V), the products of at most k letters of V, which holds the
+    identity.  A product of k letters of V + N that uses a letter of N
+    ends in one, or is such a product of k-1 letters times a letter of V,
+    so P_k(V + N) = P_k(V) | Q_k with Q_1 = N and
+    Q_k = Q_{k-1}(V + N) | P_{k-1}(V)N."""
+    t = G._table
+    right = operator.itemgetter(*letters, *new)  # V + N holds e and x, so two or more
+    q = set(new)
+    out = [levels[0] | q]
+    for below, level in zip(levels, levels[1:]):
+        grown = {t[p][n] for p in below for n in new}
+        for p in q:
+            grown.update(right(t[p]))
+        q = grown
+        out.append(level | q)
+    return out
 
 
 def _grow_seed_set(G, word_set, cert_fn, law_holds, length):
-    """Greedy symmetric growth of V in least-index order.
+    """Greedy symmetric growth of V in least-index order; returns V, the
+    certificates of all pairs of its products and the subgroup it
+    generates.
 
-    A candidate joins V only if every pair from the bounded products of
-    the enlarged V admits a certificate and the generated subgroup still
-    satisfies the target law; the direct law check replaces the
-    nonconstructive product-length bound that would otherwise be needed
-    to propagate the certificates to the whole subgroup.  Many trials
-    generate the same subgroup, so the law is checked once per subgroup.
-    The pairs of products of the last accepted V are all certified, so a
-    trial walks, in the same (a, b) order, only the pairs with a product
-    outside them.
+    A candidate x joins V only if the subgroup generated by V and x still
+    satisfies the target law and every pair from the products of at most
+    ``length`` letters of the enlarged V admits a certificate; the direct
+    law check replaces the nonconstructive product-length bound that
+    would otherwise be needed to propagate the certificates to the whole
+    subgroup.
+
+    V starts as {e}, whose one pair (e, e) ``cert_fn``, the law's public
+    pair function, certifies (and so checks the word set's kind).  From
+    then on the pairs of V's products are all certified, and each trial
+    does only the work that is new since the last accepted V:
+
+    * it closes the generators of the subgroup V generates together with
+      x; many trials generate the same subgroup, so the law is checked
+      once per subgroup;
+    * it builds the products level by level from V's (``_next_levels``);
+    * it walks, in (a, b) order, only the pairs with a product outside
+      V's, a row at a time (``_certify_row``), with each translate mapped
+      once; every witness is kept, so no pair is certified twice.
     """
     e = G.identity
+    shifted = _Translates(word_set.subset)
+    witnesses = {e: {e: cert_fn(word_set, e, e)}}  # a -> {b: witness of (a, b)}
     members = {e}
-    cert_cache = {}
+    levels = [{e}] * length
+    accepted = Subgroup._trusted(G, [e])
     law_cache = {}
-
-    def certified(a, b):
-        key = (a, b)
-        if key not in cert_cache:
-            cert_cache[key] = cert_fn(word_set, a, b)
-        return cert_cache[key]
-
-    def lawful(H):
-        if H.members not in law_cache:
-            law_cache[H.members] = law_holds(H)
-        return law_cache[H.members]
-
-    accepted = set()  # products of the last accepted V; none before the first
     for x in G.elements():
         if x in members:
             continue
-        trial = members | {x, G.inv(x)}
-        if not lawful(generate_subgroup(G, sorted(trial))):
+        H = generate_subgroup(G, accepted.generators + (x,))
+        if H.members not in law_cache:
+            law_cache[H.members] = law_holds(H)
+        if not law_cache[H.members]:
             continue
-        products = _products_up_to(G, sorted(trial), length)
-        fresh = [b for b in products if b not in accepted]
+        new = {x, G.inv(x)}
+        grown = _next_levels(G, members, new, levels)
+        certified = levels[-1]
+        products = sorted(grown[-1])
+        fresh = [b for b in products if b not in certified]
         if all(
-            certified(a, b) is not None
+            _certify_row(
+                word_set,
+                a,
+                fresh if a in certified else products,
+                witnesses.setdefault(a, {}),
+                shifted,
+            )
             for a in products
-            for b in (fresh if a in accepted else products)
         ):
-            members, accepted = trial, set(products)
-    seed = tuple(sorted(members))
-    products = _products_up_to(G, seed, length)
+            members |= new
+            levels = grown
+            if H.size > accepted.size:
+                accepted = H
+    products = sorted(levels[-1])
     certificates = tuple(
-        PairCertificate(a, b, certified(a, b))
-        for a in products
-        for b in products
+        PairCertificate(a, b, witnesses[a][b]) for a in products for b in products
     )
-    return seed, certificates
+    return tuple(sorted(members)), certificates, accepted
 
 
 def _best_coset_slice(G, X, K):
@@ -340,8 +410,8 @@ def _extract(G, aut, kind, mode, length, limit, min_measure):
     findings = []
 
     if mode in ("proof", "both"):
-        seed, certificates = _grow_seed_set(G, word, cert_fn, law, length)
-        core = normal_core(G, generate_subgroup(G, seed))
+        seed, certificates, generated = _grow_seed_set(G, word, cert_fn, law, length)
+        core = normal_core(G, generated)
         proof_result = ModeResult(
             mode="proof-following",
             subgroup=core,
@@ -374,7 +444,7 @@ def _extract(G, aut, kind, mode, length, limit, min_measure):
     if kind == "abelian":
         t, slice_members = _best_coset_slice(G, word, result)
         if generate_subgroup(G, slice_members).members == tuple(slice_members):
-            slice_subgroup = Subgroup(G, slice_members)
+            slice_subgroup = Subgroup._trusted(G, slice_members)
             witness = CosetWitness(
                 group=G, subgroup=slice_subgroup, t=t, target=word
             )
@@ -384,7 +454,7 @@ def _extract(G, aut, kind, mode, length, limit, min_measure):
             )
             witness = CosetWitness(
                 group=G,
-                subgroup=Subgroup(G, [G.identity]),
+                subgroup=Subgroup._trusted(G, [G.identity]),
                 t=word.subset.indices()[0],
                 target=word,
             )

@@ -5,6 +5,7 @@ import pytest
 from finhaar import cli, engel, wordsets
 from finhaar.cli import main
 from finhaar.errors import FinhaarError
+from finhaar.measure import Subset
 
 ALL_COMMANDS = [
     ["validate"],
@@ -385,14 +386,17 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, group, extra):
     "command, spec", [("commute-cert", "inverted:id"), ("engel-cert", "splitting:id")]
 )
 def test_failed_recheck_exits_3_with_message(monkeypatch, capsys, command, spec):
-    # every commutator reads as nontrivial, so the certificate's own
-    # re-verification of the witnessed pair (e, e) must fail
-    monkeypatch.setattr(wordsets, "left_normed_idx", lambda G, *xs: (G.identity + 1) % G.order)
-    code = main([command, "--set", spec, "--at", "0,0", "--group", "S3"])
+    # a forged word set holding all of S3 gives every pair a witness, so
+    # the certificate's own re-check of a pair that breaks the law fails
+    kind = spec.split(":")[0]
+    forged = lambda G, aut: wordsets.WordSet(group=G, kind=kind, subset=Subset.full(G))
+    monkeypatch.setattr(cli, f"{kind}_set", forged)
+    at, law = ("1,2", "[1,2]") if kind == "inverted" else ("1,3", "[1,3,3]")
+    code = main([command, "--set", spec, "--at", at, "--group", "S3"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err.startswith("finhaar: S3: witness 0 found but [0,0")
+    assert captured.err == f"finhaar: S3: witness 0 found but {law} != 1\n"
 
 
 def test_other_package_error_exits_1(monkeypatch, capsys):

@@ -578,6 +578,12 @@ INDEX_ENTRIES = [
         lambda v: engel_pair_certificate(_s3_pair_set("splitting"), 2, v),
         lambda r: r,
     ),
+    ("Subgroup", lambda v: Subgroup(symmetric_group(3), [v]), lambda r: r.members),
+    (
+        "Subgroup",
+        lambda v: Subgroup(symmetric_group(3), range(6), generators=[v, 1, 2]),
+        lambda r: (r.members, r.generators),
+    ),
 ]
 
 
@@ -599,6 +605,27 @@ def test_subset_bits_are_python_ints():
     for bits in (True, np.int64(3), 3.0):
         with pytest.raises(ValueError, match="bitmask must be an int with bits in 0..80"):
             Subset(G, bits)
+
+
+def test_subgroup_checks_members_and_generators():
+    s3 = symmetric_group(3)
+    message = "Subgroup on S3: generators [2] do not generate [0, 1, 2, 3, 4, 5]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Subgroup(s3, range(6), generators=(2,))
+    with pytest.raises(ValueError, match=re.escape("Subgroup on S3: entry -1 out of range 0..5")):
+        Subgroup(s3, [0, -1])
+    with pytest.raises(ValueError, match=re.escape("Subgroup on S3: repeated member in [0, 0]")):
+        Subgroup(s3, [0, 0])
+    assert not Subgroup(s3, range(6), generators=(1, 2)).is_abelian()
+
+
+def test_membership_answers_false_for_what_is_no_member():
+    s3 = symmetric_group(3)
+    for H in (Subset.full(s3), Subgroup(s3, range(6)), generate_subgroup(s3, [1, 2])):
+        for v in (-1, 1.5, 6):
+            assert v not in H
+        assert 5 in H and np.int64(5) in H
+    assert 1 not in Subset.from_indices(s3, [0, 2]) and 2 in Subset.from_indices(s3, [0, 2])
 
 
 def _order_by_a_loop(mapping):

@@ -6,7 +6,7 @@ import pytest
 from finhaar import wordsets
 from finhaar.catalog import bundled_catalog
 from finhaar.engel import left_normed_idx
-from finhaar.errors import OrderNotDividing3, SearchBudgetExceeded, WrongKind
+from finhaar.errors import OrderNotDividing3, SearchBudgetExceeded, SoundnessError, WrongKind
 from finhaar.groups import (
     automorphism_from_map,
     build_table_group,
@@ -16,8 +16,11 @@ from finhaar.groups import (
     inner_automorphism,
     inversion_automorphism,
     semidirect_c3,
+    symmetric_group,
 )
+from finhaar.measure import Subset
 from finhaar.wordsets import (
+    WordSet,
     _grow_seed_set,
     _subgroup_is_2engel,
     commuting_certificate,
@@ -211,6 +214,55 @@ def test_engel_certificate_wrong_kind(s3):
         engel_pair_certificate(torsion_set(s3, 3), 0, 0)
 
 
+@pytest.mark.parametrize(
+    "kind, cert_fn, a, b, law",
+    [
+        ("inverted", commuting_certificate, 1, 2, r"\[1,2\] != 1"),
+        ("splitting", engel_pair_certificate, 1, 3, r"\[1,3,3\] != 1"),
+    ],
+)
+def test_a_witness_against_the_law_raises(s3, kind, cert_fn, a, b, law):
+    # a forged word set holding all of S3: every pair has a witness, but
+    # S3 is neither abelian nor 2-Engel
+    forged = WordSet(group=s3, kind=kind, subset=Subset.full(s3))
+    with pytest.raises(SoundnessError, match=f"S3: witness 0 found but {law}"):
+        cert_fn(forged, a, b)
+
+
+def test_extraction_from_a_forged_word_set_raises(monkeypatch, s3):
+    forged = WordSet(group=s3, kind="splitting", subset=Subset.full(s3))
+    monkeypatch.setattr(wordsets, "splitting_set", lambda G, aut: forged)
+    # the law gate admits only subgroups on which every pair obeys the
+    # law, so it is forged too, to let a failing pair reach the walk
+    monkeypatch.setattr(wordsets, "_subgroup_is_2engel", lambda H: True)
+    with pytest.raises(SoundnessError, match="S3: witness 0 found but"):
+        extract_engel_subgroup(s3, identity_automorphism(s3), mode="proof")
+
+
+@pytest.mark.parametrize("kind", ["inverted", "splitting"])
+def test_row_kernel_finds_each_pairs_least_witness(s4, heis27, kind):
+    for G in (s4, heis27):
+        aut = identity_automorphism(G)
+        X = inverted_set(G, aut) if kind == "inverted" else splitting_set(G, aut)
+        A = set(X.subset.indices())
+        inv = G.inv
+        for a in G.elements():
+            row = {}
+            ok = wordsets._certify_row(X, a, G.elements(), row, wordsets._Translates(X.subset))
+            for b, witness in row.items():
+                ab = G.mul(a, b)
+                if kind == "inverted":
+                    shifts = [inv(b), inv(a), inv(ab)]
+                else:
+                    shifts = [inv(b), a, inv(a), G.mul(a, inv(b)), G.mul(b, inv(a)), ab, inv(ab)]
+                common = set(A)
+                for c in shifts:
+                    common &= {G.mul(c, x) for x in A}
+                assert witness == (min(common) if common else None)
+            assert ok == (len(row) == G.order and None not in row.values())
+            assert list(row) == list(G.elements())[: len(row)]
+
+
 def test_extract_abelian_abelian_group(z6):
     report = extract_abelian_subgroup(z6, inversion_automorphism(z6))
     assert report.result.size == 6
@@ -401,9 +453,21 @@ def test_seed_growth_checks_each_generated_subgroup_once(monkeypatch, make):
     assert len(generated) > len(checked)
 
 
+def _products_up_to(G, seed, length):
+    """Products of at most ``length`` letters of ``seed``, which holds the
+    identity, sorted: ``length - 1`` rounds of right multiplication."""
+    current = set(seed)
+    out = set(seed)
+    for _ in range(length - 1):
+        current = {G.mul(p, v) for p in current for v in seed}
+        out |= current
+    return sorted(out)
+
+
 def _grow_seed_set_by_rewalking(G, word_set, cert_fn, law_holds, length):
-    """Reference seed growth by the plain rule: every trial walks every
-    pair of its products, certified before or not."""
+    """Reference seed growth by the plain rule: every trial closes all of
+    its letters, multiplies out its products and walks every pair of
+    them, certified before or not."""
     members, cache = {G.identity}, {}
 
     def certified(a, b):
@@ -417,38 +481,67 @@ def _grow_seed_set_by_rewalking(G, word_set, cert_fn, law_holds, length):
         trial = members | {x, G.inv(x)}
         if not law_holds(generate_subgroup(G, sorted(trial))):
             continue
-        products = wordsets._products_up_to(G, sorted(trial), length)
+        products = _products_up_to(G, sorted(trial), length)
         if all(certified(a, b) is not None for a in products for b in products):
             members = trial
     seed = tuple(sorted(members))
-    products = wordsets._products_up_to(G, seed, length)
+    products = _products_up_to(G, seed, length)
     return seed, tuple(
         wordsets.PairCertificate(a, b, certified(a, b)) for a in products for b in products
     )
 
 
+_GROWTH_GROUPS = [
+    ("Heis27:conj-x", _heis81),
+    ("D16", lambda: dihedral_group(8)),
+    ("S4", lambda: bundled_catalog().get("S4").group),
+    ("S5", lambda: symmetric_group(5)),
+]
+
+
 @pytest.mark.parametrize(
-    "make",
-    [_heis81, lambda: dihedral_group(8), lambda: bundled_catalog().get("S4").group],
-    ids=["Heis27:conj-x", "D16", "S4"],
+    "kind, make, length",
+    [
+        pytest.param(
+            kind, make, length, id=f"{kind}-{name}" + ("" if length == 2 else f"-length{length}")
+        )
+        for length in (2, 1, 3)
+        for name, make in _GROWTH_GROUPS
+        for kind in ("abelian", "two-engel")
+    ],
 )
-@pytest.mark.parametrize("kind", ["abelian", "two-engel"])
-def test_seed_growth_certifies_each_pair_once_as_a_rewalk_would(make, kind):
+def test_seed_growth_certifies_each_pair_once_as_a_rewalk_would(monkeypatch, kind, make, length):
     G = make()
     aut = identity_automorphism(G)
     if kind == "abelian":
         word, cert_fn, law = inverted_set(G, aut), commuting_certificate, lambda H: H.is_abelian()
     else:
         word, cert_fn, law = splitting_set(G, aut), engel_pair_certificate, _subgroup_is_2engel
-    calls, oracle_calls = [], []
+    calls = []
+    real = wordsets._certify_row
 
-    def recording(into):
-        return lambda X, a, b: into.append((a, b)) or cert_fn(X, a, b)
+    class Logged(dict):
+        """A row that records each witness the kernel writes into it."""
 
-    grown = _grow_seed_set(G, word, recording(calls), law, 2)
-    expected = _grow_seed_set_by_rewalking(G, word, recording(oracle_calls), law, 2)
-    assert grown == expected
-    assert calls == oracle_calls
+        def __setitem__(self, b, witness):
+            calls.append((self.a, b))
+            super().__setitem__(b, witness)
+
+    def certify_row(X, a, bs, row, shifted):
+        logged = Logged(row)
+        logged.a = a
+        try:
+            return real(X, a, bs, logged, shifted)
+        finally:
+            row.update(logged)
+
+    monkeypatch.setattr(wordsets, "_certify_row", certify_row)
+    *grown, generated = _grow_seed_set(G, word, cert_fn, law, length)
+    grown_calls, calls[:] = calls[:], []
+    expected = _grow_seed_set_by_rewalking(G, word, cert_fn, law, length)
+    assert tuple(grown) == expected
+    assert generated == generate_subgroup(G, grown[0])
+    assert grown_calls == calls
     assert len(calls) == len(set(calls))
 
 
