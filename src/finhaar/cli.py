@@ -14,8 +14,6 @@ import sys
 import time
 import zlib
 
-import numpy as np
-
 from .catalog import bundled_catalog, parse_catalog
 from .engel import (
     DEFAULT_TRIPLE_SCAN_LIMIT,
@@ -269,6 +267,7 @@ def _cmd_psi(catalog, entries, explicit, args):
     xs_fixed = _parse_at(args, expected=args.n)
 
     def fn(entry):
+        import numpy as np
         G = entry.group
         rng = np.random.default_rng([args.seed, zlib.crc32(entry.label.encode())])
         funcs = [GroupFunction.random_unit(G, rng) for _ in range(args.n)]

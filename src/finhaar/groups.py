@@ -316,7 +316,8 @@ def build_perm_group(degree, generators, cap=DEFAULT_CLOSURE_CAP, label="perm-gr
 def _index_list(values, n, what):
     """``values`` as a new list of Python ints in 0..n-1: the one rule for
     element indices given from outside (table rows, permutations, maps).
-    Python and numpy integers pass; bool, float and str entries do not,
+    Python and numpy integers pass, the latter as ``numbers.Integral``
+    without importing numpy; bool, float and str entries do not,
     integral or not.  ValueError names the first bad entry."""
     values = list(values)
     out = values if set(map(type, values)) <= {int} else [

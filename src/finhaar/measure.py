@@ -7,7 +7,9 @@ k-largeness ask one set for the same shift many times, and only the
 first call per shift maps bits (``Subset.left_translate``).  The one
 deliberately inexact operation is :func:`translate_product_mean`, which
 works with complex-valued functions in floating point (documented
-tolerance 1e-10).
+tolerance 1e-10); only it, ``GroupFunction`` and ``l2_distance`` use
+numpy, which each imports when called, so the first such call pays
+the import.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     EmptyBase,
@@ -234,6 +234,7 @@ class GroupFunction:
     __slots__ = ("group", "values")
 
     def __init__(self, group, values):
+        import numpy as np
         vals = np.asarray(values, dtype=np.complex128)
         if vals.shape != (group.order,):
             raise ValueError(f"need {group.order} values, got shape {vals.shape}")
@@ -246,10 +247,12 @@ class GroupFunction:
 
     @classmethod
     def constant(cls, group, value=1.0):
+        import numpy as np
         return cls(group, np.full(group.order, value, dtype=np.complex128))
 
     @classmethod
     def indicator(cls, subset):
+        import numpy as np
         vals = np.zeros(subset.group.order, dtype=np.complex128)
         for i in subset.indices():
             vals[i] = 1.0
@@ -258,12 +261,14 @@ class GroupFunction:
     @classmethod
     def random_unit(cls, group, rng):
         """Uniform modulus in [0,1] and uniform phase, seeded by ``rng``."""
+        import numpy as np
         radius = rng.uniform(0.0, 1.0, size=group.order)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=group.order)
         return cls(group, radius * np.exp(1j * phase))
 
     def left_translate(self, x):
         """(L_x f)(g) = f(x^-1 g)."""
+        import numpy as np
         G = self.group
         row = G.left_row(G.inv(x))
         return GroupFunction(G, self.values[np.asarray(row)])
@@ -273,6 +278,7 @@ class GroupFunction:
 
 
 def l2_distance(f, g):
+    import numpy as np
     if f.group is not g.group:
         raise GroupMismatch("functions over different groups")
     return float(np.sqrt(np.mean(np.abs(f.values - g.values) ** 2)))
@@ -292,6 +298,7 @@ def translate_product_mean(funcs, xs):
         if f.group is not G:
             raise GroupMismatch("functions over different groups")
     xs = _index_list(xs, G.order, f"translate_product_mean on {G.label}")
+    import numpy as np
     prod = np.ones(G.order, dtype=np.complex128)
     for f, x in zip(funcs, xs):
         prod *= f.left_translate(x).values

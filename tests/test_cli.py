@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -539,3 +543,31 @@ def test_proof_extraction_on_the_trivial_group_exits_0(tmp_path, capsys, argv):
     assert code == 0
     (res,) = payload(out)["results"]
     assert res["result"]["members"] == [0]
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import finhaar, finhaar.cli
+loaded = {"import": "numpy" in sys.modules}
+for argv in (["validate"], ["extract-engel", "--set", "splitting:id"],
+             ["psi", "--n", "2", "--seed", "11"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = finhaar.cli.main(argv)
+    loaded[argv[0]] = ("numpy" in sys.modules, code)
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_is_imported_only_by_psi():
+    # a fresh interpreter: other test modules import numpy at the top
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(proc.stdout) == {
+        "import": False,
+        "validate": [False, 0],
+        "extract-engel": [False, 0],
+        "psi": [True, 0],
+    }

@@ -553,3 +553,22 @@ def test_proof_mode_on_the_trivial_group(extract):
     assert report.proof_following.seed_set == (0,)
     assert report.proof_following.certificates == (wordsets.PairCertificate(0, 0, 0),)
     assert report.verified_normal and report.verified_law
+
+
+def test_an_automorphism_inverting_more_than_three_quarters_forces_abelian(d8, q8, s4, heis27, z7):
+    # Liebeck and MacHale (1972): if an automorphism inverts more than 3/4
+    # of a finite group, the group is abelian
+    double = automorphism_from_map(z7, [(2 * x) % 7 for x in range(7)], "double")
+    ladder = [q8, dihedral_group(8), s4, heis27, semidirect_c3(z7, double, label="F21")]
+    cases = [(e.group, list(e.automorphisms.values())) for e in bundled_catalog().entries]
+    cases += [(G, []) for G in ladder]  # inner automorphisms only
+    above = 0
+    for G, auts in cases:
+        auts = auts + [inner_automorphism(G, g) for g in G.elements()]
+        for aut in auts:
+            if inverted_set(G, aut).measure > Fraction(3, 4):
+                assert G.is_abelian(), (G.label, aut.name)
+                above += 1
+    assert above  # the abelian groups with inversion do exceed 3/4
+    assert inverted_set(d8, identity_automorphism(d8)).measure == Fraction(3, 4)
+    assert not d8.is_abelian()
