@@ -1,5 +1,7 @@
 """Command-line driver: catalog in, deterministic reports out.
 
+``finhaar COMMAND [LAW] [options]``: one flat parser, in which options may
+come before or after the positionals and the law follows ``verify`` only.
 Exit codes: 0 success, 1 operation error, 2 parse/validation error
 (argparse errors, a malformed --set or --at and an unwritable --out
 included), 3 when a verification command found a counterexample to a
@@ -67,39 +69,33 @@ def build_parser():
         prog="finhaar",
         description="exact measure, largeness and Engel computations on finite group catalogs",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--catalog", help="catalog file (default: bundled)")
-    common.add_argument("--group", help="restrict to one catalog label")
-    common.add_argument(
+    parser.add_argument("command", choices=list(_HANDLERS))
+    laws = ["lemma-2engel", "engel-consequences"]
+    parser.add_argument("law", nargs="?", choices=laws, help="verify only")
+    parser.add_argument("--catalog", help="catalog file (default: bundled)")
+    parser.add_argument("--group", help="restrict to one catalog label")
+    parser.add_argument(
         "--set",
         action="append",
         dest="sets",
         metavar="SPEC",
         help="word set: torsion:N | inverted:AUT | splitting:AUT (repeatable)",
     )
-    common.add_argument("--mode", choices=["proof", "direct", "both"], default="both")
-    common.add_argument("--k", type=_min_int("--k", 1), default=1)
-    common.add_argument("--strategy", choices=["greedy", "exhaustive"], default="greedy")
-    common.add_argument("--max-order", type=_min_int("--max-order", 1), default=None)
-    common.add_argument("--budget", type=_min_int("--budget", 0), default=None)
-    common.add_argument("--seed", type=_min_int("--seed", 0), default=0)
-    common.add_argument("--at", help="comma separated element indices")
-    common.add_argument("--n", type=_min_int("--n", 1), default=2, help="psi function count")
-    common.add_argument(
-        "--length", type=_min_int("--length", 1), default=2, help="product length in proof mode"
-    )
-    common.add_argument(
-        "--workers", type=_min_int("--workers", 1), default=1, help="accepted; has no effect"
-    )
-    common.add_argument("--out", help="write the report to a file instead of stdout")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name, parents=[common])
-        if name == "verify":
-            p.add_argument(
-                "law", choices=["lemma-2engel", "engel-consequences"]
-            )
+    parser.add_argument("--mode", choices=["proof", "direct", "both"], default="both")
+    parser.add_argument("--strategy", choices=["greedy", "exhaustive"], default="greedy")
+    parser.add_argument("--at", help="comma separated element indices")
+    for option, low, default, text in (
+        ("--k", 1, 1, None),
+        ("--max-order", 1, None, None),
+        ("--budget", 0, None, None),
+        ("--seed", 0, 0, None),
+        ("--n", 1, 2, "psi function count"),
+        ("--length", 1, 2, "product length in proof mode"),
+        ("--workers", 1, 1, "accepted; has no effect"),
+    ):
+        parser.add_argument(option, type=_min_int(option, low), default=default, help=text)
+    parser.add_argument("--out", help="write the report to a file instead of stdout")
+    parser.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
 
 
@@ -456,7 +452,10 @@ def run_command(args):
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # intermixed: in verify --group S3 lemma-2engel, law must not match empty
+        args = parser.parse_intermixed_args(argv)
+        if (args.law is None) == (args.command == "verify"):
+            parser.error("verify needs a law, and no other command takes one")
         report, finding = run_command(args)
     except (ParseError, ValidationError) as exc:
         print(f"finhaar: {exc}", file=sys.stderr)

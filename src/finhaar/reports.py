@@ -37,6 +37,8 @@ def jsonable(obj):
         return format_rational(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, PairCertificate):  # a NamedTuple: ahead of the tuple branch
+        return {"a": obj.a, "b": obj.b, "witness": obj.witness}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, dict):
@@ -79,8 +81,6 @@ def jsonable(obj):
             "u_members": obj.u_set.indices(),
             "valid": obj.validate(),
         }
-    if isinstance(obj, PairCertificate):
-        return {"a": obj.a, "b": obj.b, "witness": obj.witness}
     if isinstance(obj, ModeResult):
         return {
             "mode": obj.mode,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engel import is_2engel
 from .errors import (
@@ -242,8 +242,9 @@ def engel_pair_certificate(X, a, b):
 # -- extraction ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairCertificate:
+class PairCertificate(NamedTuple):
+    # a NamedTuple, built at about half the cost of a frozen dataclass:
+    # proof mode builds |P|^2 of them
     a: int
     b: int
     witness: int

@@ -571,3 +571,140 @@ def test_numpy_is_imported_only_by_psi():
         "extract-engel": [False, 0],
         "psi": [True, 0],
     }
+
+
+# -- the flat parser against a frozen copy of the subparser tree it replaced -------
+
+_OLD_COMMANDS = [
+    "validate", "measure", "lambda", "average", "psi", "klarge", "torsion", "inverted",
+    "splitting", "witness", "commute-cert", "engel-cert", "extract-abelian",
+    "extract-engel", "engel", "class", "verify", "tower",
+]
+
+
+def _old_min_int(option, low):
+    def parse(text):
+        if int(text) >= low:
+            return int(text)
+        raise ValueError(f"{option} below {low}")
+    return parse
+
+
+def _old_build_parser():
+    """One subparser per command, each copying the shared options."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="finhaar")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--catalog")
+    common.add_argument("--group")
+    common.add_argument("--set", action="append", dest="sets", metavar="SPEC")
+    common.add_argument("--mode", choices=["proof", "direct", "both"], default="both")
+    common.add_argument("--k", type=_old_min_int("--k", 1), default=1)
+    common.add_argument("--strategy", choices=["greedy", "exhaustive"], default="greedy")
+    common.add_argument("--max-order", type=_old_min_int("--max-order", 1), default=None)
+    common.add_argument("--budget", type=_old_min_int("--budget", 0), default=None)
+    common.add_argument("--seed", type=_old_min_int("--seed", 0), default=0)
+    common.add_argument("--at")
+    common.add_argument("--n", type=_old_min_int("--n", 1), default=2)
+    common.add_argument("--length", type=_old_min_int("--length", 1), default=2)
+    common.add_argument("--workers", type=_old_min_int("--workers", 1), default=1)
+    common.add_argument("--out")
+    common.add_argument("--format", choices=["json", "csv"], default="json")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _OLD_COMMANDS:
+        p = sub.add_parser(name, parents=[common])
+        if name == "verify":
+            p.add_argument("law", choices=["lemma-2engel", "engel-consequences"])
+    return parser
+
+
+def _split(argv):
+    """(positionals, options) of an argv whose options all take one value."""
+    positionals, options, rest = [], [], list(argv)
+    while rest:
+        token = rest.pop(0)
+        if token.startswith("--"):
+            options += [token, rest.pop(0)]
+        else:
+            positionals.append(token)
+    return positionals, options
+
+
+def _placements(argv):
+    """argv with its options before, between (verify only) and after the
+    positionals, each paired with the same argv for the old parser, which
+    needs the command first."""
+    (command, *law), options = _split(argv)
+    rest = list(argv)
+    rest.remove(command)
+    yield argv, [command] + rest
+    yield options + [command] + law, [command] + options + law
+    yield [command] + law + options, [command] + law + options
+    if law:
+        yield [command] + options + law, [command] + options + law
+
+
+def _new_namespace(monkeypatch, argv):
+    """The arguments ``main`` hands to ``run_command``."""
+    seen = []
+
+    def capture(args):
+        seen.append(args)
+        raise FinhaarError("parsed")
+
+    monkeypatch.setattr(cli, "run_command", capture)
+    assert main(argv) == 1
+    return seen[0]
+
+
+PARSER_CASES = ALL_COMMANDS + [
+    ["verify", "--group", "S3", "lemma-2engel"],
+    ["--max-order", "27", "verify", "engel-consequences"],
+    ["--group", "S3", "validate"],
+    ["witness", "--max", "5", "--set", "torsion:2"],
+    [
+        "klarge", "--catalog", "c.json", "--group", "S3", "--set", "torsion:2", "--set",
+        "inverted:id", "--mode", "proof", "--k", "3", "--strategy", "exhaustive",
+        "--max-order", "9", "--budget", "0", "--seed", "4", "--at", "0,1", "--n", "3",
+        "--length", "1", "--workers", "2", "--out", "r.json", "--format", "csv",
+    ],
+]
+
+
+def test_flat_parser_matches_the_subparser_tree(monkeypatch):
+    from test_acceptance import CLI_SWEEP
+
+    old_parser = _old_build_parser()
+    for argv in PARSER_CASES + CLI_SWEEP:
+        for new_argv, old_argv in _placements(argv):
+            old = vars(old_parser.parse_args(old_argv))
+            new = vars(_new_namespace(monkeypatch, new_argv))
+            assert {k: new[k] for k in old} == old, new_argv
+            assert new["law"] == old.get("law")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["verify"],
+        ["verify", "--group", "S3"],
+        ["witness", "lemma-2engel"],
+        ["validate", "extra"],
+        ["verify", "lemma-2engel", "extra"],
+        ["validate", "--k", "0"],
+        ["validate", "--format", "xml"],
+    ],
+    ids=lambda a: " ".join(a) or "no-command",
+)
+def test_flat_parser_rejects_with_exit_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.rstrip("\n").split("\n")[-1].startswith("finhaar: ")
