@@ -26,11 +26,11 @@ from .engel import (
     verify_engel_consequences,
 )
 from .errors import FinhaarError, OperationError, ParseError, SoundnessError, ValidationError
+from .errors import SearchBudgetExceeded, TupleSpaceTooLarge
 from .lattice import SUBGROUP_SCAN_LIMIT
 from .measure import (
     DEFAULT_KLARGE_BUDGET,
     DEFAULT_TUPLE_SPACE_BUDGET,
-    EXHAUSTIVE_ORDER_LIMIT,
     GroupFunction,
     average_translate_intersection,
     k_large_certificate,
@@ -168,15 +168,22 @@ def _resolve_set(entry, spec):
 def _per_group(entries, explicit, specs, fn):
     """One row per entry: its label plus fn(entry, *word_sets), one word
     set per spec.  The row is {"label", "skipped"} where a spec does not
-    fit the entry or fn returns a reason string; a spec that does not fit
-    the entry named by --group is an error instead."""
+    fit the entry, fn returns a reason string, or fn raises
+    SearchBudgetExceeded or TupleSpaceTooLarge (a cap or budget); for the
+    entry named by --group, a spec that does not fit or a cap or budget
+    exceeded is an error instead."""
     results = []
     for entry in entries:
         words = [_resolve_set(entry, spec) for spec in specs]
         reason = next((w for w in words if isinstance(w, str)), None)
         if reason is not None and explicit:
             raise OperationError(f"{entry.label}: {reason}")
-        out = reason or fn(entry, *words)
+        try:
+            out = reason or fn(entry, *words)
+        except (SearchBudgetExceeded, TupleSpaceTooLarge) as exc:
+            if explicit:
+                raise
+            out = str(exc)
         if isinstance(out, str):
             out = {"skipped": out}
         results.append({"label": entry.label, **out})
@@ -280,9 +287,6 @@ def _cmd_klarge(catalog, entries, explicit, args):
     budget = args.budget if args.budget is not None else DEFAULT_KLARGE_BUDGET
 
     def fn(entry, word):
-        order = entry.group.order
-        if args.strategy == "exhaustive" and order > EXHAUSTIVE_ORDER_LIMIT and not explicit:
-            return f"order {order} above exhaustive limit {EXHAUSTIVE_ORDER_LIMIT}"
         cert = k_large_certificate(
             word.subset, args.k, strategy=args.strategy, budget=budget
         )

@@ -25,6 +25,9 @@ between groups by ``check_homomorphism``, both on a greedy generating
 set of at most log2(order) elements.  A table built from permutations
 is associative by construction and is not tested.
 
+Every ``Subgroup`` is closed and records generators that generate
+exactly its members, so checks on a subgroup run on its generators.
+
 Conjugacy classes, normal closures and the double cosets of the lattice
 search are orbits of an index under index maps (``orbit``).
 
@@ -433,12 +436,13 @@ def heisenberg_group_3(label="Heis27"):
 
 
 class Subgroup:
-    """A verified subgroup: sorted member indices plus the generators used.
+    """A verified subgroup: sorted member indices plus generators that
+    generate exactly them.
 
-    The constructor checks its input: members and generators by the
-    index rule, members without repeats, and generators, when given,
-    that generate exactly the members.  Members given without generators
-    are taken as a subgroup; ``as_subgroup`` checks that they are one.
+    The constructor checks members and generators by the index rule and
+    members for repeats.  Given generators must generate exactly the
+    members and are kept as given; without them the members must form a
+    subgroup, and a greedy generating set of them is recorded.
     """
 
     __slots__ = ("group", "members", "generators", "_member_set")
@@ -450,14 +454,21 @@ class Subgroup:
         if len(set(members)) != len(members):
             raise ValueError(f"{what}: repeated member in {members}")
         self._fill(group, members, generators)
-        if generators and generate_subgroup(group, generators).members != self.members:
-            members = list(self.members)
-            raise ValueError(f"{what}: generators {generators} do not generate {members}")
+        if generators:
+            if generate_subgroup(group, generators).members != self.members:
+                members = list(self.members)
+                raise ValueError(f"{what}: generators {generators} do not generate {members}")
+        else:
+            closure = greedy_closure(group, self.members)
+            if closure.members != self.members:
+                raise ValueError(f"{what}: {list(self.members)} is not a subgroup")
+            self.generators = closure.generators
 
     @classmethod
     def _trusted(cls, group, members, generators=()):
         """A Subgroup whose members and generators the caller has just
-        made from the group itself, so they are not checked again."""
+        made from the group itself, the generators generating exactly the
+        members, so neither is checked again."""
         H = cls.__new__(cls)
         H._fill(group, members, generators)
         return H
@@ -487,17 +498,17 @@ class Subgroup:
 
     def is_normal(self):
         """gHg^-1 inside H for each generator g of G, checked on H's
-        generators (on its members where none are recorded)."""
+        generators."""
         G = self.group
         return all(
             G.conjugate(g, h) in self._member_set
             for g in G.generators
-            for h in self.generators or self.members
+            for h in self.generators
         )
 
     def is_abelian(self):
-        """Checked on H's generators (on its members if none), like ``is_normal``."""
-        return _commute_pairwise(self.group, self.generators or self.members)
+        """Whether H's generators commute pairwise."""
+        return _commute_pairwise(self.group, self.generators)
 
     def index(self):
         return self.group.order // self.size
@@ -549,23 +560,13 @@ def greedy_closure(G, candidates):
 
 
 def as_subgroup(H):
-    """A FiniteGroup or Subgroup as a Subgroup that records generators.
-
-    A FiniteGroup becomes its whole subgroup.  A Subgroup without
-    recorded generators, such as ``Subgroup(G, members)``, gets a greedy
-    generating set of its members; ValueError if those members do not
-    form a subgroup.
-    """
+    """A FiniteGroup as its whole subgroup, a Subgroup as itself; both
+    record generators."""
     if isinstance(H, FiniteGroup):
         return Subgroup._trusted(H, H.elements(), H.generators)
     if not isinstance(H, Subgroup):
         raise TypeError(f"expected FiniteGroup or Subgroup, got {type(H)!r}")
-    if H.generators:
-        return H
-    closure = greedy_closure(H.group, H.members)
-    if closure.members != H.members:
-        raise ValueError(f"{H.group.label}: {list(H.members)} is not a subgroup")
-    return closure
+    return H
 
 
 def orbit(start, maps, seen):

@@ -75,14 +75,8 @@ def normal_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):
 
 
 def maximal_subgroup_satisfying(G, pred, limit=SUBGROUP_SCAN_LIMIT):
-    """Largest subgroup satisfying ``pred``; size ties break to the
-    lexicographically smallest member tuple.  Returns None if none do."""
-    best = None
-    for H in all_subgroups(G, limit):
-        if not pred(H):
-            continue
-        if best is None or H.size > best.size:
-            best = H
-        # all_subgroups is sorted, so the first hit at each size is
-        # already the lexicographically smallest one
-    return best
+    """Largest subgroup satisfying ``pred``, or None: subgroups are tried
+    in (-size, members) order, so size ties break to the least member
+    tuple, and ``pred`` is not called past the first that satisfies it."""
+    ranked = sorted(all_subgroups(G, limit), key=lambda s: (-s.size, s.members))
+    return next((H for H in ranked if pred(H)), None)

@@ -298,7 +298,7 @@ def _next_levels(G, letters, new, levels):
     return out
 
 
-def _grow_seed_set(G, word_set, cert_fn, law_holds, length):
+def _grow_seed_set(G, word_set, law_holds, length):
     """Greedy symmetric growth of V in least-index order; returns V, the
     certificates of all pairs of its products and the subgroup it
     generates.
@@ -310,10 +310,10 @@ def _grow_seed_set(G, word_set, cert_fn, law_holds, length):
     would otherwise be needed to propagate the certificates to the whole
     subgroup.
 
-    V starts as {e}, whose one pair (e, e) ``cert_fn``, the law's public
-    pair function, certifies (and so checks the word set's kind).  From
-    then on the pairs of V's products are all certified, and each trial
-    does only the work that is new since the last accepted V:
+    V starts as {e}, whose one pair (e, e) is certified like every other
+    (``_certify_row``).  From then on the pairs of V's products are all
+    certified, and each trial does only the work that is new since the
+    last accepted V:
 
     * it closes the generators of the subgroup V generates together with
       x; many trials generate the same subgroup, so the law is checked
@@ -325,7 +325,8 @@ def _grow_seed_set(G, word_set, cert_fn, law_holds, length):
     """
     e = G.identity
     shifted = _Translates(word_set.subset)
-    witnesses = {e: {e: cert_fn(word_set, e, e)}}  # a -> {b: witness of (a, b)}
+    witnesses = {e: {}}  # a -> {b: witness of (a, b)}
+    _certify_row(word_set, e, (e,), witnesses[e], shifted)
     members = {e}
     levels = [{e}] * length
     accepted = Subgroup._trusted(G, [e])
@@ -392,11 +393,9 @@ def _subgroup_is_2engel(H):
 def _extract(G, aut, kind, mode, length, limit, min_measure):
     if kind == "abelian":
         word = inverted_set(G, aut)
-        cert_fn = commuting_certificate
         law = lambda H: H.is_abelian()
     else:
         word = splitting_set(G, aut)
-        cert_fn = engel_pair_certificate
         law = _subgroup_is_2engel
     if word.subset.size == 0 or word.measure <= min_measure:
         raise EmptyTarget(
@@ -411,7 +410,7 @@ def _extract(G, aut, kind, mode, length, limit, min_measure):
     findings = []
 
     if mode in ("proof", "both"):
-        seed, certificates, generated = _grow_seed_set(G, word, cert_fn, law, length)
+        seed, certificates, generated = _grow_seed_set(G, word, law, length)
         core = normal_core(G, generated)
         proof_result = ModeResult(
             mode="proof-following",
@@ -444,8 +443,9 @@ def _extract(G, aut, kind, mode, length, limit, min_measure):
     slice_subgroup = None
     if kind == "abelian":
         t, slice_members = _best_coset_slice(G, word, result)
-        if generate_subgroup(G, slice_members).members == tuple(slice_members):
-            slice_subgroup = Subgroup._trusted(G, slice_members)
+        closure = generate_subgroup(G, slice_members)
+        if closure.members == tuple(slice_members):
+            slice_subgroup = closure
             witness = CosetWitness(
                 group=G, subgroup=slice_subgroup, t=t, target=word
             )

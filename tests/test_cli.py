@@ -8,8 +8,9 @@ import pytest
 
 from finhaar import cli, engel, wordsets
 from finhaar.cli import main
-from finhaar.errors import FinhaarError
-from finhaar.measure import Subset
+from finhaar.catalog import bundled_catalog
+from finhaar.errors import FinhaarError, SearchBudgetExceeded, TupleSpaceTooLarge
+from finhaar.measure import Subset, average_translate_intersection, k_large_certificate
 
 ALL_COMMANDS = [
     ["validate"],
@@ -270,13 +271,59 @@ def test_klarge_exhaustive_skips_large_groups(capsys):
     for label in ("Heis27", "Z27"):
         assert results[label] == {
             "label": label,
-            "skipped": "order 27 above exhaustive limit 24",
+            "skipped": "exhaustive search capped at order 24",
         }
     code, out = run(capsys, argv + ["--group", "S4"])
     assert code == 0
     assert payload(out)["results"] == [results["S4"]]
     code, _ = run(capsys, argv + ["--group", "Heis27"])
     assert code == 1
+
+
+# argv over the whole catalog, and the library call it makes for one entry
+OVER_BUDGET = [
+    (
+        ["extract-abelian", "--set", "inverted:id", "--mode", "direct", "--max-order", "8"],
+        lambda e: wordsets.extract_abelian_subgroup(
+            e.group, e.automorphisms["id"], mode="direct", limit=8
+        ),
+    ),
+    (
+        ["average", "--set", "torsion:2", "--budget", "10"],
+        lambda e: average_translate_intersection(
+            [wordsets.torsion_set(e.group, 2).subset], budget=10
+        ),
+    ),
+    (
+        ["klarge", "--set", "torsion:2", "--k", "2", "--budget", "50"],
+        lambda e: k_large_certificate(wordsets.torsion_set(e.group, 2).subset, 2, budget=50),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, call", OVER_BUDGET, ids=[" ".join(a) for a, _ in OVER_BUDGET])
+def test_a_group_over_a_cap_or_budget_is_skipped_unless_named(capsys, argv, call):
+    over = {}
+    for entry in bundled_catalog().entries:
+        try:
+            call(entry)
+        except (SearchBudgetExceeded, TupleSpaceTooLarge) as exc:
+            over[entry.label] = str(exc)
+    assert over and len(over) < len(bundled_catalog().entries)
+    code, out = run(capsys, argv)
+    assert code == 0
+    rows = payload(out)["results"]
+    assert {r["label"]: r["skipped"] for r in rows if "skipped" in r} == over
+    for row in rows:
+        label = row["label"]
+        code = main(argv + ["--group", label])
+        captured = capsys.readouterr()
+        if label in over:
+            assert code == 1
+            assert captured.err == f"finhaar: {over[label]}\n"
+        else:
+            assert code == 0
+            assert payload(captured.out)["results"] == [row]
 
 
 def test_witness_fallback_is_marked(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -320,7 +321,7 @@ def _assert_matches_oracles(G, H):
 def test_engel_checks_match_oracles_on_every_subgroup(make):
     G = make()
     for H in all_subgroups(G):
-        # as built (with generators) and re-wrapped without them
+        # as built and rebuilt from its members alone (greedy generators)
         _assert_matches_oracles(G, H)
         _assert_matches_oracles(G, Subgroup(G, H.members))
 
@@ -336,10 +337,9 @@ def test_engel_checks_match_oracles_on_whole_groups(make):
 
 
 def test_engel_checks_refuse_a_set_that_is_not_a_subgroup(s3):
-    not_closed = Subgroup(s3, [0, 1, 3])
-    for check in (is_2engel, conjugacy_classes, lower_central_series):
-        with pytest.raises(ValueError, match="is not a subgroup"):
-            check(not_closed)
+    # the constructor refuses it, so no Engel check ever sees one
+    with pytest.raises(ValueError, match=re.escape("Subgroup on S3: [0, 1, 3] is not a subgroup")):
+        Subgroup(s3, [0, 1, 3])
 
 
 # -- sympy as an independent implementation ---------------------------------------------

@@ -215,7 +215,7 @@ def test_is_normal_and_normal_core_against_all_pairs(make):
     subgroups = all_subgroups(G)
     normal = {H.members for H in subgroups if _normal_by_all_pairs(G, H.members)}
     for H in subgroups:
-        # as built (with generators) and re-wrapped without generators
+        # as built and rebuilt from its members alone (greedy generators)
         assert H.is_normal() == (H.members in normal)
         assert Subgroup(G, H.members).is_normal() == (H.members in normal)
         core = normal_core(G, H)
@@ -328,7 +328,7 @@ def test_abelianness(z6, s3, s4, d8, q8, heis27):
         assert G.is_abelian() == _commute_by_pair_scan(G, G.elements())
         for H in all_subgroups(G):
             expected = _commute_by_pair_scan(G, H.members)
-            # by the recorded generators, then by the members alone
+            # as built, then rebuilt from its members alone (greedy generators)
             assert H.is_abelian() == Subgroup(G, H.members).is_abelian() == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
@@ -578,7 +578,11 @@ INDEX_ENTRIES = [
         lambda v: engel_pair_certificate(_s3_pair_set("splitting"), 2, v),
         lambda r: r,
     ),
-    ("Subgroup", lambda v: Subgroup(symmetric_group(3), [v]), lambda r: r.members),
+    (
+        "Subgroup",
+        lambda v: Subgroup(symmetric_group(3), [v] + [u for u in range(6) if u != v]),
+        lambda r: r.members,
+    ),
     (
         "Subgroup",
         lambda v: Subgroup(symmetric_group(3), range(6), generators=[v, 1, 2]),
@@ -617,6 +621,32 @@ def test_subgroup_checks_members_and_generators():
     with pytest.raises(ValueError, match=re.escape("Subgroup on S3: repeated member in [0, 0]")):
         Subgroup(s3, [0, 0])
     assert not Subgroup(s3, range(6), generators=(1, 2)).is_abelian()
+
+
+@pytest.mark.parametrize(
+    "make, subgroups",
+    [(lambda: symmetric_group(3), 6), (lambda: dihedral_group(4), 10), (quaternion_group, 6)],
+    ids=["S3", "D8", "Q8"],
+)
+def test_subgroup_from_members_exactly_when_closed(make, subgroups):
+    G = make()
+    table = G.table()
+    others = [x for x in G.elements() if x != G.identity]
+    closed_sets = 0
+    for r in range(len(others) + 1):
+        for rest in itertools.combinations(others, r):
+            subset = [G.identity, *rest]
+            closed = all(table[a][b] in subset for a in subset for b in subset)
+            if not closed:
+                message = f"Subgroup on {G.label}: {sorted(subset)} is not a subgroup"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    Subgroup(G, subset)
+                continue
+            closed_sets += 1
+            H = Subgroup(G, subset)
+            assert H.members == tuple(sorted(subset))
+            assert generate_subgroup(G, H.generators).members == H.members
+    assert closed_sets == subgroups
 
 
 def test_membership_answers_false_for_what_is_no_member():

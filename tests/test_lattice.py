@@ -11,6 +11,7 @@ import pytest
 
 from finhaar import lattice
 from finhaar.catalog import bundled_catalog
+from finhaar.engel import is_2engel
 from finhaar.groups import (
     Subgroup,
     automorphism_from_map,
@@ -24,7 +25,7 @@ from finhaar.groups import (
     semidirect_c3,
     symmetric_group,
 )
-from finhaar.lattice import all_subgroups
+from finhaar.lattice import all_subgroups, maximal_subgroup_satisfying
 
 
 def _tau(n):
@@ -173,3 +174,55 @@ def test_one_closure_per_double_coset(monkeypatch, label):
         _double_coset_count(G, H) - 1 for H in subs if 1 < H.size < G.order
     )
     assert len(calls) == expected
+
+
+# the lattice-ladder groups of the benchmark: orders 8 to 81
+LADDER_GROUPS = {
+    "Q8": quaternion_group,
+    "D8": lambda: dihedral_group(4, label="D8"),
+    "D16": lambda: dihedral_group(8),
+    "S4": lambda: symmetric_group(4),
+    "Heis27": heisenberg_group_3,
+    "F21": _f21,
+    "D32": lambda: dihedral_group(16),
+    "Z64": lambda: cyclic_group(64),
+    "D48": lambda: dihedral_group(24),
+    "A5": EXTENSION_GROUPS["A5"],
+    "Heis27:conj-x": _heis81,
+}
+
+PREDICATES = {
+    "normal": lambda H: H.is_normal(),
+    "abelian": lambda H: H.is_abelian(),
+    "normal-abelian": lambda H: H.is_normal() and H.is_abelian(),
+    "normal-2engel": lambda H: H.is_normal() and is_2engel(H).holds,
+    "even-order": lambda H: H.size % 2 == 0,
+}
+
+
+def _rank(H):
+    return (-H.size, H.members)
+
+
+CATALOG_LABELS = bundled_catalog().labels()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda label=label: bundled_catalog().get(label).group for label in CATALOG_LABELS]
+    + list(LADDER_GROUPS.values()),
+    ids=[f"catalog-{label}" for label in CATALOG_LABELS] + list(LADDER_GROUPS),
+)
+def test_largest_first_search_stops_at_the_least_ranked_hit(make):
+    G = make()
+    for name, pred in PREDICATES.items():
+        expected = min((H for H in all_subgroups(G) if pred(H)), key=_rank, default=None)
+        called = []
+        found = maximal_subgroup_satisfying(G, lambda H: called.append(H) or pred(H))
+        assert found == expected, name
+        if expected is None:
+            assert len(called) == len(all_subgroups(G)), name
+        else:
+            # never called past the answer, and called once on each before it
+            assert all(_rank(H) <= _rank(expected) for H in called), name
+            assert len(called) == sum(_rank(H) <= _rank(expected) for H in all_subgroups(G))

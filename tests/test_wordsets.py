@@ -448,7 +448,7 @@ def test_seed_growth_checks_each_generated_subgroup_once(monkeypatch, make):
     monkeypatch.setattr(wordsets, "generate_subgroup", generate)
     monkeypatch.setattr(wordsets, "is_2engel", is_2engel)
     word = splitting_set(G, identity_automorphism(G))
-    _grow_seed_set(G, word, engel_pair_certificate, _subgroup_is_2engel, 2)
+    _grow_seed_set(G, word, _subgroup_is_2engel, 2)
     assert checked == list(dict.fromkeys(generated))
     assert len(generated) > len(checked)
 
@@ -536,7 +536,7 @@ def test_seed_growth_certifies_each_pair_once_as_a_rewalk_would(monkeypatch, kin
             row.update(logged)
 
     monkeypatch.setattr(wordsets, "_certify_row", certify_row)
-    *grown, generated = _grow_seed_set(G, word, cert_fn, law, length)
+    *grown, generated = _grow_seed_set(G, word, law, length)
     grown_calls, calls[:] = calls[:], []
     expected = _grow_seed_set_by_rewalking(G, word, cert_fn, law, length)
     assert tuple(grown) == expected
