@@ -18,7 +18,6 @@ import zlib
 
 from .catalog import bundled_catalog, parse_catalog
 from .engel import (
-    DEFAULT_TRIPLE_SCAN_LIMIT,
     is_2engel,
     left_normed_idx,
     lower_central_series,
@@ -26,11 +25,8 @@ from .engel import (
     verify_engel_consequences,
 )
 from .errors import FinhaarError, OperationError, ParseError, SoundnessError, ValidationError
-from .errors import SearchBudgetExceeded, TupleSpaceTooLarge
-from .lattice import SUBGROUP_SCAN_LIMIT
+from .errors import SearchBudgetExceeded
 from .measure import (
-    DEFAULT_KLARGE_BUDGET,
-    DEFAULT_TUPLE_SPACE_BUDGET,
     GroupFunction,
     average_translate_intersection,
     k_large_certificate,
@@ -97,6 +93,19 @@ def build_parser():
     parser.add_argument("--out", help="write the report to a file instead of stdout")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
+
+
+def _join_at(argv):
+    """argv with ``--at VALUE`` joined into ``--at=VALUE`` where VALUE
+    starts with one minus sign: argparse would take a VALUE such as -1,0,
+    which is no plain negative number, for an unknown option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--at" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--at={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _load_catalog(args):
@@ -168,10 +177,9 @@ def _resolve_set(entry, spec):
 def _per_group(entries, explicit, specs, fn):
     """One row per entry: its label plus fn(entry, *word_sets), one word
     set per spec.  The row is {"label", "skipped"} where a spec does not
-    fit the entry, fn returns a reason string, or fn raises
-    SearchBudgetExceeded or TupleSpaceTooLarge (a cap or budget); for the
-    entry named by --group, a spec that does not fit or a cap or budget
-    exceeded is an error instead."""
+    fit the entry or fn raises SearchBudgetExceeded, the library's one
+    exception for a cap or budget, whose message names the group; for
+    the entry named by --group, either is an error instead."""
     results = []
     for entry in entries:
         words = [_resolve_set(entry, spec) for spec in specs]
@@ -179,15 +187,18 @@ def _per_group(entries, explicit, specs, fn):
         if reason is not None and explicit:
             raise OperationError(f"{entry.label}: {reason}")
         try:
-            out = reason or fn(entry, *words)
-        except (SearchBudgetExceeded, TupleSpaceTooLarge) as exc:
+            out = {"skipped": reason} if reason else fn(entry, *words)
+        except SearchBudgetExceeded as exc:
             if explicit:
                 raise
-            out = str(exc)
-        if isinstance(out, str):
-            out = {"skipped": out}
+            out = {"skipped": str(exc)}
         results.append({"label": entry.label, **out})
     return results
+
+
+def _caps(**options):
+    """The cap and budget options the user set; the library default stands for the rest."""
+    return {kw: value for kw, value in options.items() if value is not None}
 
 
 # -- command handlers -----------------------------------------------------------
@@ -252,10 +263,10 @@ def _cmd_lambda(catalog, entries, explicit, args):
 def _cmd_average(catalog, entries, explicit, args):
     if not args.sets:
         raise OperationError("need at least one --set")
-    budget = args.budget if args.budget is not None else DEFAULT_TUPLE_SPACE_BUDGET
+    caps = _caps(budget=args.budget)
 
     def fn(entry, *words):
-        out = average_translate_intersection([w.subset for w in words], budget=budget)
+        out = average_translate_intersection([w.subset for w in words], **caps)
         return {
             "sets": [w.spec_string() for w in words],
             "average": out.average,
@@ -284,27 +295,20 @@ def _cmd_psi(catalog, entries, explicit, args):
 
 
 def _cmd_klarge(catalog, entries, explicit, args):
-    budget = args.budget if args.budget is not None else DEFAULT_KLARGE_BUDGET
+    caps = _caps(budget=args.budget)
 
     def fn(entry, word):
-        cert = k_large_certificate(
-            word.subset, args.k, strategy=args.strategy, budget=budget
-        )
-        out = {"set": word.spec_string(), "strategy": args.strategy}
-        out.update(jsonable(cert))
-        return out
+        cert = k_large_certificate(word.subset, args.k, strategy=args.strategy, **caps)
+        return {"set": word.spec_string(), "strategy": args.strategy, **jsonable(cert)}
 
     return _per_group(entries, explicit, [_single_set(args, None)], fn), False
 
 
 def _cmd_witness(catalog, entries, explicit, args):
-    limit = args.max_order if args.max_order is not None else SUBGROUP_SCAN_LIMIT
+    caps = _caps(limit=args.max_order)
 
     def fn(entry, word):
-        W = coset_witness(word, limit=limit)
-        out = {"set": word.spec_string()}
-        out.update(jsonable(W))
-        return out
+        return {"set": word.spec_string(), **jsonable(coset_witness(word, **caps))}
 
     return _per_group(entries, explicit, [_single_set(args, None)], fn), False
 
@@ -341,13 +345,11 @@ def _cmd_pair_cert(catalog, entries, explicit, args):
 def _cmd_extract(catalog, entries, explicit, args):
     abelian = args.command == "extract-abelian"
     spec = _single_set(args, "inverted" if abelian else "splitting")
-    limit = args.max_order if args.max_order is not None else SUBGROUP_SCAN_LIMIT
+    caps = _caps(limit=args.max_order)
     extract = extract_abelian_subgroup if abelian else extract_engel_subgroup
 
     def fn(entry, word):
-        report = extract(
-            entry.group, word.aut, mode=args.mode, length=args.length, limit=limit
-        )
+        report = extract(entry.group, word.aut, mode=args.mode, length=args.length, **caps)
         return jsonable(report)
 
     return _per_group(entries, explicit, [spec], fn), False
@@ -363,17 +365,11 @@ def _cmd_series(catalog, entries, explicit, args):
 
 
 def _cmd_verify(catalog, entries, explicit, args):
-    max_order = args.max_order if args.max_order is not None else DEFAULT_TRIPLE_SCAN_LIMIT
-    check = (
-        verify_cube_law if args.law == "lemma-2engel" else verify_engel_consequences
+    caps = _caps(max_order=args.max_order)
+    check = verify_cube_law if args.law == "lemma-2engel" else verify_engel_consequences
+    results = _per_group(
+        entries, explicit, [], lambda entry: jsonable(check(entry.group, **caps))
     )
-
-    def fn(entry):
-        if entry.group.order > max_order:
-            return f"order {entry.group.order} above --max-order {max_order}"
-        return jsonable(check(entry.group, max_order=max_order))
-
-    results = _per_group(entries, explicit, [], fn)
     finding = any(r.get("applicable", False) and not r.get("holds", True) for r in results)
     return results, finding
 
@@ -457,7 +453,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         # intermixed: in verify --group S3 lemma-2engel, law must not match empty
-        args = parser.parse_intermixed_args(argv)
+        args = parser.parse_intermixed_args(_join_at(sys.argv[1:] if argv is None else argv))
         if (args.law is None) == (args.command == "verify"):
             parser.error("verify needs a law, and no other command takes one")
         report, finding = run_command(args)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceeded, GroupMismatch, SoundnessError
+from .errors import GroupMismatch, SearchBudgetExceeded, SoundnessError
 from .groups import as_subgroup, conjugacy_classes, normal_closure
 from .measure import Subset
 
@@ -133,11 +133,12 @@ def verify_cube_law(G, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
     exactly.  The three translates that depend only on a are intersected
     once per row, and a row or a pair whose intersection is already
     empty is skipped, since it has no qualifying x.  A counterexample
-    would be a genuine finding and is reported, never swallowed.
+    would be a genuine finding and is reported, never swallowed.  Raises
+    SearchBudgetExceeded, naming the group, when |G| exceeds ``max_order``.
     """
     n = G.order
     if n > max_order:
-        raise BudgetExceeded(
+        raise SearchBudgetExceeded(
             f"{G.label}: cube-law scan capped at order {max_order} (|G| = {n})"
         )
     e = G.identity
@@ -184,12 +185,13 @@ def verify_engel_consequences(H, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
     from a table of the commutators of H: [x,y,z][x,z,y] = 1 exactly
     when [[x,y],z] = [y,[x,z]].  Reports not-applicable when the subject
     is not 2-Engel, and raises SoundnessError, naming the class, when a
-    2-Engel subject's class is not at most 3.
+    2-Engel subject's class is not at most 3.  Raises
+    SearchBudgetExceeded, naming the group, when |H| exceeds ``max_order``.
     """
     H = as_subgroup(H)
     G, members = H.group, H.members
     if len(members) > max_order:
-        raise BudgetExceeded(
+        raise SearchBudgetExceeded(
             f"{G.label}: triple scan capped at order {max_order} (|H| = {len(members)})"
         )
     if not is_2engel(H).holds:

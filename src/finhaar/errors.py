@@ -3,10 +3,12 @@
 Validation errors mean the input object is not what it claims to be
 (not a group table, not an automorphism, ...).  Operation errors mean a
 well-formed request could not be carried out (mismatched groups,
-exhausted budgets, empty targets).  The CLI maps validation/parse
-failures to exit code 2, a failed guaranteed postcondition
-(SoundnessError) to exit code 3, and every other error, operation
-failures included, to exit code 1.
+exhausted budgets, empty targets).  Every order cap and work budget in
+the library raises SearchBudgetExceeded, naming its group; CapExceeded
+is validation: a permutation group whose closure outgrows its cap.
+The CLI maps validation/parse failures to exit code 2, a failed
+guaranteed postcondition (SoundnessError) to exit code 3, and every
+other error, operation failures included, to exit code 1.
 """
 
 
@@ -62,10 +64,6 @@ class GroupMismatch(OperationError):
     pass
 
 
-class TupleSpaceTooLarge(OperationError):
-    pass
-
-
 class UnitBallViolated(OperationError):
     pass
 
@@ -83,11 +81,7 @@ class WrongKind(OperationError):
 
 
 class SearchBudgetExceeded(OperationError):
-    pass
-
-
-class BudgetExceeded(OperationError):
-    pass
+    """Past an order cap or a work budget; the message starts with the group's label."""
 
 
 class SoundnessError(FinhaarError):

@@ -22,7 +22,6 @@ from .errors import (
     EmptyBase,
     GroupMismatch,
     SearchBudgetExceeded,
-    TupleSpaceTooLarge,
     UnitBallViolated,
 )
 from .groups import _index, _index_list
@@ -191,7 +190,8 @@ def average_translate_intersection(sets, budget=DEFAULT_TUPLE_SPACE_BUDGET):
     The average is computed by honest enumeration of translate tuples
     and returned next to the product of the sets' measures; the two are
     equal as exact rationals (the enumeration never consults the
-    product).  Raises TupleSpaceTooLarge when |G|^n exceeds ``budget``.
+    product).  Raises SearchBudgetExceeded, naming the group, when |G|^n
+    exceeds ``budget``.
     """
     if not sets:
         raise ValueError("need at least one set")
@@ -201,8 +201,8 @@ def average_translate_intersection(sets, budget=DEFAULT_TUPLE_SPACE_BUDGET):
             raise GroupMismatch("sets over different groups")
     n = len(sets)
     if G.order**n > budget:
-        raise TupleSpaceTooLarge(
-            f"{G.order}^{n} translate tuples exceed budget {budget}"
+        raise SearchBudgetExceeded(
+            f"{G.label}: {G.order}^{n} translate tuples exceed budget {budget}"
         )
     per_set_masks = [[A.left_translate(x).bits for x in G.elements()] for A in sets]
     full = (1 << G.order) - 1
@@ -341,7 +341,8 @@ class LargenessCertificate:
 
 
 class _TupleBudget:
-    def __init__(self, limit):
+    def __init__(self, label, limit):
+        self.label = label
         self.limit = limit
         self.used = 0
 
@@ -349,7 +350,7 @@ class _TupleBudget:
         self.used += amount
         if self.used > self.limit:
             raise SearchBudgetExceeded(
-                f"tuple checks {self.used} exceed budget {self.limit}"
+                f"{self.label}: tuple checks {self.used} exceed budget {self.limit}"
             )
 
 
@@ -380,7 +381,8 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
     index order and keeping each pair only if every k-tuple from the
     enlarged U still meets the base set.  exhaustive: branch over all
     inverse-closed classes for a maximum-size valid U (group order
-    capped at 24).  Budgets count individual tuple checks.
+    capped at 24).  Budgets count individual tuple checks; past the cap
+    or the budget, SearchBudgetExceeded names the group.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -389,9 +391,10 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
     G = A.group
     if strategy == "exhaustive" and G.order > EXHAUSTIVE_ORDER_LIMIT:
         raise SearchBudgetExceeded(
-            f"exhaustive search capped at order {EXHAUSTIVE_ORDER_LIMIT}"
+            f"{G.label}: exhaustive search capped at order "
+            f"{EXHAUSTIVE_ORDER_LIMIT} (|G| = {G.order})"
         )
-    tracker = _TupleBudget(budget)
+    tracker = _TupleBudget(G.label, budget)
     masks = {u: A.left_translate(u).bits for u in G.elements()}
     e = G.identity
     if strategy == "greedy":

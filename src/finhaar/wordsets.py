@@ -404,6 +404,8 @@ def _extract(G, aut, kind, mode, length, limit, min_measure):
         )
     if mode not in ("proof", "direct", "both"):
         raise ValueError(f"unknown mode {mode!r}")
+    if length < 1:
+        raise ValueError("length must be >= 1")
 
     proof_result = None
     direct_result = None

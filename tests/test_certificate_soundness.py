@@ -1,14 +1,27 @@
-"""Soundness of pair certificates, checked with the test's own arithmetic
-on each catalog group's Cayley table: a witness lies in every translate
-the certificate names and forces its law; no witness means those
-translates have no common element."""
+"""Soundness of the paper's constructions, checked with the test's own
+arithmetic on each catalog group's Cayley table:
+
+- a pair certificate's witness lies in every translate the certificate
+  names and forces its law; no witness means those translates have no
+  common element;
+- an extracted subgroup is a normal subgroup that satisfies its law, and
+  the abelian extraction's coset tH lies inside the inverted set;
+- the average of |x_1 A_1 ∩ ... ∩ x_n A_n| over all translate tuples is
+  the product of the measures of the A_i.
+"""
+
+import itertools
+from fractions import Fraction
 
 import pytest
 
 from finhaar.catalog import bundled_catalog
+from finhaar.measure import Subset, average_translate_intersection
 from finhaar.wordsets import (
     commuting_certificate,
     engel_pair_certificate,
+    extract_abelian_subgroup,
+    extract_engel_subgroup,
     inverted_set,
     splitting_set,
 )
@@ -48,15 +61,21 @@ def _word_set(ar, kind, aut_map):
     return {x for x in range(n) if ar.mul(aut_map[aut_map[x]], aut_map[x], x) == ar.e}
 
 
+def _declared_automorphism(draw, entry, splitting):
+    """A declared automorphism of the entry, of order dividing 3 when it
+    defines a splitting set."""
+    names = sorted(
+        name for name, aut in entry.automorphisms.items()
+        if not splitting or 3 % aut.order == 0
+    )
+    return entry.automorphisms[draw(st.sampled_from(names))]
+
+
 @st.composite
 def certificate_cases(draw):
     kind = draw(st.sampled_from(["inverted", "splitting"]))
     entry = draw(st.sampled_from(ENTRIES))
-    names = sorted(
-        name for name, aut in entry.automorphisms.items()
-        if kind == "inverted" or 3 % aut.order == 0
-    )
-    aut = entry.automorphisms[draw(st.sampled_from(names))]
+    aut = _declared_automorphism(draw, entry, kind == "splitting")
     a = draw(st.integers(0, entry.group.order - 1))
     b = draw(st.integers(0, entry.group.order - 1))
     return kind, entry, aut, a, b
@@ -84,3 +103,69 @@ def test_pair_certificates_are_sound(case):
     else:
         assert law_holds
         assert witness == min(common)
+
+
+@st.composite
+def extraction_cases(draw):
+    kind = draw(st.sampled_from(["abelian", "two-engel"]))
+    entry = draw(st.sampled_from(ENTRIES))
+    aut = _declared_automorphism(draw, entry, kind == "two-engel")
+    mode = draw(st.sampled_from(["proof", "direct", "both"]))
+    length = draw(st.integers(1, 3))
+    return kind, entry, aut, mode, length
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(extraction_cases())
+def test_extracted_subgroups_are_normal_and_satisfy_their_law(case):
+    kind, entry, aut, mode, length = case
+    G = entry.group
+    ar = Arithmetic(G.table())
+    extract = extract_abelian_subgroup if kind == "abelian" else extract_engel_subgroup
+    report = extract(G, aut, mode=mode, length=length)
+    found = [report.result] + [
+        r.subgroup for r in (report.proof_following, report.direct_search) if r is not None
+    ]
+    for H in found:
+        members = set(H.members)
+        assert ar.e in members
+        assert all(ar.mul(a, b) in members for a in members for b in members)
+        assert all(ar.mul(ar.inv[g], h, g) in members for h in members for g in range(len(ar.t)))
+        if kind == "abelian":
+            assert all(ar.comm(a, b) == ar.e for a in members for b in members)
+        else:
+            assert all(ar.comm(ar.comm(a, b), b) == ar.e for a in members for b in members)
+    if kind == "abelian":
+        W = report.coset_witness
+        A = _word_set(ar, "inverted", list(aut.map))
+        assert {ar.mul(W.t, h) for h in W.subgroup.members} <= A
+
+
+@st.composite
+def averaging_cases(draw):
+    entry = draw(st.sampled_from(ENTRIES))
+    order = entry.group.order
+    n = draw(st.integers(1, 3).filter(lambda n: order**n <= 1000))
+    sets = [draw(st.sets(st.integers(0, order - 1))) for _ in range(n)]
+    return entry, sets
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(averaging_cases())
+def test_the_translate_average_is_the_product_of_the_measures(case):
+    entry, sets = case
+    G = entry.group
+    ar = Arithmetic(G.table())
+    order = len(ar.t)
+    translates = [[ar.translate(x, A) for x in range(order)] for A in sets]
+    total = sum(
+        len(set.intersection(*(row[x] for row, x in zip(translates, xs))))
+        for xs in itertools.product(range(order), repeat=len(sets))
+    )
+    brute = Fraction(total, order ** (len(sets) + 1))
+    product = Fraction(1)
+    for A in sets:
+        product *= Fraction(len(A), order)
+    out = average_translate_intersection([Subset.from_indices(G, A) for A in sets])
+    assert out.average == brute == product
+    assert out.product_of_measures == product

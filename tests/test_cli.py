@@ -9,7 +9,7 @@ import pytest
 from finhaar import cli, engel, wordsets
 from finhaar.cli import main
 from finhaar.catalog import bundled_catalog
-from finhaar.errors import FinhaarError, SearchBudgetExceeded, TupleSpaceTooLarge
+from finhaar.errors import FinhaarError, SearchBudgetExceeded
 from finhaar.measure import Subset, average_translate_intersection, k_large_certificate
 
 ALL_COMMANDS = [
@@ -271,7 +271,7 @@ def test_klarge_exhaustive_skips_large_groups(capsys):
     for label in ("Heis27", "Z27"):
         assert results[label] == {
             "label": label,
-            "skipped": "exhaustive search capped at order 24",
+            "skipped": f"{label}: exhaustive search capped at order 24 (|G| = 27)",
         }
     code, out = run(capsys, argv + ["--group", "S4"])
     assert code == 0
@@ -298,6 +298,20 @@ OVER_BUDGET = [
         ["klarge", "--set", "torsion:2", "--k", "2", "--budget", "50"],
         lambda e: k_large_certificate(wordsets.torsion_set(e.group, 2).subset, 2, budget=50),
     ),
+    (
+        ["klarge", "--set", "torsion:2", "--k", "2", "--strategy", "exhaustive"],
+        lambda e: k_large_certificate(
+            wordsets.torsion_set(e.group, 2).subset, 2, strategy="exhaustive"
+        ),
+    ),
+    (
+        ["verify", "lemma-2engel", "--max-order", "8"],
+        lambda e: engel.verify_cube_law(e.group, max_order=8),
+    ),
+    (
+        ["verify", "engel-consequences", "--max-order", "8"],
+        lambda e: engel.verify_engel_consequences(e.group, max_order=8),
+    ),
 ]
 
 
@@ -307,9 +321,10 @@ def test_a_group_over_a_cap_or_budget_is_skipped_unless_named(capsys, argv, call
     for entry in bundled_catalog().entries:
         try:
             call(entry)
-        except (SearchBudgetExceeded, TupleSpaceTooLarge) as exc:
+        except SearchBudgetExceeded as exc:
             over[entry.label] = str(exc)
     assert over and len(over) < len(bundled_catalog().entries)
+    assert all(message.startswith(f"{label}: ") for label, message in over.items())
     code, out = run(capsys, argv)
     assert code == 0
     rows = payload(out)["results"]
@@ -501,6 +516,23 @@ def test_out_of_range_at_exits_1_naming_the_entry_point(capsys, argv, entry_poin
     assert captured.err.startswith(f"finhaar: {entry_point} on S3: entry ")
     assert captured.err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize(
+    "at, code, err",
+    [
+        (["--at", "-1,0"], 1, "finhaar: commuting_certificate on S3: entry -1 out of range 0..5\n"),
+        (["--at", "0,-1"], 1, "finhaar: commuting_certificate on S3: entry -1 out of range 0..5\n"),
+        (["--at=-1,0"], 1, "finhaar: commuting_certificate on S3: entry -1 out of range 0..5\n"),
+        (["--at", "-x,0"], 2, "finhaar: --at must be comma separated integers, got '-x,0'\n"),
+    ],
+    ids=["-1,0", "0,-1", "=-1,0", "-x,0"],
+)
+def test_an_at_value_with_a_leading_minus_is_read_as_the_value(capsys, at, code, err):
+    assert main(["commute-cert", "--set", "inverted:id", "--group", "S3", *at]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 # every command that resolves word sets per group, with a set that only
 # D8, S3 and S4 declare (conj-r has order 2 in D8, 3 in S3 and S4)

@@ -15,7 +15,7 @@ from finhaar.engel import (
     verify_cube_law,
     verify_engel_consequences,
 )
-from finhaar.errors import BudgetExceeded, GroupMismatch, SoundnessError
+from finhaar.errors import GroupMismatch, SearchBudgetExceeded, SoundnessError
 from finhaar.groups import (
     Subgroup,
     build_perm_group,
@@ -221,7 +221,7 @@ def test_cube_law_matches_brute_force(s3, s4, d8, z9):
 
 
 def test_cube_law_budget(heis27):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded):
         verify_cube_law(heis27, max_order=8)
 
 
@@ -252,7 +252,7 @@ def test_consequences_class2_groups(d8, q8):
 
 
 def test_consequences_budget(heis27):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded):
         verify_engel_consequences(heis27, max_order=8)
 
 

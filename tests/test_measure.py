@@ -11,7 +11,6 @@ from finhaar.errors import (
     EmptyBase,
     GroupMismatch,
     SearchBudgetExceeded,
-    TupleSpaceTooLarge,
     UnitBallViolated,
 )
 from finhaar.groups import cyclic_group
@@ -127,7 +126,7 @@ def test_average_matches_brute_force(s3):
 
 def test_average_budget():
     z6 = cyclic_group(6)
-    with pytest.raises(TupleSpaceTooLarge):
+    with pytest.raises(SearchBudgetExceeded):
         average_translate_intersection(
             [Subset.full(z6)] * 3, budget=100
         )

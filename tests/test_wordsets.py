@@ -357,6 +357,13 @@ def test_extract_direct_gate(s3):
         )
 
 
+@pytest.mark.parametrize("extract", [extract_abelian_subgroup, extract_engel_subgroup])
+@pytest.mark.parametrize("length", [0, -1])
+def test_extraction_rejects_a_product_length_below_1(s3, extract, length):
+    with pytest.raises(ValueError, match="^length must be >= 1$"):
+        extract(s3, identity_automorphism(s3), mode="proof", length=length)
+
+
 def test_extract_both_skips_direct_above_gate(s3):
     report = extract_abelian_subgroup(
         s3, identity_automorphism(s3), mode="both", limit=4
