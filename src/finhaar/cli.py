@@ -96,13 +96,16 @@ def build_parser():
 
 
 def _join_at(argv):
-    """argv with ``--at VALUE`` joined into ``--at=VALUE`` where VALUE
-    starts with one minus sign: argparse would take a VALUE such as -1,0,
-    which is no plain negative number, for an unknown option."""
+    """argv with ``--at VALUE`` (or its abbreviation ``--a VALUE``) joined
+    into ``--at=VALUE`` where VALUE starts with one minus sign: argparse
+    would take a VALUE such as -1,0, which is no plain negative number,
+    for an unknown option."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--at" and arg.startswith("-") and not arg.startswith("--"):
-            out[-1] = f"--at={arg}"
+        prev = out[-1] if out else ""
+        at = len(prev) >= 3 and "--at".startswith(prev)
+        if at and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{prev}={arg}"
         else:
             out.append(arg)
     return out

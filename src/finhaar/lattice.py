@@ -9,7 +9,13 @@ never its whole member list (the cyclic-extension method; Neubueser
 the same subgroup, so only the least element of each double coset HgH
 is extended; the first closure that finds a subgroup is unchanged, and
 so are its members and generators.  This is exhaustive and only
-intended for the desk-scale orders the maximal searches are gated to.
+intended for desk-scale orders.
+
+This module is the one owner of the subgroup searches' order cap
+(``SUBGROUP_SCAN_LIMIT``, whose SearchBudgetExceeded names the group)
+and of their ranking, largest subgroup first and then the least member
+tuple: the coset witness and direct-mode extraction both ask
+``maximal_subgroup_satisfying``.
 """
 
 from __future__ import annotations

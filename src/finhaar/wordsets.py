@@ -35,7 +35,7 @@ from .errors import (
     WrongKind,
 )
 from .groups import Subgroup, _index, generate_subgroup, normal_core
-from .lattice import SUBGROUP_SCAN_LIMIT, all_subgroups, maximal_subgroup_satisfying
+from .lattice import SUBGROUP_SCAN_LIMIT, maximal_subgroup_satisfying
 from .measure import Subset
 
 DEFAULT_PRODUCT_LENGTH = 2
@@ -118,32 +118,35 @@ class CosetWitness:
 
 
 def coset_witness(X, limit=SUBGROUP_SCAN_LIMIT):
-    """Largest subgroup H admitting a coset tH inside X.
+    """Largest subgroup H admitting a coset tH inside X, and the least
+    such t.
 
-    Scans the whole subgroup lattice (group order capped by ``limit``;
-    beyond the cap the always-valid fallback ({identity}, least element
-    of X) is returned, marked with its reason).  Ties break to the lexicographically smallest
-    member tuple, then the least t.
+    H is ``maximal_subgroup_satisfying``'s, so size ties break to the
+    least member tuple.  Past the lattice's order cap ``limit`` the
+    always-valid ({identity}, least element of X) is returned, with the
+    lattice's message as its ``fallback``.
     """
     G = X.group
     if X.subset.size == 0:
         raise EmptyTarget(f"{G.label}: word set {X.spec_string()} is empty")
     target_bits = X.subset.bits
     members_of_x = X.subset.indices()
-    if G.order > limit:
+
+    def least_t(H):
+        fits = lambda t: all(target_bits >> G.mul(t, h) & 1 for h in H.members)
+        return next(filter(fits, members_of_x), None)
+
+    try:
+        H = maximal_subgroup_satisfying(G, lambda H: least_t(H) is not None, limit)
+    except SearchBudgetExceeded as exc:
         return CosetWitness(
             group=G,
             subgroup=Subgroup._trusted(G, [G.identity]),
             t=members_of_x[0],
             target=X,
-            fallback=f"subgroup scan capped at order {limit}",
+            fallback=str(exc),
         )
-    ranked = sorted(all_subgroups(G, limit), key=lambda s: (-s.size, s.members))
-    for H in ranked:
-        for t in members_of_x:
-            if all(target_bits >> G.mul(t, h) & 1 for h in H.members):
-                return CosetWitness(group=G, subgroup=H, t=t, target=X)
-    raise SoundnessError("trivial subgroup witness should always exist")
+    return CosetWitness(group=G, subgroup=H, t=least_t(H), target=X)
 
 
 # -- pair certificates ----------------------------------------------------------
@@ -390,18 +393,19 @@ def _subgroup_is_2engel(H):
     return is_2engel(H).holds
 
 
-def _extract(G, aut, kind, mode, length, limit, min_measure):
+def _extract(G, aut, kind, mode, length, limit):
+    """Run the requested modes on the word set of ``aut``.
+
+    Direct mode asks the lattice for the largest normal subgroup with the
+    law; past the lattice's order cap ``limit`` its SearchBudgetExceeded
+    propagates in direct mode, and is recorded as a finding in ``both``.
+    """
     if kind == "abelian":
         word = inverted_set(G, aut)
         law = lambda H: H.is_abelian()
     else:
         word = splitting_set(G, aut)
         law = _subgroup_is_2engel
-    if word.subset.size == 0 or word.measure <= min_measure:
-        raise EmptyTarget(
-            f"{G.label}: {word.spec_string()} has measure {word.measure}, "
-            f"not above {min_measure}"
-        )
     if mode not in ("proof", "direct", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     if length < 1:
@@ -421,16 +425,15 @@ def _extract(G, aut, kind, mode, length, limit, min_measure):
             certificates=certificates,
         )
     if mode in ("direct", "both"):
-        if G.order > limit:
-            if mode == "direct":
-                raise SearchBudgetExceeded(
-                    f"{G.label}: direct search capped at order {limit}"
-                )
-            findings.append(f"direct search skipped: order {G.order} > {limit}")
-        else:
+        try:
             best = maximal_subgroup_satisfying(
                 G, lambda H: H.is_normal() and law(H), limit
             )
+        except SearchBudgetExceeded as exc:
+            if mode == "direct":
+                raise
+            findings.append(f"direct search skipped: {exc}")
+        else:
             direct_result = ModeResult(mode="direct-search", subgroup=best)
 
     headline = direct_result or proof_result
@@ -445,22 +448,13 @@ def _extract(G, aut, kind, mode, length, limit, min_measure):
     slice_subgroup = None
     if kind == "abelian":
         t, slice_members = _best_coset_slice(G, word, result)
-        closure = generate_subgroup(G, slice_members)
-        if closure.members == tuple(slice_members):
-            slice_subgroup = closure
-            witness = CosetWitness(
-                group=G, subgroup=slice_subgroup, t=t, target=word
+        # K abelian, t in X: phi(a) = t a^-1 t^-1 on the slice, so it is closed
+        slice_subgroup = generate_subgroup(G, slice_members)
+        if slice_subgroup.members != tuple(slice_members):
+            raise SoundnessError(
+                f"{G.label}: slice at t={t} is not a subgroup (members {slice_members})"
             )
-        else:
-            findings.append(
-                f"slice at t={t} is not a subgroup (members {slice_members})"
-            )
-            witness = CosetWitness(
-                group=G,
-                subgroup=Subgroup._trusted(G, [G.identity]),
-                t=word.subset.indices()[0],
-                target=word,
-            )
+        witness = CosetWitness(group=G, subgroup=slice_subgroup, t=t, target=word)
     return ExtractionReport(
         group=G,
         kind=kind,
@@ -480,33 +474,23 @@ def _extract(G, aut, kind, mode, length, limit, min_measure):
 
 
 def extract_abelian_subgroup(
-    G,
-    aut,
-    mode="both",
-    length=DEFAULT_PRODUCT_LENGTH,
-    limit=SUBGROUP_SCAN_LIMIT,
-    min_measure=0,
+    G, aut, mode="both", length=DEFAULT_PRODUCT_LENGTH, limit=SUBGROUP_SCAN_LIMIT
 ):
     """Produce a normal abelian subgroup from an inverted set.
 
     proof mode grows a symmetric seed set whose bounded products all
-    admit commuting certificates; direct mode scans the subgroup lattice
-    for the maximal normal abelian subgroup.  The report also carries a
-    coset witness: the best coset tK of the result and the slice
-    {a in K : t*a in X}, which is verified (not assumed) to be a
-    subgroup.  ``min_measure`` restricts to word sets of measure
-    strictly above the threshold (default: merely nonempty).
+    admit commuting certificates; direct mode asks the subgroup lattice
+    (``maximal_subgroup_satisfying``, with order cap ``limit``) for the
+    maximal normal abelian subgroup.  The report also carries a coset
+    witness: the best coset tK of the result and the slice
+    {a in K : t*a in X}, which is a subgroup because K is abelian; that
+    is re-checked, and SoundnessError raised if it fails.
     """
-    return _extract(G, aut, "abelian", mode, length, limit, min_measure)
+    return _extract(G, aut, "abelian", mode, length, limit)
 
 
 def extract_engel_subgroup(
-    G,
-    aut,
-    mode="both",
-    length=DEFAULT_PRODUCT_LENGTH,
-    limit=SUBGROUP_SCAN_LIMIT,
-    min_measure=0,
+    G, aut, mode="both", length=DEFAULT_PRODUCT_LENGTH, limit=SUBGROUP_SCAN_LIMIT
 ):
     """Produce a normal 2-Engel subgroup from a splitting set.
 
@@ -514,4 +498,4 @@ def extract_engel_subgroup(
     certificates; when both modes run the report records whether the
     proof-following result reached the direct-search maximum.
     """
-    return _extract(G, aut, "two-engel", mode, length, limit, min_measure)
+    return _extract(G, aut, "two-engel", mode, length, limit)

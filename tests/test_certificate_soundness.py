@@ -7,9 +7,13 @@ arithmetic on each catalog group's Cayley table:
 - an extracted subgroup is a normal subgroup that satisfies its law, and
   the abelian extraction's coset tH lies inside the inverted set;
 - the average of |x_1 A_1 ∩ ... ∩ x_n A_n| over all translate tuples is
-  the product of the measures of the A_i.
+  the product of the measures of the A_i;
+- the coset witness of a subset X is the least (-|H|, members of H, t)
+  over the subgroups H, listed by the test itself, and t in X with
+  tH inside X.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -18,7 +22,9 @@ import pytest
 from finhaar.catalog import bundled_catalog
 from finhaar.measure import Subset, average_translate_intersection
 from finhaar.wordsets import (
+    WordSet,
     commuting_certificate,
+    coset_witness,
     engel_pair_certificate,
     extract_abelian_subgroup,
     extract_engel_subgroup,
@@ -29,7 +35,8 @@ from finhaar.wordsets import (
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-ENTRIES = list(bundled_catalog().entries)
+CATALOG = bundled_catalog()
+ENTRIES = list(CATALOG.entries)
 
 
 class Arithmetic:
@@ -169,3 +176,52 @@ def test_the_translate_average_is_the_product_of_the_measures(case):
     out = average_translate_intersection([Subset.from_indices(G, A) for A in sets])
     assert out.average == brute == product
     assert out.product_of_measures == product
+
+
+@functools.lru_cache(maxsize=None)
+def _subgroups(label):
+    """Every subgroup of the catalog group, as a sorted tuple: the cyclic
+    subgroups, then joins of a found subgroup with a cyclic one until
+    nothing is new."""
+    ar = Arithmetic(CATALOG.get(label).group.table())
+
+    def closure(gens):
+        members = {ar.e} | set(gens)
+        while True:
+            grown = members | {ar.t[a][b] for a in members for b in members}
+            if grown == members:
+                return tuple(sorted(members))
+            members = grown
+
+    cyclic = {closure([g]) for g in range(len(ar.t))}
+    found = set(cyclic)
+    frontier = set(cyclic)
+    while frontier:
+        frontier = {closure(A + C) for A in frontier for C in cyclic} - found
+        found |= frontier
+    return found
+
+
+@st.composite
+def subset_cases(draw):
+    entry = draw(st.sampled_from(ENTRIES))
+    order = entry.group.order
+    X = draw(st.sets(st.integers(0, order - 1), min_size=1))
+    return entry, X
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(subset_cases())
+def test_the_coset_witness_is_the_largest_coset_then_the_least(case):
+    entry, X = case
+    G = entry.group
+    ar = Arithmetic(G.table())
+    best = min(
+        (-len(H), H, t)
+        for H in _subgroups(entry.label)
+        for t in X
+        if all(ar.t[t][h] in X for h in H)
+    )
+    W = coset_witness(WordSet(group=G, kind="torsion", subset=Subset.from_indices(G, X)))
+    assert W.fallback is None
+    assert (W.subgroup.members, W.t) == best[1:]

@@ -346,7 +346,7 @@ def test_witness_fallback_is_marked(capsys):
     code, out = run(capsys, argv + ["--max-order", "4"])
     assert code == 0
     (res,) = payload(out)["results"]
-    assert res["fallback"] == "subgroup scan capped at order 4"
+    assert res["fallback"] == "S3: subgroup enumeration capped at order 4"
     assert res["subgroup"]["members"] == [0] and res["valid"]
     code, out = run(capsys, argv)
     assert "fallback" not in payload(out)["results"][0]
@@ -525,8 +525,10 @@ def test_out_of_range_at_exits_1_naming_the_entry_point(capsys, argv, entry_poin
         (["--at", "0,-1"], 1, "finhaar: commuting_certificate on S3: entry -1 out of range 0..5\n"),
         (["--at=-1,0"], 1, "finhaar: commuting_certificate on S3: entry -1 out of range 0..5\n"),
         (["--at", "-x,0"], 2, "finhaar: --at must be comma separated integers, got '-x,0'\n"),
+        (["--a", "-1,0"], 1, "finhaar: commuting_certificate on S3: entry -1 out of range 0..5\n"),
+        (["--a", "-x,0"], 2, "finhaar: --at must be comma separated integers, got '-x,0'\n"),
     ],
-    ids=["-1,0", "0,-1", "=-1,0", "-x,0"],
+    ids=["-1,0", "0,-1", "=-1,0", "-x,0", "a -1,0", "a -x,0"],
 )
 def test_an_at_value_with_a_leading_minus_is_read_as_the_value(capsys, at, code, err):
     assert main(["commute-cert", "--set", "inverted:id", "--group", "S3", *at]) == code

@@ -335,23 +335,8 @@ def test_extract_engel_certificates_recorded(heis27):
         assert left_normed_idx(heis27, cert.a, cert.b, cert.b) == heis27.identity
 
 
-def test_extract_measure_threshold(s3):
-    from finhaar.errors import EmptyTarget
-    from fractions import Fraction
-
-    # inverted:id on S3 has measure 2/3; a 3/4 floor rules it out
-    with pytest.raises(EmptyTarget):
-        extract_abelian_subgroup(
-            s3, identity_automorphism(s3), min_measure=Fraction(3, 4)
-        )
-    report = extract_abelian_subgroup(
-        s3, identity_automorphism(s3), min_measure=Fraction(1, 2)
-    )
-    assert report.result.members == S3_CYCLIC
-
-
 def test_extract_direct_gate(s3):
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded, match="^S3: subgroup enumeration capped at order 4$"):
         extract_abelian_subgroup(
             s3, identity_automorphism(s3), mode="direct", limit=4
         )
@@ -370,7 +355,17 @@ def test_extract_both_skips_direct_above_gate(s3):
     )
     assert report.direct_search is None
     assert report.result_mode == "proof-following"
-    assert any("direct search skipped" in f for f in report.findings)
+    assert report.findings == ("direct search skipped: S3: subgroup enumeration capped at order 4",)
+
+
+def test_a_coset_slice_that_is_not_a_subgroup_is_a_soundness_error(s3, monkeypatch):
+    # the cyclic result (0, 2, 5) cut to (0, 2), which is not closed
+    def broken_slice(G, X, K):
+        return X.subset.indices()[0], list(K.members[:2])
+
+    monkeypatch.setattr(wordsets, "_best_coset_slice", broken_slice)
+    with pytest.raises(SoundnessError, match=r"^S3: slice at t=0 is not a subgroup \(members \[0, 2\]\)$"):
+        extract_abelian_subgroup(s3, identity_automorphism(s3))
 
 
 def test_extract_slice_is_subgroup_everywhere(s3, s4, d8, q8, z6):
