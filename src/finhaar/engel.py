@@ -145,7 +145,7 @@ def verify_cube_law(G, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
     t, inv = G._table, G._inv
     cube_roots = Subset.from_predicate(G, lambda g: G.power(g, 3) == e)
     # translated[c] holds the x with (c^-1 x)^3 = 1
-    translated = [cube_roots.left_translate(c).bits for c in G.elements()]
+    translated = cube_roots.translates()
     qualifying = 0
     counterexample = None
     for a, row in enumerate(t):

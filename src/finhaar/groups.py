@@ -36,8 +36,9 @@ for lists, ``_index`` for one): a Python or numpy integer in 0..n-1,
 never a bool, float or str, kept as a Python int.  Every public call
 that takes indices checks them by it and names itself in its ValueError,
 the ``Subgroup`` constructor included, except the raw kernels ``mul``,
-``inv``, ``conjugate``, ``power``, ``left_row``, ``right_map`` and
-``Subset.left_translate`` and the per-element arithmetic built on them.
+``inv``, ``conjugate``, ``power``, ``left_row``, ``right_map``,
+``Subset.left_translate`` and ``Subset.translates`` (its table is
+indexed as is) and the per-element arithmetic built on them.
 Membership is a question, not an index given to work on: ``x in H`` for
 a ``Subgroup`` or ``Subset`` never raises and answers, as a Python set
 of ints would, whether x equals a member, so -1, 1.5 and n are simply

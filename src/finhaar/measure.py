@@ -1,10 +1,10 @@
 """Counting measure on finite groups and largeness certificates.
 
 Subsets are bitmasks over element indices; every measure is an exact
-``fractions.Fraction``.  A subset is immutable, so it keeps each left
-translate it has computed: certificates, cube-law checks, averaging and
-k-largeness ask one set for the same shift many times, and only the
-first call per shift maps bits (``Subset.left_translate``).  The one
+``fractions.Fraction``.  A subset is immutable, so its left translates
+live in one table per subset, built on first use (``Subset.translates``):
+entry x is the bitmask of xA.  Certificates, cube-law checks,
+averaging and k-largeness all read that table.  The one
 deliberately inexact operation is :func:`translate_product_mean`, which
 works with complex-valued functions in floating point (documented
 tolerance 1e-10); only it, ``GroupFunction`` and ``l2_distance`` use
@@ -88,16 +88,22 @@ class Subset:
             bits ^= lsb
         return out
 
-    def left_translate(self, x):
-        """The set {x * a : a in self}, computed once per x."""
+    def translates(self):
+        """Tuple whose entry x is the bitmask of {x * a : a in self}: one
+        table per subset, built on first use."""
         try:
-            memo = self._translates
+            return self._translates
         except AttributeError:
-            memo = self._translates = {}
-        out = memo.get(x)
-        if out is None:
-            out = memo[x] = Subset(self.group, _map_bits(self.bits, self.group.left_row(x)))
-        return out
+            G, bits = self.group, self.bits
+            table = self._translates = tuple(
+                _map_bits(bits, G.left_row(x)) for x in G.elements()
+            )
+            return table
+
+    def left_translate(self, x):
+        """The set {x * a : a in self}, read from the one table per subset,
+        built on first use (``translates``)."""
+        return Subset(self.group, self.translates()[x])
 
     def right_translate(self, x):
         """The set {a * x : a in self}."""
@@ -166,7 +172,7 @@ def translate_intersection_measure(sets, xs):
     xs = _index_list(xs, G.order, f"translate_intersection_measure on {G.label}")
     mask = (1 << G.order) - 1
     for A, x in zip(sets, xs):
-        mask &= A.left_translate(x).bits
+        mask &= A.translates()[x]
         if not mask:
             return Fraction(0, 1)
     return Fraction(mask.bit_count(), G.order)
@@ -204,7 +210,7 @@ def average_translate_intersection(sets, budget=DEFAULT_TUPLE_SPACE_BUDGET):
         raise SearchBudgetExceeded(
             f"{G.label}: {G.order}^{n} translate tuples exceed budget {budget}"
         )
-    per_set_masks = [[A.left_translate(x).bits for x in G.elements()] for A in sets]
+    per_set_masks = [A.translates() for A in sets]
     full = (1 << G.order) - 1
     total = 0
     last = per_set_masks[-1]
@@ -322,16 +328,13 @@ class LargenessCertificate:
     u_set: Subset
 
     def validate(self):
-        G = self.group
         if self.group.identity not in self.u_set:
             return False
         if not self.u_set.is_symmetric():
             return False
-        masks = {u: self.base.left_translate(u).bits for u in self.u_set.indices()}
+        masks = self.base.translates()
         base_bits = self.base.bits
-        for tup in itertools.combinations_with_replacement(
-            sorted(masks), self.k
-        ):
+        for tup in itertools.combinations_with_replacement(self.u_set.indices(), self.k):
             acc = base_bits
             for u in tup:
                 acc &= masks[u]
@@ -395,7 +398,7 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
             f"{EXHAUSTIVE_ORDER_LIMIT} (|G| = {G.order})"
         )
     tracker = _TupleBudget(G.label, budget)
-    masks = {u: A.left_translate(u).bits for u in G.elements()}
+    masks = A.translates()
     e = G.identity
     if strategy == "greedy":
         members = {e}

@@ -9,8 +9,9 @@ evidence used.
 
 Pair certificates are made a row at a time by one kernel
 (``_certify_row``): the translates that depend only on a are
-intersected once per row, those that depend on b are read from a table
-filled on first use, and every witness is re-checked against the law.
+intersected once per row, those that depend on b are read from the one
+table per subset, built on first use (``Subset.translates``), and every
+witness is re-checked against the law.
 The public pair functions call it with a single b.  Proof-following
 extraction grows its seed in one incremental walk
 (``_grow_seed_set``): each trial closes the last accepted subgroup's
@@ -152,25 +153,14 @@ def coset_witness(X, limit=SUBGROUP_SCAN_LIMIT):
 # -- pair certificates ----------------------------------------------------------
 
 
-class _Translates(dict):
-    """c -> bitmask of the left translate cA, taken from
-    ``Subset.left_translate`` on first use."""
-
-    def __init__(self, subset):
-        self.subset = subset
-
-    def __missing__(self, c):
-        bits = self[c] = self.subset.left_translate(c).bits
-        return bits
-
-
-def _certify_row(X, a, bs, row, shifted):
+def _certify_row(X, a, bs, row):
     """Certify the pairs (a, b) for b in ``bs``, in order, up to the first
     pair without a witness; return whether every pair has one.
 
     ``row`` maps each b certified before to its least witness (None when
     there is none), is read instead of recomputing and gets each new
-    pair; ``shifted`` is the ``_Translates`` of X.  An inverted set
+    pair.  ``shifted`` is X's one table per subset, built on first use
+    (``Subset.translates``): entry c is the bitmask of cX.  An inverted set
     certifies [a, b] = 1 by A & a^-1A & b^-1A & (ab)^-1A, a splitting set
     certifies [a, b, b] = 1 by A & aA & a^-1A & b^-1A & ab^-1A & ba^-1A &
     abA & (ab)^-1A; the translates by a alone are intersected once for
@@ -181,6 +171,7 @@ def _certify_row(X, a, bs, row, shifted):
     t, inv = G._table, G._inv
     ta, ia = t[a], inv[a]
     engel = X.kind == "splitting"
+    shifted = X.subset.translates()
     row_mask = X.subset.bits & shifted[ia]
     if engel:
         row_mask &= shifted[a]
@@ -212,7 +203,7 @@ def _certify_row(X, a, bs, row, shifted):
 
 def _certify_pair(X, a, b):
     row = {}
-    _certify_row(X, a, (b,), row, _Translates(X.subset))
+    _certify_row(X, a, (b,), row)
     return row[b]
 
 
@@ -323,13 +314,13 @@ def _grow_seed_set(G, word_set, law_holds, length):
       once per subgroup;
     * it builds the products level by level from V's (``_next_levels``);
     * it walks, in (a, b) order, only the pairs with a product outside
-      V's, a row at a time (``_certify_row``), with each translate mapped
-      once; every witness is kept, so no pair is certified twice.
+      V's, a row at a time (``_certify_row``), reading X's one table per
+      subset, built on first use (``Subset.translates``); every witness is
+      kept, so no pair is certified twice.
     """
     e = G.identity
-    shifted = _Translates(word_set.subset)
     witnesses = {e: {}}  # a -> {b: witness of (a, b)}
-    _certify_row(word_set, e, (e,), witnesses[e], shifted)
+    _certify_row(word_set, e, (e,), witnesses[e])
     members = {e}
     levels = [{e}] * length
     accepted = Subgroup._trusted(G, [e])
@@ -349,11 +340,7 @@ def _grow_seed_set(G, word_set, law_holds, length):
         fresh = [b for b in products if b not in certified]
         if all(
             _certify_row(
-                word_set,
-                a,
-                fresh if a in certified else products,
-                witnesses.setdefault(a, {}),
-                shifted,
+                word_set, a, fresh if a in certified else products, witnesses.setdefault(a, {})
             )
             for a in products
         ):

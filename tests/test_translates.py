@@ -1,9 +1,15 @@
 """Property tests for set translates on S4 and D16."""
 
+import importlib
+
 import pytest
 
 from finhaar.groups import dihedral_group, symmetric_group
-from finhaar.measure import Subset
+from finhaar.measure import (
+    Subset,
+    average_translate_intersection,
+    translate_intersection_measure,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -59,6 +65,8 @@ def _table_translate(A, x):
     subset_and_points(),
     st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=40),
 )
+@hypothesis.example((Subset(GROUPS["S4"], 0), 0, 0), [(True, 5), (False, 3)])
+@hypothesis.example((Subset(GROUPS["D16"], 1 << 9), 0, 0), [(False, 7), (True, 2)])
 def test_remembered_translates_match_the_table(data, calls):
     """Repeated, nested and interleaved calls all see the table's translate."""
     A, _, _ = data
@@ -70,5 +78,29 @@ def test_remembered_translates_match_the_table(data, calls):
         translate = source.left_translate(x)
         assert set(translate.indices()) == _table_translate(source, x)
         current = translate
+    table = A.translates()
+    assert type(table) is tuple and len(table) == G.order
     for x in G.elements():
         assert set(A.left_translate(x).indices()) == _table_translate(A, x)
+        assert {a for a in G.elements() if table[x] >> a & 1} == _table_translate(A, x)
+
+
+def test_the_table_is_built_once_per_subset(monkeypatch):
+    G = GROUPS["S4"]
+    calls = []
+    # finhaar.measure the module, not the function that finhaar exports
+    measure_module = importlib.import_module("finhaar.measure")
+    real = measure_module._map_bits
+
+    def counted(bits, image):
+        calls.append(bits)
+        return real(bits, image)
+
+    monkeypatch.setattr(measure_module, "_map_bits", counted)
+    A = Subset.from_indices(G, [0, 3, 7, 11, 20])
+    assert A.translates() is A.translates()
+    for x in G.elements():
+        A.left_translate(x)
+    translate_intersection_measure([A, A], [1, 2])
+    average_translate_intersection([A, A])
+    assert len(calls) == G.order

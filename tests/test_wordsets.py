@@ -248,7 +248,7 @@ def test_row_kernel_finds_each_pairs_least_witness(s4, heis27, kind):
         inv = G.inv
         for a in G.elements():
             row = {}
-            ok = wordsets._certify_row(X, a, G.elements(), row, wordsets._Translates(X.subset))
+            ok = wordsets._certify_row(X, a, G.elements(), row)
             for b, witness in row.items():
                 ab = G.mul(a, b)
                 if kind == "inverted":
@@ -529,11 +529,11 @@ def test_seed_growth_certifies_each_pair_once_as_a_rewalk_would(monkeypatch, kin
             calls.append((self.a, b))
             super().__setitem__(b, witness)
 
-    def certify_row(X, a, bs, row, shifted):
+    def certify_row(X, a, bs, row):
         logged = Logged(row)
         logged.a = a
         try:
-            return real(X, a, bs, logged, shifted)
+            return real(X, a, bs, logged)
         finally:
             row.update(logged)
 
