@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GroupMismatch, SearchBudgetExceeded, SoundnessError
-from .groups import as_subgroup, conjugacy_classes, normal_closure
+from .groups import _read_through, as_subgroup, conjugacy_classes, normal_closure
 from .measure import Subset
 
 DEFAULT_TRIPLE_SCAN_LIMIT = 64
@@ -213,9 +213,10 @@ def verify_engel_consequences(H, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
     comm = [[position[commutator_idx(G, x, y)] for y in members] for x in members]
     checked = 0
     for i, comm_x in enumerate(comm):
+        through_x = _read_through(comm_x)
         for j, comm_y in enumerate(comm):
             lhs = comm[comm_x[j]]
-            rhs = [comm_y[xz] for xz in comm_x]
+            rhs = through_x(comm_y)
             if lhs != rhs:
                 k = next(k for k, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
                 return CommutatorReport(

@@ -51,8 +51,9 @@ pure recomputations.
 
 from __future__ import annotations
 
+import math
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
 from numbers import Integral
 
 from .errors import (
@@ -328,10 +329,17 @@ def _index_list(values, n, what):
         operator.index(v) if isinstance(v, Integral) and type(v) is not bool else -1
         for v in values
     ]  # -1 marks an entry that is not an integer
-    if out and (min(out) < 0 or max(out) >= n):
+    if not _index_range(n).issuperset(out):
         v = next(v for v, i in zip(values, out) if not 0 <= i < n)
         raise ValueError(f"{what}: entry {v!r} out of range 0..{n - 1}")
     return out
+
+
+@lru_cache(maxsize=64)
+def _index_range(n):
+    """frozenset(range(n)), so that ``_index_list`` checks a row in one C
+    pass; only ints are tested against it, so the check is exact."""
+    return frozenset(range(n))
 
 
 def _index(v, n, what):
@@ -650,7 +658,10 @@ def check_homomorphism(source, target, phi, what):
 
 
 class Automorphism:
-    """A validated multiplicative bijection on element indices."""
+    """A validated multiplicative bijection on element indices.
+
+    ``order`` is the lcm of the cycle lengths of the map, found in one
+    pass over the indices."""
 
     __slots__ = ("group", "map", "order", "name")
 
@@ -671,13 +682,19 @@ class Automorphism:
         check_homomorphism(G, G, m, f"{G.label}/{self.name}")
 
     def _compute_order(self):
-        ident = tuple(range(self.group.order))
-        step = self.map.__getitem__
-        current, k = self.map, 1
-        while current != ident:
-            current = tuple(map(step, current))
-            k += 1
-        return k
+        """The lcm of the cycle lengths of the validated permutation."""
+        m = self.map
+        seen = [False] * len(m)
+        order = 1
+        for start in range(len(m)):
+            length, x = 0, start
+            while not seen[x]:
+                seen[x] = True
+                x = m[x]
+                length += 1
+            if length:
+                order = math.lcm(order, length)
+        return order
 
     def map_power(self, k):
         """Index map of the k-th iterate."""

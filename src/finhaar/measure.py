@@ -4,7 +4,11 @@ Subsets are bitmasks over element indices; every measure is an exact
 ``fractions.Fraction``.  A subset is immutable, so its left translates
 live in one table per subset, built on first use (``Subset.translates``):
 entry x is the bitmask of xA.  Certificates, cube-law checks,
-averaging and k-largeness all read that table.  The one
+averaging and k-largeness all read that table.  It is built a whole
+row at a time in C: each Cayley row is read through the members and
+the powers of two of the images are summed, which equals their OR
+because a row is a bijection (``_image_masks``, which also makes right
+translates and inverse sets).  The one
 deliberately inexact operation is :func:`translate_product_mean`, which
 works with complex-valued functions in floating point (documented
 tolerance 1e-10); only it, ``GroupFunction`` and ``l2_distance`` use
@@ -24,7 +28,7 @@ from .errors import (
     SearchBudgetExceeded,
     UnitBallViolated,
 )
-from .groups import _index, _index_list
+from .groups import _index, _index_list, _read_through
 
 DEFAULT_TUPLE_SPACE_BUDGET = 10**8
 DEFAULT_KLARGE_BUDGET = 10**7
@@ -32,14 +36,15 @@ EXHAUSTIVE_ORDER_LIMIT = 24
 UNIT_BALL_SLACK = 1e-12
 
 
-def _map_bits(bits, image):
-    """Bitmask of {image[a] : a in bits}; ``image`` is an index list."""
-    out = 0
-    while bits:
-        lsb = bits & -bits
-        out |= 1 << image[lsb.bit_length() - 1]
-        bits ^= lsb
-    return out
+def _image_masks(A, maps):
+    """For each index map in ``maps``, the bitmask of {map[a] : a in A}.
+    Every map here (a Cayley row or column, the inverse map) is a
+    bijection, so no image repeats and summing powers of two is an OR."""
+    if not A.bits:  # _read_through needs at least one index
+        return [0] * len(maps)
+    read = _read_through(A.indices())
+    bit = [1 << i for i in range(A.group.order)].__getitem__
+    return [sum(map(bit, read(m))) for m in maps]
 
 
 class Subset:
@@ -90,14 +95,14 @@ class Subset:
 
     def translates(self):
         """Tuple whose entry x is the bitmask of {x * a : a in self}: one
-        table per subset, built on first use."""
+        table per subset, built on first use.  Entry x reads x's Cayley
+        row through the members and sums the powers of two of the
+        images; the sum is their OR because a row of a validated group
+        table is a bijection (``_image_masks``)."""
         try:
             return self._translates
         except AttributeError:
-            G, bits = self.group, self.bits
-            table = self._translates = tuple(
-                _map_bits(bits, G.left_row(x)) for x in G.elements()
-            )
+            table = self._translates = tuple(_image_masks(self, self.group._table))
             return table
 
     def left_translate(self, x):
@@ -109,10 +114,10 @@ class Subset:
         """The set {a * x : a in self}."""
         G = self.group
         x = _index(x, G.order, f"Subset.right_translate on {G.label}")
-        return Subset(G, _map_bits(self.bits, G.right_map(x)))
+        return Subset(G, _image_masks(self, [G.right_map(x)])[0])
 
     def inverse_set(self):
-        return Subset(self.group, _map_bits(self.bits, self.group._inv))
+        return Subset(self.group, _image_masks(self, [self.group._inv])[0])
 
     def is_symmetric(self):
         return self.bits == self.inverse_set().bits
@@ -222,8 +227,7 @@ def average_translate_intersection(sets, budget=DEFAULT_TUPLE_SPACE_BUDGET):
                 break
         if not partial:
             continue
-        for m in last:
-            total += (partial & m).bit_count()
+        total += sum(map(int.bit_count, map(partial.__and__, last)))
     average = Fraction(total, G.order ** (n + 1))
     product = Fraction(1)
     for A in sets:

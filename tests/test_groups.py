@@ -666,14 +666,30 @@ def _order_by_a_loop(mapping):
     return k
 
 
+def _multiplier_maps():
+    """x -> ux on Z_n with u = 5 mod 8: u generates the cyclic part of
+    the units mod 2^k, so the map has order n/4."""
+    for n in (64, 128, 256, 512):
+        Z = cyclic_group(n)
+        for u in (5, 13, n - 3):
+            yield n // 4, automorphism_from_map(Z, [u * x % n for x in range(n)], name=f"mul{u}")
+
+
 def test_automorphism_order_and_powers_against_a_loop():
     catalog = bundled_catalog()
     auts = [aut for label in catalog.labels() for aut in catalog.get(label).automorphisms.values()]
-    z512 = cyclic_group(512)
-    auts.append(automorphism_from_map(z512, [(5 * x) % 512 for x in range(512)], name="mul"))
-    assert auts[-1].order == 128
-    for aut in auts:
+    multipliers = list(_multiplier_maps())
+    for expected, aut in multipliers:
+        assert aut.order == expected
+    S5 = symmetric_group(5)
+    inner = [inner_automorphism(S5, g) for g in S5.elements()]
+    assert {aut.order for aut in inner} == {1, 2, 3, 4, 5, 6}
+    for aut in auts + [aut for _, aut in multipliers] + inner:
         assert aut.order == _order_by_a_loop(aut.map)
+        assert aut.map_power(aut.order) == tuple(aut.group.elements())
+    z512_mul5 = multipliers[-3][1]
+    assert (z512_mul5.group.order, z512_mul5.name) == (512, "mul5")
+    for aut in auts + [z512_mul5]:
         power = list(range(aut.group.order))
         for k in range(aut.order + 2):
             assert list(aut.map_power(k)) == power

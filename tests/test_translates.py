@@ -87,20 +87,55 @@ def test_remembered_translates_match_the_table(data, calls):
 
 def test_the_table_is_built_once_per_subset(monkeypatch):
     G = GROUPS["S4"]
-    calls = []
+    builds = []
     # finhaar.measure the module, not the function that finhaar exports
     measure_module = importlib.import_module("finhaar.measure")
-    real = measure_module._map_bits
+    real = measure_module._image_masks
 
-    def counted(bits, image):
-        calls.append(bits)
-        return real(bits, image)
+    def counted(A, maps):
+        builds.append((A, len(maps)))
+        return real(A, maps)
 
-    monkeypatch.setattr(measure_module, "_map_bits", counted)
+    monkeypatch.setattr(measure_module, "_image_masks", counted)
     A = Subset.from_indices(G, [0, 3, 7, 11, 20])
     assert A.translates() is A.translates()
     for x in G.elements():
         A.left_translate(x)
     translate_intersection_measure([A, A], [1, 2])
     average_translate_intersection([A, A])
-    assert len(calls) == G.order
+    # one build, of all |G| rows at once
+    assert builds == [(A, G.order)]
+
+
+def _cube_roots(G):
+    return Subset.from_indices(G, [g for g in G.elements() if G.power(g, 3) == G.identity])
+
+
+def _involutions_and_identity(G):
+    return Subset.from_indices(G, [g for g in G.elements() if G.mul(g, g) == G.identity])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Subset.empty(GROUPS["D16"]),
+        lambda: Subset.full(GROUPS["S4"]),
+        lambda: Subset.full(symmetric_group(5)),
+        lambda: _cube_roots(symmetric_group(6)),
+        lambda: _involutions_and_identity(dihedral_group(256)),
+    ],
+    ids=["D16-empty", "S4-full", "S5-full", "S6-cube-roots", "D512-torsion2"],
+)
+def test_translate_tables_at_the_benchmarked_orders(make):
+    """Every entry, against products read straight from the Cayley table,
+    at the orders where the table is built from whole rows."""
+    A = make()
+    G = A.group
+    table = A.translates()
+    assert type(table) is tuple and len(table) == G.order
+    for x in G.elements():
+        assert table[x] == sum(1 << g for g in _table_translate(A, x))
+    inverses = {b for a in A.indices() for b in G.elements() if G.mul(a, b) == G.identity}
+    assert set(A.inverse_set().indices()) == inverses
+    for x in G.elements():
+        assert set(A.right_translate(x).indices()) == {G.mul(a, x) for a in A.indices()}

@@ -418,10 +418,10 @@ def _heis81():
 def test_proof_mode_maps_each_translate_once(monkeypatch):
     # finhaar.measure the module, not the function that finhaar exports
     measure_module = importlib.import_module("finhaar.measure")
-    real = measure_module._map_bits
+    real = measure_module._image_masks
     calls = []
     monkeypatch.setattr(
-        measure_module, "_map_bits", lambda bits, image: calls.append(1) or real(bits, image)
+        measure_module, "_image_masks", lambda A, maps: calls.extend(maps) or real(A, maps)
     )
     G = _heis81()
     report = extract_engel_subgroup(G, identity_automorphism(G), mode="proof")
