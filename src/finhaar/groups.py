@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 from numbers import Integral
 
 from .errors import (
@@ -376,11 +376,7 @@ def symmetric_group(n, label=None):
         gens.append(tuple(swap))
     if n >= 3:
         gens.append(tuple(list(range(1, n)) + [0]))
-    return build_perm_group(n, gens, cap=max(1, _factorial(n)), label=label or f"S{n}")
-
-
-def _factorial(n):
-    return reduce(lambda a, b: a * b, range(1, n + 1), 1)
+    return build_perm_group(n, gens, cap=math.factorial(n), label=label or f"S{n}")
 
 
 def dihedral_group(n, label=None):

@@ -384,12 +384,13 @@ def _valid_extension(base_bits, masks, old, new, k, budget):
 def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
     """Search for a largeness certificate around the identity.
 
-    greedy: grow U from {identity}, trying inverse-closed pairs in least
-    index order and keeping each pair only if every k-tuple from the
-    enlarged U still meets the base set.  exhaustive: branch over all
-    inverse-closed classes for a maximum-size valid U (group order
-    capped at 24).  Budgets count individual tuple checks; past the cap
-    or the budget, SearchBudgetExceeded names the group.
+    greedy: grow U from {identity}, trying each inverse class {x, x^-1}
+    once, in order of its least member, and keeping it only if every
+    k-tuple from the enlarged U still meets the base set; a class that
+    fails stays failed as U grows, so one trial decides it.  exhaustive:
+    branch over all inverse classes for a maximum-size valid U (group
+    order capped at 24).  Budgets count individual tuple checks; past
+    the cap or the budget, SearchBudgetExceeded names the group.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -404,26 +405,15 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
     tracker = _TupleBudget(G.label, budget)
     masks = A.translates()
     e = G.identity
+    classes = sorted({tuple(sorted({x, G.inv(x)})) for x in G.elements() if x != e})
     if strategy == "greedy":
-        members = {e}
-        if not _valid_extension(A.bits, masks, (), members, k, tracker):
-            raise EmptyBase("base set misses its own translates")  # unreachable
-        for x in G.elements():
-            if x in members:
-                continue
-            new = {x, G.inv(x)} - members
-            if _valid_extension(A.bits, masks, members, new, k, tracker):
-                members = members | new
+        # the identity's class is checked first, so U always holds it
+        members = set()
+        for cls in [(e,), *classes]:
+            if _valid_extension(A.bits, masks, members, cls, k, tracker):
+                members.update(cls)
         return LargenessCertificate(G, A, k, Subset.from_indices(G, members))
     if strategy == "exhaustive":
-        classes = []
-        seen = set()
-        for x in G.elements():
-            if x == e or x in seen:
-                continue
-            cls = frozenset((x, G.inv(x)))
-            seen |= cls
-            classes.append(tuple(sorted(cls)))
         best_size, best_members = 1, (e,)
 
         def extend(members, idx):

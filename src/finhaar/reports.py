@@ -14,15 +14,8 @@ from fractions import Fraction
 from . import __version__
 from .engel import CentralSeries, CommutatorReport
 from .groups import Subgroup
-from .measure import LargenessCertificate, Subset, format_rational
-from .towers import Tower
-from .wordsets import (
-    CosetWitness,
-    ExtractionReport,
-    ModeResult,
-    PairCertificate,
-    WordSet,
-)
+from .measure import LargenessCertificate, format_rational
+from .wordsets import CosetWitness, ExtractionReport, ModeResult, WordSet
 
 TOOL_NAME = "finhaar"
 
@@ -31,24 +24,14 @@ def jsonable(obj):
     """Convert domain objects into JSON-ready structures."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, PairCertificate):  # a NamedTuple: ahead of the tuple branch
-        return {"a": obj.a, "b": obj.b, "witness": obj.witness}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, Subset):
-        return {
-            "size": obj.size,
-            "measure": format_rational(obj.measure),
-            "members": obj.indices(),
-        }
     if isinstance(obj, Subgroup):
         return {
             "size": obj.size,
@@ -86,7 +69,9 @@ def jsonable(obj):
             "mode": obj.mode,
             "subgroup": jsonable(obj.subgroup),
             "seed_set": list(obj.seed_set),
-            "certificates": [jsonable(c) for c in obj.certificates],
+            "certificates": [
+                {"a": a, "b": b, "witness": w} for a, b, w in obj.certificates
+            ],
         }
     if isinstance(obj, ExtractionReport):
         return {
@@ -122,12 +107,6 @@ def jsonable(obj):
             "sizes": [t.size for t in obj.terms],
             "stabilized": obj.stabilized,
             "nilpotency_class": obj.nilpotency_class,
-        }
-    if isinstance(obj, Tower):
-        return {
-            "name": obj.name,
-            "depth": obj.depth,
-            "levels": [G.label for G in obj.levels],
         }
     raise TypeError(f"cannot serialize {type(obj)!r}")
 

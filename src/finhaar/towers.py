@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotMultiplicative, NotSurjective
+from .errors import NotSurjective
 from .groups import _index_list, check_homomorphism
 from .wordsets import torsion_set
 
@@ -46,8 +46,6 @@ def build_tower(levels, maps, name="tower"):
         if len(set(phi)) != coarse.order:
             raise NotSurjective(f"{name}: map {i} is not onto the coarse group")
         check_homomorphism(fine, coarse, phi, f"{name}: map {i}")
-        if phi[fine.identity] != coarse.identity:
-            raise NotMultiplicative(f"{name}: map {i} moves the identity")
     return Tower(name=name, levels=levels, maps=maps)
 
 

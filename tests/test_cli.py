@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -217,6 +219,29 @@ def test_csv_format(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "label,measure,set,size"
     assert "S3,1/2,torsion:3,3" in lines
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: " ".join(a))
+def test_csv_reads_back_as_the_json_results(capsys, argv):
+    # a nested value is one quoted cell of compact JSON, None and a
+    # missing key are empty cells, and any other value is its str()
+    code, out = run(capsys, argv)
+    results = payload(out)["results"]
+    csv_code, text = run(capsys, argv + ["--format", "csv"])
+    assert csv_code == code
+    rows = list(csv.DictReader(io.StringIO(text)))
+    keys = sorted({k for res in results for k in res})
+    assert text.split("\n", 1)[0] == ",".join(keys)
+    assert len(rows) == len(results)
+    for row, res in zip(rows, results):
+        assert set(row) == set(keys)
+        for k in keys:
+            value = res.get(k)
+            if isinstance(value, (dict, list)):
+                assert row[k] == json.dumps(value, sort_keys=True, separators=(",", ":"))
+                assert json.loads(row[k]) == value
+            else:
+                assert row[k] == ("" if value is None else str(value)), k
 
 
 def test_klarge_output_revalidates(capsys):

@@ -226,3 +226,30 @@ def test_largest_first_search_stops_at_the_least_ranked_hit(make):
             # never called past the answer, and called once on each before it
             assert all(_rank(H) <= _rank(expected) for H in called), name
             assert len(called) == sum(_rank(H) <= _rank(expected) for H in all_subgroups(G))
+
+
+def _normal_by_conjugation(H):
+    """Oracle: g h g^-1 lies in H for every g in G and every h in H."""
+    G = H.group
+    members = set(H.members)
+    return all(
+        G.mul(G.mul(g, h), G.inv(g)) in members for g in G.elements() for h in H.members
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda label=label: bundled_catalog().get(label).group for label in CATALOG_LABELS]
+    + [EXTENSION_GROUPS["S5"]],
+    ids=[f"catalog-{label}" for label in CATALOG_LABELS] + ["S5"],
+)
+def test_normal_subgroups_match_conjugation_by_every_element(make):
+    G = make()
+    expected = [H.members for H in all_subgroups(G) if _normal_by_conjugation(H)]
+    assert [H.members for H in lattice.normal_subgroups(G)] == expected
+
+
+def test_normal_subgroup_counts_of_s4_and_s5():
+    # S4: 1, the Klein four-group, A4, S4; S5: 1, A5, S5
+    assert [H.size for H in lattice.normal_subgroups(symmetric_group(4))] == [1, 4, 12, 24]
+    assert [H.size for H in lattice.normal_subgroups(symmetric_group(5))] == [1, 60, 120]

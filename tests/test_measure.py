@@ -16,6 +16,7 @@ from finhaar.errors import (
 from finhaar.groups import cyclic_group
 from finhaar.measure import (
     GroupFunction,
+    LargenessCertificate,
     Subset,
     average_translate_intersection,
     format_rational,
@@ -63,6 +64,18 @@ def test_translation_invariance(s3, q8):
             for x in G.elements():
                 assert measure(A.left_translate(x)) == measure(A)
                 assert measure(A.right_translate(x)) == measure(A)
+
+
+def test_set_difference(s3, z6):
+    rng = random.Random("difference")
+    for _ in range(20):
+        A = Subset(s3, rng.getrandbits(s3.order))
+        B = Subset(s3, rng.getrandbits(s3.order))
+        expected = sorted(set(A.indices()) - set(B.indices()))
+        assert (A - B).indices() == expected
+        assert (A - B).group is s3
+    with pytest.raises(GroupMismatch):
+        Subset.full(s3) - Subset.full(z6)
 
 
 def test_translate_intersection_z4():
@@ -222,6 +235,22 @@ def test_klarge_s3_pair(s3):
     assert cert.validate()
 
 
+def test_forged_certificates_do_not_validate(s3):
+    full, pair = Subset.full(s3), Subset.from_indices(s3, [0, 1])
+    three_cycle = 2  # (0 1 2), whose inverse (0 2 1) is index 5
+    assert s3.inv(three_cycle) == 5
+    lacks_identity = Subset.from_indices(s3, [1])
+    assert lacks_identity.is_symmetric()
+    assert not LargenessCertificate(s3, full, 1, lacks_identity).validate()
+    not_symmetric = Subset.from_indices(s3, [s3.identity, three_cycle])
+    assert not LargenessCertificate(s3, full, 1, not_symmetric).validate()
+    # U = S3 holds the identity and is symmetric, but (0 1 2){e, (0 1)}
+    # is {(0 1 2), (0 1 2)(0 1)} and misses {e, (0 1)}
+    assert s3.mul(three_cycle, 1) not in (0, 1)
+    assert not LargenessCertificate(s3, pair, 1, full).validate()
+    assert LargenessCertificate(s3, pair, 1, pair).validate()
+
+
 def test_klarge_empty_base(s3):
     with pytest.raises(EmptyBase):
         k_large_certificate(Subset.empty(s3), 1)
@@ -301,6 +330,21 @@ def test_greedy_checks_each_tuple_once(s4, k):
     assert cert.u_set.size == s4.order
     with pytest.raises(SearchBudgetExceeded):
         k_large_certificate(Subset.full(s4), k, budget=tuples - 1)
+
+
+@pytest.mark.parametrize("n", [7, 9, 27])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_greedy_tries_each_inverse_class_once(n, k):
+    # in Z_n, n odd, xA misses A = {0} for every x != 0, so each of the
+    # (n - 1) / 2 classes {x, -x} fails at its first tuple, (x, 0, ..., 0);
+    # with the all-identity tuple that is 1 + (n - 1) / 2 checks
+    G = cyclic_group(n)
+    A = Subset.from_indices(G, [G.identity])
+    checks = 1 + (n - 1) // 2
+    cert = k_large_certificate(A, k, budget=checks)
+    assert cert.u_set.indices() == [G.identity]
+    with pytest.raises(SearchBudgetExceeded):
+        k_large_certificate(A, k, budget=checks - 1)
 
 
 def brute_force_greedy_u(A, k):

@@ -6,7 +6,13 @@ import pytest
 from finhaar import wordsets
 from finhaar.catalog import bundled_catalog
 from finhaar.engel import left_normed_idx
-from finhaar.errors import OrderNotDividing3, SearchBudgetExceeded, SoundnessError, WrongKind
+from finhaar.errors import (
+    EmptyTarget,
+    OrderNotDividing3,
+    SearchBudgetExceeded,
+    SoundnessError,
+    WrongKind,
+)
 from finhaar.groups import (
     automorphism_from_map,
     build_table_group,
@@ -574,3 +580,12 @@ def test_an_automorphism_inverting_more_than_three_quarters_forces_abelian(d8, q
     assert above  # the abelian groups with inversion do exceed 3/4
     assert inverted_set(d8, identity_automorphism(d8)).measure == Fraction(3, 4)
     assert not d8.is_abelian()
+
+
+def test_coset_witness_of_an_empty_word_set_names_the_group(s3):
+    # no word set built by the library is empty (the identity solves
+    # every word), so the empty one is built by hand
+    empty = WordSet(group=s3, kind="torsion", subset=Subset.empty(s3), exponent=2)
+    with pytest.raises(EmptyTarget) as info:
+        coset_witness(empty)
+    assert str(info.value).startswith(f"{s3.label}: ")
