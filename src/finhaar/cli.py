@@ -112,17 +112,17 @@ def _join_at(argv):
 
 
 def _load_catalog(args):
-    if args.catalog:
+    if args.catalog is not None:
         return parse_catalog(args.catalog)
     return bundled_catalog()
 
 
 def _entries(catalog, args):
-    if args.group:
+    if args.group is not None:
         try:
             return [catalog.get(args.group)], True
         except KeyError as exc:
-            raise OperationError(str(exc)) from None
+            raise OperationError(exc.args[0]) from None
     return list(catalog.entries), False
 
 
@@ -220,7 +220,7 @@ def _cmd_validate(catalog, entries, explicit, args):
         }
 
     results = _per_group(entries, explicit, [], fn)
-    if not args.group:
+    if args.group is None:
         for name in sorted(catalog.towers):
             tower = catalog.towers[name]
             results.append(
@@ -470,7 +470,7 @@ def main(argv=None):
         print(f"finhaar: {exc}", file=sys.stderr)
         return 1
     text = report.to_json() if args.format == "json" else report.to_csv()
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

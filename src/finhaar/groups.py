@@ -361,44 +361,40 @@ def _read_through(index_map):
     return lambda row: list(get(row))
 
 
+def _rule_group(elements, mul, label):
+    """The table group on ``elements``, indexed in the order given, under
+    the multiplication rule ``mul`` on them."""
+    index = {x: i for i, x in enumerate(elements)}
+    return build_table_group([[index[mul(x, y)] for y in elements] for x in elements], label)
+
+
 def cyclic_group(n, label=None):
     ident = list(range(n))
     return build_table_group([ident[i:] + ident[:i] for i in range(n)], label or f"Z{n}")
 
 
 def symmetric_group(n, label=None):
+    """S_n closed from (0 1) and (0 1 ... n-1), both (0 1) for n = 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    gens = []
-    if n >= 2:
-        swap = list(range(n))
-        swap[0], swap[1] = 1, 0
-        gens.append(tuple(swap))
-    if n >= 3:
-        gens.append(tuple(list(range(1, n)) + [0]))
+    gens = [tuple((x + 1) % m if x < m else x for x in range(n)) for m in (min(2, n), n)]
     return build_perm_group(n, gens, cap=math.factorial(n), label=label or f"S{n}")
 
 
 def dihedral_group(n, label=None):
-    """Dihedral group of order 2n; index 4j+i is r^i s^j for n=4 etc."""
-
-    def key(i, j):
-        return j * n + i
-
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(2):
-            for k in range(n):
-                for l in range(2):
-                    # (r^i s^j)(r^k s^l): s r^k = r^-k s
-                    rot = (i + (k if j == 0 else -k)) % n
-                    table[key(i, j)][key(k, l)] = key(rot, (j + l) % 2)
-    return build_table_group(table, label or f"D{2 * n}")
+    """Dihedral group of order 2n; index j*n+i is r^i s^j."""
+    # (r^i s^j)(r^k s^l) = r^(i +- k) s^(j+l), since s r^k = r^-k s
+    return _rule_group(
+        [(i, j) for j in range(2) for i in range(n)],
+        lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % n, (x[1] + y[1]) % 2),
+        label or f"D{2 * n}",
+    )
 
 
 def quaternion_group(label="Q8"):
-    """Quaternion group of order 8; indices 0..7 are 1,i,j,k,-1,-i,-j,-k."""
-    base = {
+    """Quaternion group of order 8; indices 0..7 are 1,i,j,k,-1,-i,-j,-k:
+    index 4s+b is (-1)^s times unit b."""
+    units = {
         (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
         (1, 0): (0, 1), (2, 0): (0, 2), (3, 0): (0, 3),
         (1, 1): (1, 0), (2, 2): (1, 0), (3, 3): (1, 0),
@@ -406,14 +402,12 @@ def quaternion_group(label="Q8"):
         (2, 3): (0, 1), (3, 2): (1, 1),
         (3, 1): (0, 2), (1, 3): (1, 2),
     }
-    table = [[0] * 8 for _ in range(8)]
-    for s1 in range(2):
-        for b1 in range(4):
-            for s2 in range(2):
-                for b2 in range(4):
-                    s, b = base[(b1, b2)]
-                    table[4 * s1 + b1][4 * s2 + b2] = 4 * ((s1 + s2 + s) % 2) + b
-    return build_table_group(table, label)
+
+    def mul(x, y):
+        s, b = units[x[1], y[1]]
+        return (x[0] + y[0] + s) % 2, b
+
+    return _rule_group([(s, b) for s in range(2) for b in range(4)], mul, label)
 
 
 def heisenberg_group_3(label="Heis27"):
@@ -421,20 +415,11 @@ def heisenberg_group_3(label="Heis27"):
 
     Index of (a, b, c) is 9a + 3b + c; (a,b,c)*(d,e,f) = (a+d, b+e, c+f+a*e).
     """
-    def key(a, b, c):
-        return 9 * a + 3 * b + c
-
-    table = [[0] * 27 for _ in range(27)]
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    for e in range(3):
-                        for f in range(3):
-                            table[key(a, b, c)][key(d, e, f)] = key(
-                                (a + d) % 3, (b + e) % 3, (c + f + a * e) % 3
-                            )
-    return build_table_group(table, label)
+    return _rule_group(
+        [(a, b, c) for a in range(3) for b in range(3) for c in range(3)],
+        lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3, (x[2] + y[2] + x[0] * y[1]) % 3),
+        label,
+    )
 
 
 # -- subgroups ----------------------------------------------------------------

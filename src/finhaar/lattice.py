@@ -1,15 +1,16 @@
 """Whole subgroup lattices of small groups.
 
-Enumeration starts from the cyclic subgroups and repeatedly extends
-known subgroups by one extra generator until nothing new appears: a
-subgroup is extended by closing its own generators plus the new element,
-never its whole member list (the cyclic-extension method; Neubueser
-1960, Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-2005).  Extending H by g and by any h1 * g * h2 with h1, h2 in H gives
-the same subgroup, so only the least element of each double coset HgH
-is extended; the first closure that finds a subgroup is unchanged, and
-so are its members and generators.  This is exhaustive and only
-intended for desk-scale orders.
+Enumeration starts from the trivial subgroup and repeatedly extends
+known subgroups by one extra generator until nothing new appears, so the
+first extensions are the cyclic subgroups: a subgroup is extended by
+closing its own generators plus the new element, never its whole member
+list (the cyclic-extension method; Neubueser 1960, Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, 2005).  Extending H by
+g and by any h1 * g * h2 with h1, h2 in H gives the same subgroup, so
+only the least element of each double coset HgH outside H is extended;
+the first closure that finds a subgroup is unchanged, and so are its
+members and generators.  This is exhaustive and only intended for
+desk-scale orders.
 
 This module is the one owner of the subgroup searches' order cap
 (``SUBGROUP_SCAN_LIMIT``, whose SearchBudgetExceeded names the group)
@@ -38,25 +39,12 @@ def all_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):
     cached = getattr(G, "_subgroups", None)
     if cached is not None:
         return cached
-    known = {}
-
-    def add(sub):
-        if sub.members not in known:
-            known[sub.members] = sub
-            return True
-        return False
-
-    add(Subgroup._trusted(G, [G.identity]))
-    frontier = []
-    for g in G.elements():
-        sub = generate_subgroup(G, [g])
-        if add(sub):
-            frontier.append(sub)
+    trivial = Subgroup._trusted(G, [G.identity])
+    known = {trivial.members: trivial}
+    frontier = [trivial]
     while frontier:
         next_frontier = []
         for sub in frontier:
-            if sub.size == G.order:
-                continue
             # HgH is the orbit of g under left and right multiplication
             # by the generators of H
             shifts = [G.left_row(s) for s in sub.generators]
@@ -67,7 +55,8 @@ def all_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):
                 if done[g]:
                     continue
                 bigger = generate_subgroup(G, sub.generators + (g,))
-                if add(bigger):
+                if bigger.members not in known:
+                    known[bigger.members] = bigger
                     next_frontier.append(bigger)
                 orbit(g, shifts, done)
         frontier = next_frontier

@@ -159,13 +159,13 @@ def _certify_row(X, a, bs, row):
 
     ``row`` maps each b certified before to its least witness (None when
     there is none), is read instead of recomputing and gets each new
-    pair.  ``shifted`` is X's one table per subset, built on first use
-    (``Subset.translates``): entry c is the bitmask of cX.  An inverted set
-    certifies [a, b] = 1 by A & a^-1A & b^-1A & (ab)^-1A, a splitting set
-    certifies [a, b, b] = 1 by A & aA & a^-1A & b^-1A & ab^-1A & ba^-1A &
-    abA & (ab)^-1A; the translates by a alone are intersected once for
-    the whole row.  Each witness is re-checked against the law read from
-    the table rows: SoundnessError if it fails.
+    pair.  The translates are read from the one table of X's subset,
+    built on first use (``Subset.translates``): entry c is the bitmask of
+    cX.  An inverted set certifies [a, b] = 1 by A & a^-1A & b^-1A &
+    (ab)^-1A, a splitting set certifies [a, b, b] = 1 by A & aA & a^-1A &
+    b^-1A & ab^-1A & ba^-1A & abA & (ab)^-1A; the translates by a alone
+    are intersected once for the whole row.  Each witness is re-checked
+    against the law read from the table rows: SoundnessError if it fails.
     """
     G = X.group
     t, inv = G._table, G._inv

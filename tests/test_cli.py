@@ -139,8 +139,29 @@ def test_explicit_group_missing_automorphism_errors(capsys):
 
 
 def test_unknown_group_label(capsys):
-    code, _ = run(capsys, ["measure", "--set", "torsion:2", "--group", "nope"])
+    code = main(["measure", "--set", "torsion:2", "--group", "nope"])
+    captured = capsys.readouterr()
     assert code == 1
+    assert captured.err == "finhaar: no group labelled 'nope' in catalog bundled\n"
+
+
+def test_an_empty_group_label_is_a_label(capsys):
+    # not a missing --group: no catalog-wide run
+    code = main(["measure", "--set", "torsion:2", "--group", ""])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "finhaar: no group labelled '' in catalog bundled\n"
+
+
+@pytest.mark.parametrize("option", ["--catalog", "--out"])
+def test_an_empty_path_exits_2_with_one_line(capsys, option):
+    # an empty path is a path that cannot be opened, not the default
+    code = main(["validate", option, ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("finhaar: ") and captured.err.count("\n") == 1
 
 
 def test_bad_set_spec(capsys):

@@ -402,6 +402,9 @@ def test_permutation_tables_compose_the_permutations():
         (build_perm_group(5, A5_GENS, label="A5"), 5, A5_GENS),
         (symmetric_group(5), 5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
         (symmetric_group(6), 6, s6_gens),
+        (symmetric_group(1), 1, []),
+        (symmetric_group(2), 2, [(1, 0)]),
+        (symmetric_group(3), 3, [(1, 0, 2), (1, 2, 0)]),
         (build_perm_group(4, []), 4, []),
         (build_perm_group(4, [(0, 1, 2, 3)]), 4, [(0, 1, 2, 3)]),
         (build_perm_group(4, [S4_SWAP, S4_SWAP, S4_CYCLE, S4_SWAP]), 4,
@@ -418,7 +421,9 @@ def test_permutation_tables_compose_the_permutations():
          [tuple(g) for g in spec["generators"]])
         for spec in catalog_specs
     ]
-    assert [G.order for G, _, _ in cases] == [24, 60, 120, 720, 1, 1, 24, 24, 1, 1, 24, 6, 24]
+    assert [G.order for G, _, _ in cases] == [
+        24, 60, 120, 720, 1, 2, 6, 1, 1, 24, 24, 1, 1, 24, 6, 24
+    ]
     for G, degree, gens in cases:
         perms, table, inverses, generators = _composed_perm_group(degree, gens)
         assert G.backend == "permutation"
@@ -429,6 +434,57 @@ def test_permutation_tables_compose_the_permutations():
         assert list(G.generators) == generators
     # both orders of the S4 generators index S4 differently
     assert cases[0][0].table() != cases[-3][0].table()
+
+
+def _table_of(elements, product):
+    """Cayley table of ``elements``, indexed in the order given, under
+    ``product``, an arithmetic of the caller's own."""
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[product(x, y)] for y in elements] for x in elements]
+
+
+def _hamilton(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def _matmul_mod3(p, q):
+    return tuple(
+        tuple(sum(p[i][k] * q[k][j] for k in range(3)) % 3 for j in range(3))
+        for i in range(3)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_dihedral_tables_compose_affine_maps(n):
+    # r^i s^j, at index j*n+i, is the map x -> (-1)^j x + i on Z_n, kept
+    # as its coefficients so that it stays faithful for n = 1, 2
+    maps = [((-1) ** j, i) for j in range(2) for i in range(n)]
+
+    def compose(f, g):
+        return f[0] * g[0], (f[0] * g[1] + f[1]) % n
+
+    assert dihedral_group(n).table() == _table_of(maps, compose)
+
+
+def test_quaternion_table_multiplies_hamilton_units():
+    # index 4s+b is (-1)^s times the unit b of 1, i, j, k
+    units = [tuple((-1) ** s * (k == b) for k in range(4)) for s in range(2) for b in range(4)]
+    assert quaternion_group().table() == _table_of(units, _hamilton)
+
+
+def test_heisenberg_table_multiplies_unitriangular_matrices():
+    # index 9a+3b+c is the matrix [[1, a, c], [0, 1, b], [0, 0, 1]] over F_3
+    matrices = [
+        ((1, a, c), (0, 1, b), (0, 0, 1)) for a in range(3) for b in range(3) for c in range(3)
+    ]
+    assert heisenberg_group_3().table() == _table_of(matrices, _matmul_mod3)
 
 
 def _least_two_sided_inverses(t):

@@ -168,11 +168,10 @@ def test_one_closure_per_double_coset(monkeypatch, label):
     )
     G = EXTENSION_GROUPS[label]()
     subs = all_subgroups(G)
-    # one cyclic closure per element, then each nontrivial proper
-    # subgroup is extended once per double coset other than H itself
-    expected = G.order + sum(
-        _double_coset_count(G, H) - 1 for H in subs if 1 < H.size < G.order
-    )
+    # each proper subgroup, the trivial one included, is extended once
+    # per double coset other than H itself; from the trivial subgroup
+    # that is one cyclic closure per element other than the identity
+    expected = sum(_double_coset_count(G, H) - 1 for H in subs if H.size < G.order)
     assert len(calls) == expected
 
 
