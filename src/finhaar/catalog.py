@@ -156,7 +156,7 @@ def parse_catalog(path):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return parse_catalog_dict(doc, source=str(path))

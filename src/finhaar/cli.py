@@ -144,7 +144,8 @@ def _single_set(args, kind):
         raise OperationError("this command needs exactly one --set")
     spec = args.sets[0]
     if kind is not None and spec.partition(":")[0] != kind:
-        raise OperationError(f"{args.command} needs a {kind}:* set, got {spec!r}")
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise OperationError(f"{args.command} needs {article} {kind}:* set, got {spec!r}")
     return spec
 
 

@@ -8,17 +8,25 @@ averaging and k-largeness all read that table.  It is built a whole
 row at a time in C: each Cayley row is read through the members and
 the powers of two of the images are summed, which equals their OR
 because a row is a bijection (``_image_masks``, which also makes right
-translates and inverse sets).  The one
-deliberately inexact operation is :func:`translate_product_mean`, which
-works with complex-valued functions in floating point (documented
-tolerance 1e-10); only it, ``GroupFunction`` and ``l2_distance`` use
-numpy, which each imports when called, so the first such call pays
-the import.
+translates and inverse sets).  Scans over translate tuples walk the
+leading members one tuple at a time and take the last member a whole
+row at a time: the average sums the last translate through the
+bit-planes of a per-element count (:func:`average_translate_intersection`),
+which equals the per-tuple sum for every mask table, so the averaging
+identity is still checked and the product of the measures never read;
+largeness checks AND a prefix with a whole row of masks
+(``_tuples_meet``), charging the budget exactly what one check at a
+time would.  The one deliberately inexact operation is
+:func:`translate_product_mean`, which works with complex-valued
+functions in floating point (documented tolerance 1e-10); only it,
+``GroupFunction`` and ``l2_distance`` use numpy, which each imports
+when called, so the first such call pays the import.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,14 +203,38 @@ class AveragedIntersection:
         return self.average == self.product_of_measures
 
 
+def _count_planes(masks):
+    """Bit-planes of c(g) = #{y : bit g is set in masks[y]}: plane i
+    holds the g whose count has bit i set.  Each mask is added to the
+    planes bitwise, with a ripple carry, so no count is read per bit."""
+    planes = []
+    for carry in masks:
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
+
+
 def average_translate_intersection(sets, budget=DEFAULT_TUPLE_SPACE_BUDGET):
     """Average of the translate-intersection measure over all |G|^n tuples.
 
-    The average is computed by honest enumeration of translate tuples
-    and returned next to the product of the sets' measures; the two are
-    equal as exact rationals (the enumeration never consults the
-    product).  Raises SearchBudgetExceeded, naming the group, when |G|^n
-    exceeds ``budget``.
+    The average is computed by honest enumeration of the n - 1 leading
+    translates and returned next to the product of the sets' measures;
+    the two are equal as exact rationals (the enumeration never consults
+    the product).  The last translate is summed in one step: for a
+    prefix mask P, sum_y |P & M[y]| over the last set's translate table
+    M equals sum_{g in P} c(g) with c(g) = #{y : g in M[y]} (Fubini on
+    the 0/1 matrix M), and with c held as bit-planes that is
+    sum_i |P & plane_i| << i, about log2|G| ANDs per prefix.  The
+    regrouping holds for any table of masks, not only a true translate
+    table, so a corrupted table breaks the identity just as it would
+    under per-tuple enumeration.  Raises SearchBudgetExceeded, naming
+    the group, when |G|^n exceeds ``budget``.
     """
     if not sets:
         raise ValueError("need at least one set")
@@ -215,19 +247,20 @@ def average_translate_intersection(sets, budget=DEFAULT_TUPLE_SPACE_BUDGET):
         raise SearchBudgetExceeded(
             f"{G.label}: {G.order}^{n} translate tuples exceed budget {budget}"
         )
-    per_set_masks = [A.translates() for A in sets]
+    *leading, last = [A.translates() for A in sets]
+    planes = _count_planes(last)
+    weights = range(len(planes))
     full = (1 << G.order) - 1
     total = 0
-    last = per_set_masks[-1]
-    for prefix in itertools.product(*per_set_masks[:-1]):
+    for prefix in itertools.product(*leading):
         partial = full
         for m in prefix:
             partial &= m
             if not partial:
                 break
-        if not partial:
-            continue
-        total += sum(map(int.bit_count, map(partial.__and__, last)))
+        if partial:
+            counts = map(int.bit_count, map(partial.__and__, planes))
+            total += sum(map(int.__lshift__, counts, weights))
     average = Fraction(total, G.order ** (n + 1))
     product = Fraction(1)
     for A in sets:
@@ -336,15 +369,9 @@ class LargenessCertificate:
             return False
         if not self.u_set.is_symmetric():
             return False
-        masks = self.base.translates()
-        base_bits = self.base.bits
-        for tup in itertools.combinations_with_replacement(self.u_set.indices(), self.k):
-            acc = base_bits
-            for u in tup:
-                acc &= masks[u]
-                if not acc:
-                    return False
-        return True
+        return _tuples_meet(
+            self.base.bits, self.base.translates(), [(self.u_set.indices(), self.k)]
+        )
 
 
 class _TupleBudget:
@@ -354,11 +381,53 @@ class _TupleBudget:
         self.used = 0
 
     def spend(self, amount):
-        self.used += amount
-        if self.used > self.limit:
+        """Charge ``amount`` tuple checks.  Past the limit it raises as a
+        count of one check at a time would: at check limit + 1."""
+        if self.used + amount > self.limit:
+            self.used = self.limit + 1
             raise SearchBudgetExceeded(
                 f"{self.label}: tuple checks {self.used} exceed budget {self.limit}"
             )
+        self.used += amount
+
+
+def _tuples_meet(base_bits, masks, blocks, budget=None):
+    """Whether A ∩ u_1 A ∩ ... ∩ u_k A is nonempty for every tuple u,
+    where ``base_bits`` is A and ``masks`` its translate table.
+
+    A tuple joins one sorted multiset per block (members, count), drawn
+    with ``combinations_with_replacement``; tuples run in product order
+    over the blocks.  The leading members are walked one tuple at a
+    time; the last member, which runs over the last block's members from
+    the previous member's position on, is tested for a whole row at
+    once.  ``budget`` is charged the tuples up to and including the
+    first that misses, or the whole row when none does.
+    """
+    blocks = [(sorted(members), count) for members, count in blocks if count]
+    if not blocks:  # k = 0: only the empty tuple, which checks nothing
+        return True
+    *front, (members, count) = blocks
+    row = [masks[u] for u in members]
+    leads = itertools.product(
+        *(itertools.combinations_with_replacement(m, c) for m, c in front),
+        itertools.combinations_with_replacement(range(len(row)), count - 1),
+    )
+    for *outer, positions in leads:
+        acc = base_bits
+        for part in outer:
+            for u in part:
+                acc &= masks[u]
+        for p in positions:
+            acc &= row[p]
+        last = row[positions[-1]:] if positions else row
+        if all(map(acc.__and__, last)):
+            if budget is not None:
+                budget.spend(len(last))
+            continue
+        if budget is not None:
+            budget.spend(operator.indexOf(map(acc.__and__, last), 0) + 1)
+        return False
+    return True
 
 
 def _valid_extension(base_bits, masks, old, new, k, budget):
@@ -366,19 +435,16 @@ def _valid_extension(base_bits, masks, old, new, k, budget):
 
     Intersection is order independent, so unordered tuples with
     repetition suffice: j >= 1 new members, then k - j old ones, which
-    enumerates exactly the tuples not checked before.
+    enumerates exactly the tuples not checked before.  The budget is
+    exact: it is charged one check per tuple, in that order, up to and
+    including the first tuple that misses the base set; if it runs out
+    first, SearchBudgetExceeded reports ``limit + 1`` checks, as a
+    one-at-a-time count would.
     """
-    new, old = sorted(new), sorted(old)
-    for j in range(1, k + 1):
-        for head in itertools.combinations_with_replacement(new, j):
-            for tail in itertools.combinations_with_replacement(old, k - j):
-                budget.spend(1)
-                acc = base_bits
-                for u in head + tail:
-                    acc &= masks[u]
-                    if not acc:
-                        return False
-    return True
+    return all(
+        _tuples_meet(base_bits, masks, [(new, j), (old, k - j)], budget)
+        for j in range(1, k + 1)
+    )
 
 
 def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):

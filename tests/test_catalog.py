@@ -259,8 +259,11 @@ def test_parse_catalog_file(tmp_path):
     ]}))
     cat = parse_catalog(path)
     assert cat.labels() == ["triv"]
-    with pytest.raises(ParseError):
-        parse_catalog(tmp_path / "missing.json")
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ParseError) as info:
+        parse_catalog(missing)
+    # the path once, then the reason, as main's --out message has it
+    assert str(info.value) == f"{missing}: No such file or directory"
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(ParseError):

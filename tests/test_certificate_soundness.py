@@ -15,11 +15,13 @@ arithmetic on each catalog group's Cayley table:
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from finhaar.catalog import bundled_catalog
+from finhaar.groups import dihedral_group
 from finhaar.measure import Subset, average_translate_intersection
 from finhaar.wordsets import (
     WordSet,
@@ -176,6 +178,20 @@ def test_the_translate_average_is_the_product_of_the_measures(case):
     out = average_translate_intersection([Subset.from_indices(G, A) for A in sets])
     assert out.average == brute == product
     assert out.product_of_measures == product
+
+
+def test_the_translate_average_at_order_128():
+    # a kernel-ladder sized order, where the count of the last
+    # translates runs to several bit-planes
+    G = dihedral_group(64)
+    ar = Arithmetic(G.table())
+    rng = random.Random("average-D128")
+    sets = [{x for x in range(128) if rng.random() < p} for p in (0.3, 0.6)]
+    first, second = ([ar.translate(x, A) for x in range(128)] for A in sets)
+    total = sum(len(xA & yB) for xA in first for yB in second)
+    out = average_translate_intersection([Subset.from_indices(G, A) for A in sets])
+    assert out.average == Fraction(total, 128**3)
+    assert out.average == Fraction(len(sets[0]) * len(sets[1]), 128**2)
 
 
 @functools.lru_cache(maxsize=None)

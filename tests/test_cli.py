@@ -164,6 +164,27 @@ def test_an_empty_path_exits_2_with_one_line(capsys, option):
     assert captured.err.startswith("finhaar: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["extract-abelian", "--set", "splitting:id"],
+            "finhaar: extract-abelian needs an inverted:* set, got 'splitting:id'\n",
+        ),
+        (
+            ["extract-engel", "--set", "inverted:id"],
+            "finhaar: extract-engel needs a splitting:* set, got 'inverted:id'\n",
+        ),
+    ],
+)
+def test_a_set_of_the_wrong_kind_is_named_with_its_article(capsys, argv, line):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == line
+
+
 def test_bad_set_spec(capsys):
     code, _ = run(capsys, ["measure", "--set", "torsion:x"])
     assert code == 2
