@@ -27,6 +27,9 @@ is associative by construction and is not tested.
 
 Every ``Subgroup`` is closed and records generators that generate
 exactly its members, so checks on a subgroup run on its generators.
+The one subgroup closure, ``_extend``, extends a closed subgroup by
+one element a coset at a time; ``generate_subgroup`` and
+``greedy_closure`` fold it from the trivial subgroup.
 
 Conjugacy classes, normal closures and the double cosets of the lattice
 search are orbits of an index under index maps (``orbit``).
@@ -517,35 +520,51 @@ def _commute_pairwise(G, elems):
 
 
 def generate_subgroup(G, gens):
-    """Smallest subgroup of G containing ``gens``.
-
-    Breadth-first closure of {identity} under right multiplication by
-    the generators alone; in a finite group the monoid this reaches is
-    already the subgroup, so inverses need no separate step.
-    """
+    """Smallest subgroup of G containing ``gens``, recorded with the
+    generators as given, repeats dropped: the trivial subgroup extended
+    by each generator in turn, a coset at a time (``greedy_closure``)."""
     what = f"generate_subgroup on {G.label}"
     gens = tuple(dict.fromkeys([_index(g, G.order, what) for g in gens]))
+    return Subgroup._trusted(G, greedy_closure(G, gens).members, gens)
+
+
+def _extend(H, g):
+    """<H, g> for a closed subgroup H, with generators H.generators +
+    (g,); H itself when g is in H.
+
+    <H, g> is a union of left cosets rH, which left multiplication by
+    its generators permutes: they are closed breadth-first from H, one
+    representative at a time, and each new coset yH is read in C from
+    y's table row.  In a finite group the monoid the generators generate
+    is already <H, g>, so inverses need no step."""
+    if g in H:
+        return H
+    G = H.group
     t = G._table
-    elems = [G.identity]
-    seen = {G.identity}
-    for x in elems:
-        row = t[x]
-        for g in gens:
-            y = row[g]
-            if y not in seen:
-                seen.add(y)
-                elems.append(y)
-    return Subgroup._trusted(G, elems, gens)
+    gens = H.generators + (g,)
+    rows = [t[s] for s in gens]
+    # the identity twice, so that even the trivial H gives a tuple
+    coset = operator.itemgetter(G.identity, *H.members)
+    members = set(H.members)
+    reps = [G.identity]
+    for r in reps:
+        for row in rows:
+            y = row[r]
+            if y not in members:
+                members.update(coset(t[y]))
+                reps.append(y)
+    return Subgroup._trusted(G, members, gens)
 
 
 def greedy_closure(G, candidates):
-    """generate_subgroup of ``candidates``, generated by those candidates,
-    in order, that the closure so far misses; each one at least doubles
-    the closure, so there are at most log2 of its order."""
-    closure = generate_subgroup(G, ())
+    """The subgroup of G the candidates generate, generated by those
+    candidates, in order, that the closure so far misses: the trivial
+    subgroup extended by each in turn, a coset at a time (``_extend``),
+    a candidate already inside leaving it as it is.  Each generator at
+    least doubles the closure, so there are at most log2 of its order."""
+    closure = Subgroup._trusted(G, [G.identity])
     for x in candidates:
-        if x not in closure:
-            closure = generate_subgroup(G, closure.generators + (x,))
+        closure = _extend(closure, x)
     return closure
 
 

@@ -2,13 +2,16 @@
 
 Enumeration starts from the trivial subgroup and repeatedly extends
 known subgroups by one extra generator until nothing new appears, so the
-first extensions are the cyclic subgroups: a subgroup is extended by
-closing its own generators plus the new element, never its whole member
-list (the cyclic-extension method; Neubueser 1960, Holt, Eick and
+first extensions are the cyclic subgroups: a subgroup H is extended by g
+a coset of H at a time (``groups._extend``), never re-closed from its
+generators (the cyclic-extension method; Neubueser 1960, Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, 2005).  Extending H by
-g and by any h1 * g * h2 with h1, h2 in H gives the same subgroup, so
-only the least element of each double coset HgH outside H is extended;
-the first closure that finds a subgroup is unchanged, and so are its
+g, by any h1 * g * h2 with h1, h2 in H, and by any power g^k with k
+prime to the order of g gives the same subgroup, so once H is extended
+by g the double cosets H g^k H of all those powers are skipped.
+Elements are tried in ascending order and everything skipped is larger
+than g, so a skipped extension would only find again what g found: the
+first closure that finds a subgroup is unchanged, and so are its
 members and generators.  This is exhaustive and only intended for
 desk-scale orders.
 
@@ -21,8 +24,10 @@ tuple: the coset witness and direct-mode extraction both ask
 
 from __future__ import annotations
 
+import math
+
 from .errors import SearchBudgetExceeded
-from .groups import Subgroup, generate_subgroup, orbit
+from .groups import Subgroup, _extend, orbit
 
 SUBGROUP_SCAN_LIMIT = 200
 
@@ -54,15 +59,27 @@ def all_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):
             for g in G.elements():
                 if done[g]:
                     continue
-                bigger = generate_subgroup(G, sub.generators + (g,))
+                bigger = _extend(sub, g)
                 if bigger.members not in known:
                     known[bigger.members] = bigger
                     next_frontier.append(bigger)
-                orbit(g, shifts, done)
+                # <H, g^k> = <H, g> for k prime to the order of g
+                powers = _powers(G, g)
+                for k, p in enumerate(powers, 1):
+                    if not done[p] and math.gcd(k, len(powers)) == 1:
+                        orbit(p, shifts, done)
         frontier = next_frontier
     result = sorted(known.values(), key=lambda s: (s.size, s.members))
     G._subgroups = result
     return result
+
+
+def _powers(G, g):
+    """[g, g^2, ..., g^n], n the order of g."""
+    row, out = G._table[g], [g]
+    while out[-1] != G.identity:
+        out.append(row[out[-1]])
+    return out
 
 
 def normal_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):

@@ -29,6 +29,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     EmptyBase,
@@ -51,8 +52,14 @@ def _image_masks(A, maps):
     if not A.bits:  # _read_through needs at least one index
         return [0] * len(maps)
     read = _read_through(A.indices())
-    bit = [1 << i for i in range(A.group.order)].__getitem__
+    bit = _powers_of_two(A.group.order).__getitem__
     return [sum(map(bit, read(m))) for m in maps]
+
+
+@lru_cache(maxsize=16)
+def _powers_of_two(n):
+    """[1 << i for i in range(n)], built once per group order."""
+    return [1 << i for i in range(n)]
 
 
 class Subset:

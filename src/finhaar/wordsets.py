@@ -14,8 +14,8 @@ table per subset, built on first use (``Subset.translates``), and every
 witness is re-checked against the law.
 The public pair functions call it with a single b.  Proof-following
 extraction grows its seed in one incremental walk
-(``_grow_seed_set``): each trial closes the last accepted subgroup's
-generators plus the candidate, builds the bounded products level by
+(``_grow_seed_set``): each trial extends the last accepted subgroup by
+the candidate a coset at a time, builds the bounded products level by
 level from the accepted seed's, and certifies only the pairs with a
 new product (the standard incremental closure; Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, 2005).
@@ -35,7 +35,7 @@ from .errors import (
     SoundnessError,
     WrongKind,
 )
-from .groups import Subgroup, _index, generate_subgroup, normal_core
+from .groups import Subgroup, _extend, _index, generate_subgroup, normal_core
 from .lattice import SUBGROUP_SCAN_LIMIT, maximal_subgroup_satisfying
 from .measure import Subset
 
@@ -309,9 +309,9 @@ def _grow_seed_set(G, word_set, law_holds, length):
     certified, and each trial does only the work that is new since the
     last accepted V:
 
-    * it closes the generators of the subgroup V generates together with
-      x; many trials generate the same subgroup, so the law is checked
-      once per subgroup;
+    * it extends the subgroup V generates by x a coset at a time, which
+      leaves it as it is when x is already inside; many trials generate
+      the same subgroup, so the law is checked once per subgroup;
     * it builds the products level by level from V's (``_next_levels``);
     * it walks, in (a, b) order, only the pairs with a product outside
       V's, a row at a time (``_certify_row``), reading X's one table per
@@ -328,7 +328,7 @@ def _grow_seed_set(G, word_set, law_holds, length):
     for x in G.elements():
         if x in members:
             continue
-        H = generate_subgroup(G, accepted.generators + (x,))
+        H = _extend(accepted, x)
         if H.members not in law_cache:
             law_cache[H.members] = law_holds(H)
         if not law_cache[H.members]:

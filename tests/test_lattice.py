@@ -5,6 +5,7 @@ forms for lattice sizes, and sympy plus a closure over raw permutation
 tuples for generated subgroups.
 """
 
+import math
 import random
 
 import pytest
@@ -56,7 +57,12 @@ LATTICE_SIZES = [
     (lambda: dihedral_group(4), _tau(4) + _sigma(4)),
     (lambda: dihedral_group(8), _tau(8) + _sigma(8)),
     (quaternion_group, 6),
+    # S1 to S5 have 1, 2, 6, 30 and 156 subgroups (OEIS A005432)
+    (lambda: symmetric_group(1), 1),
+    (lambda: symmetric_group(2), 2),
+    (lambda: symmetric_group(3), 6),
     (lambda: symmetric_group(4), 30),
+    (lambda: symmetric_group(5), 156),
     (heisenberg_group_3, 19),
     (_f21, 10),
     # (Z2)^r: sum of Gaussian binomials; needs r generators
@@ -68,7 +74,8 @@ LATTICE_SIZES = [
 @pytest.mark.parametrize(
     "make, expected",
     LATTICE_SIZES,
-    ids=["Z6", "Z12", "Z27", "D8", "D16", "Q8", "S4", "Heis27", "F21", "2^3", "2^4"],
+    ids=["Z6", "Z12", "Z27", "D8", "D16", "Q8", "S1", "S2", "S3", "S4", "S5"]
+    + ["Heis27", "F21", "2^3", "2^4"],
 )
 def test_lattice_size_matches_closed_form(make, expected):
     G = make()
@@ -118,6 +125,22 @@ EXTENSION_GROUPS = {
 }
 
 
+# the lattice-ladder groups of the benchmark: orders 8 to 81
+LADDER_GROUPS = {
+    "Q8": quaternion_group,
+    "D8": lambda: dihedral_group(4, label="D8"),
+    "D16": lambda: dihedral_group(8),
+    "S4": lambda: symmetric_group(4),
+    "Heis27": heisenberg_group_3,
+    "F21": _f21,
+    "D32": lambda: dihedral_group(16),
+    "Z64": lambda: cyclic_group(64),
+    "D48": lambda: dihedral_group(24),
+    "A5": EXTENSION_GROUPS["A5"],
+    "Heis27:conj-x": _heis81,
+}
+
+
 def _plain_cyclic_extension(G):
     """Cyclic extension by every element outside each subgroup, no skip."""
     known = {(G.identity,): Subgroup(G, [G.identity])}
@@ -141,54 +164,52 @@ def _plain_cyclic_extension(G):
     return sorted(known.values(), key=lambda s: (s.size, s.members))
 
 
-def _double_coset_count(G, H):
-    """Number of double cosets HgH, each built as {a * g * b}."""
-    seen, count = set(), 0
+def _double_coset(G, H, g):
+    """HgH, built as {a * g * b}."""
+    return {G.mul(G.mul(a, g), b) for a in H.members for b in H.members}
+
+
+def _extended_elements(G, H):
+    """The g the lattice extends H by: the least element of each double
+    coset HgH outside H whose double coset is not that of a power g0^k of
+    an earlier such g0 with k prime to the order of g0, since then
+    <H, g> = <H, g0>."""
+    done, extended = set(H.members), []
     for g in G.elements():
-        if g not in seen:
-            count += 1
-            seen |= {G.mul(G.mul(a, g), b) for a in H.members for b in H.members}
-    return count
+        if g in done:
+            continue
+        extended.append(g)
+        order = next(n for n in range(1, G.order + 1) if G.power(g, n) == G.identity)
+        for k in range(1, order):
+            if math.gcd(k, order) == 1:
+                done |= _double_coset(G, H, G.power(g, k))
+    return extended
 
 
-@pytest.mark.parametrize("label", sorted(EXTENSION_GROUPS))
+@pytest.mark.parametrize("label", sorted(EXTENSION_GROUPS | LADDER_GROUPS))
 def test_double_coset_skip_keeps_the_lattice(label):
-    G = EXTENSION_GROUPS[label]()
-    expected = [(H.members, H.generators) for H in _plain_cyclic_extension(G)]
-    G = EXTENSION_GROUPS[label]()
+    make = EXTENSION_GROUPS.get(label) or LADDER_GROUPS[label]
+    expected = [(H.members, H.generators) for H in _plain_cyclic_extension(make())]
+    G = make()
     assert [(H.members, H.generators) for H in all_subgroups(G)] == expected
 
 
 @pytest.mark.parametrize("label", ["S4", "A5", "D48", "Heis27:conj-x"])
 def test_one_closure_per_double_coset(monkeypatch, label):
     calls = []
-    real = lattice.generate_subgroup
-    monkeypatch.setattr(
-        lattice, "generate_subgroup", lambda G, gens: calls.append(gens) or real(G, gens)
-    )
+    real = lattice._extend
+    monkeypatch.setattr(lattice, "_extend", lambda H, g: calls.append((H.members, g)) or real(H, g))
     G = EXTENSION_GROUPS[label]()
     subs = all_subgroups(G)
-    # each proper subgroup, the trivial one included, is extended once
-    # per double coset other than H itself; from the trivial subgroup
-    # that is one cyclic closure per element other than the identity
-    expected = sum(_double_coset_count(G, H) - 1 for H in subs if H.size < G.order)
-    assert len(calls) == expected
+    # each proper subgroup, the trivial one included, is extended once by
+    # each element _extended_elements names, in ascending order; from the
+    # trivial subgroup that is one cyclic closure per cyclic subgroup
+    # other than {e}
+    expected = [(H.members, g) for H in subs if H.size < G.order for g in _extended_elements(G, H)]
+    assert sorted(calls) == sorted(expected)
+    cyclic = {frozenset(G.power(g, k) for k in range(G.order)) for g in G.elements()}
+    assert sum(members == (G.identity,) for members, _ in calls) == len(cyclic) - 1
 
-
-# the lattice-ladder groups of the benchmark: orders 8 to 81
-LADDER_GROUPS = {
-    "Q8": quaternion_group,
-    "D8": lambda: dihedral_group(4, label="D8"),
-    "D16": lambda: dihedral_group(8),
-    "S4": lambda: symmetric_group(4),
-    "Heis27": heisenberg_group_3,
-    "F21": _f21,
-    "D32": lambda: dihedral_group(16),
-    "Z64": lambda: cyclic_group(64),
-    "D48": lambda: dihedral_group(24),
-    "A5": EXTENSION_GROUPS["A5"],
-    "Heis27:conj-x": _heis81,
-}
 
 PREDICATES = {
     "normal": lambda H: H.is_normal(),

@@ -442,18 +442,18 @@ def test_proof_mode_maps_each_translate_once(monkeypatch):
 def test_seed_growth_checks_each_generated_subgroup_once(monkeypatch, make):
     G = make()
     generated, checked = [], []
-    real_generate, real_is_2engel = wordsets.generate_subgroup, wordsets.is_2engel
+    real_extend, real_is_2engel = wordsets._extend, wordsets.is_2engel
 
-    def generate(G, gens):
-        H = real_generate(G, gens)
-        generated.append(H.members)
-        return H
+    def extend(H, g):
+        bigger = real_extend(H, g)
+        generated.append(bigger.members)
+        return bigger
 
     def is_2engel(H):
         checked.append(H.members)
         return real_is_2engel(H)
 
-    monkeypatch.setattr(wordsets, "generate_subgroup", generate)
+    monkeypatch.setattr(wordsets, "_extend", extend)
     monkeypatch.setattr(wordsets, "is_2engel", is_2engel)
     word = splitting_set(G, identity_automorphism(G))
     _grow_seed_set(G, word, _subgroup_is_2engel, 2)
