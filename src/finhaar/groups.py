@@ -31,8 +31,9 @@ The one subgroup closure, ``_extend``, extends a closed subgroup by
 one element a coset at a time; ``generate_subgroup`` and
 ``greedy_closure`` fold it from the trivial subgroup.
 
-Conjugacy classes, normal closures and the double cosets of the lattice
-search are orbits of an index under index maps (``orbit``).
+Conjugacy classes, normal closures and the double cosets that the
+lattice search and seed growth skip (``_double_coset_marker``) are
+orbits of an index under index maps (``orbit``).
 
 One rule decides what an element index from outside is (``_index_list``
 for lists, ``_index`` for one): a Python or numpy integer in 0..n-1,
@@ -593,6 +594,27 @@ def orbit(start, maps, seen):
                 seen[y] = 1
                 out.append(y)
     return out
+
+
+def _double_coset_marker(H, done):
+    """A function mark(g) that marks in the bytearray ``done`` the double
+    cosets H g^k H for k prime to the order of g: extending H by any of
+    them gives <H, g>, because it holds g^k and so g.  HgH is the orbit
+    of g under left and right multiplication by H's generators, and
+    mark(identity) marks H itself."""
+    G = H.group
+    t = G._table
+    shifts = [t[s] for s in H.generators] + [G.right_map(s) for s in H.generators]
+
+    def mark(g):
+        row, powers = t[g], [g]
+        while powers[-1] != G.identity:
+            powers.append(row[powers[-1]])
+        for k, p in enumerate(powers, 1):
+            if not done[p] and math.gcd(k, len(powers)) == 1:
+                orbit(p, shifts, done)
+
+    return mark
 
 
 def _conjugations(G, gens, domain):

@@ -8,7 +8,8 @@ generators (the cyclic-extension method; Neubueser 1960, Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, 2005).  Extending H by
 g, by any h1 * g * h2 with h1, h2 in H, and by any power g^k with k
 prime to the order of g gives the same subgroup, so once H is extended
-by g the double cosets H g^k H of all those powers are skipped.
+by g the double cosets H g^k H of all those powers are skipped
+(``groups._double_coset_marker``, which seed growth shares).
 Elements are tried in ascending order and everything skipped is larger
 than g, so a skipped extension would only find again what g found: the
 first closure that finds a subgroup is unchanged, and so are its
@@ -24,10 +25,8 @@ tuple: the coset witness and direct-mode extraction both ask
 
 from __future__ import annotations
 
-import math
-
 from .errors import SearchBudgetExceeded
-from .groups import Subgroup, _extend, orbit
+from .groups import Subgroup, _double_coset_marker, _extend
 
 SUBGROUP_SCAN_LIMIT = 200
 
@@ -50,12 +49,9 @@ def all_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):
     while frontier:
         next_frontier = []
         for sub in frontier:
-            # HgH is the orbit of g under left and right multiplication
-            # by the generators of H
-            shifts = [G.left_row(s) for s in sub.generators]
-            shifts += [G.right_map(s) for s in sub.generators]
             done = bytearray(G.order)
-            orbit(G.identity, shifts, done)  # H itself
+            mark = _double_coset_marker(sub, done)
+            mark(G.identity)  # H itself
             for g in G.elements():
                 if done[g]:
                     continue
@@ -63,23 +59,11 @@ def all_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):
                 if bigger.members not in known:
                     known[bigger.members] = bigger
                     next_frontier.append(bigger)
-                # <H, g^k> = <H, g> for k prime to the order of g
-                powers = _powers(G, g)
-                for k, p in enumerate(powers, 1):
-                    if not done[p] and math.gcd(k, len(powers)) == 1:
-                        orbit(p, shifts, done)
+                mark(g)
         frontier = next_frontier
     result = sorted(known.values(), key=lambda s: (s.size, s.members))
     G._subgroups = result
     return result
-
-
-def _powers(G, g):
-    """[g, g^2, ..., g^n], n the order of g."""
-    row, out = G._table[g], [g]
-    while out[-1] != G.identity:
-        out.append(row[out[-1]])
-    return out
 
 
 def normal_subgroups(G, limit=SUBGROUP_SCAN_LIMIT):

@@ -18,13 +18,16 @@ extraction grows its seed in one incremental walk
 the candidate a coset at a time, builds the bounded products level by
 level from the accepted seed's, and certifies only the pairs with a
 new product (the standard incremental closure; Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, 2005).
+Handbook of Computational Group Theory, 2005).  The laws pass to
+subgroups, so a candidate whose subgroup fails the law rules out its
+double cosets and coprime powers, as in the lattice search.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 from .engel import is_2engel
@@ -35,7 +38,14 @@ from .errors import (
     SoundnessError,
     WrongKind,
 )
-from .groups import Subgroup, _extend, _index, generate_subgroup, normal_core
+from .groups import (
+    Subgroup,
+    _double_coset_marker,
+    _extend,
+    _index,
+    generate_subgroup,
+    normal_core,
+)
 from .lattice import SUBGROUP_SCAN_LIMIT, maximal_subgroup_satisfying
 from .measure import Subset
 
@@ -302,17 +312,22 @@ def _grow_seed_set(G, word_set, law_holds, length):
     ``length`` letters of the enlarged V admits a certificate; the direct
     law check replaces the nonconstructive product-length bound that
     would otherwise be needed to propagate the certificates to the whole
-    subgroup.
+    subgroup.  The law must pass to subgroups, as the abelian and 2-Engel
+    laws do.
 
     V starts as {e}, whose one pair (e, e) is certified like every other
     (``_certify_row``).  From then on the pairs of V's products are all
     certified, and each trial does only the work that is new since the
     last accepted V:
 
-    * it extends the subgroup V generates by x a coset at a time, which
-      leaves it as it is when x is already inside; many trials generate
-      the same subgroup, so the law is checked once per subgroup;
-    * it builds the products level by level from V's (``_next_levels``);
+    * it extends the subgroup A that V generates by x a coset at a time,
+      which leaves A as it is when x is already inside; many trials
+      generate the same subgroup, so the law is checked once per subgroup;
+    * when <A, x> fails the law, the double cosets A x^k A with k prime
+      to the order of x are skipped (``groups._double_coset_marker``):
+      for each such x' and each later A' >= A, <A', x'> holds <A, x>;
+    * it builds the products level by level from V's (``_next_levels``),
+      at most |G| levels, since once two levels agree all later ones do;
     * it walks, in (a, b) order, only the pairs with a product outside
       V's, a row at a time (``_certify_row``), reading X's one table per
       subset, built on first use (``Subset.translates``); every witness is
@@ -322,23 +337,27 @@ def _grow_seed_set(G, word_set, law_holds, length):
     witnesses = {e: {}}  # a -> {b: witness of (a, b)}
     _certify_row(word_set, e, (e,), witnesses[e])
     members = {e}
-    levels = [{e}] * length
+    levels = [{e}] * min(length, G.order)
     accepted = Subgroup._trusted(G, [e])
     law_cache = {}
+    doomed = bytearray(G.order)
+    mark = None  # marks doomed double cosets of accepted, made on first use
     for x in G.elements():
-        if x in members:
+        if x in members or doomed[x]:
             continue
         H = _extend(accepted, x)
         if H.members not in law_cache:
             law_cache[H.members] = law_holds(H)
         if not law_cache[H.members]:
+            mark = mark or _double_coset_marker(accepted, doomed)
+            mark(x)
             continue
         new = {x, G.inv(x)}
         grown = _next_levels(G, members, new, levels)
         certified = levels[-1]
         products = sorted(grown[-1])
         fresh = [b for b in products if b not in certified]
-        if all(
+        if not fresh or all(
             _certify_row(
                 word_set, a, fresh if a in certified else products, witnesses.setdefault(a, {})
             )
@@ -347,10 +366,18 @@ def _grow_seed_set(G, word_set, law_holds, length):
             members |= new
             levels = grown
             if H.size > accepted.size:
-                accepted = H
+                accepted, mark = H, None
     products = sorted(levels[-1])
+    # built in C: tuple.__new__ is how a NamedTuple makes itself
     certificates = tuple(
-        PairCertificate(a, b, witnesses[a][b]) for a in products for b in products
+        chain.from_iterable(
+            map(
+                tuple.__new__,
+                repeat(PairCertificate),
+                zip(repeat(a), products, map(witnesses[a].__getitem__, products)),
+            )
+            for a in products
+        )
     )
     return tuple(sorted(members)), certificates, accepted
 

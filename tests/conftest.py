@@ -1,3 +1,5 @@
+pytest_plugins = ["pytester"]
+
 import pytest
 
 from finhaar.groups import (

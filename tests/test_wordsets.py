@@ -500,10 +500,12 @@ def _grow_seed_set_by_rewalking(G, word_set, cert_fn, law_holds, length):
 
 
 _GROWTH_GROUPS = [
-    ("Heis27:conj-x", _heis81),
-    ("D16", lambda: dihedral_group(8)),
-    ("S4", lambda: bundled_catalog().get("S4").group),
-    ("S5", lambda: symmetric_group(5)),
+    ("Heis27:conj-x", _heis81, (2, 1, 3)),
+    ("D16", lambda: dihedral_group(8), (2, 1, 3)),
+    ("S4", lambda: bundled_catalog().get("S4").group, (2, 1, 3)),
+    ("S5", lambda: symmetric_group(5), (2, 1, 3)),
+    # the rewalk takes about a second on S6, so one length only
+    ("S6", lambda: symmetric_group(6), (2,)),
 ]
 
 
@@ -514,7 +516,8 @@ _GROWTH_GROUPS = [
             kind, make, length, id=f"{kind}-{name}" + ("" if length == 2 else f"-length{length}")
         )
         for length in (2, 1, 3)
-        for name, make in _GROWTH_GROUPS
+        for name, make, lengths in _GROWTH_GROUPS
+        if length in lengths
         for kind in ("abelian", "two-engel")
     ],
 )
@@ -551,6 +554,46 @@ def test_seed_growth_certifies_each_pair_once_as_a_rewalk_would(monkeypatch, kin
     assert generated == generate_subgroup(G, grown[0])
     assert grown_calls == calls
     assert len(calls) == len(set(calls))
+
+
+def _word_and_law(G, kind):
+    aut = identity_automorphism(G)
+    if kind == "abelian":
+        return inverted_set(G, aut), lambda H: H.is_abelian()
+    return splitting_set(G, aut), _subgroup_is_2engel
+
+
+@pytest.mark.parametrize("kind", ["abelian", "two-engel"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_seed_growth_skips_only_candidates_that_fail_the_law(monkeypatch, kind, n):
+    G = symmetric_group(n)
+    word, law = _word_and_law(G, kind)
+    tried = []
+    real = wordsets._extend
+    monkeypatch.setattr(wordsets, "_extend", lambda H, g: tried.append(g) or real(H, g))
+    seed, _, accepted = _grow_seed_set(G, word, law, 2)
+    outside = [x for x in G.elements() if x not in seed]
+    # the plain rule closes <A, x> for every x outside the seed
+    assert len(tried) < len(outside)
+    for x in set(outside) - set(tried):
+        assert not law(generate_subgroup(G, accepted.generators + (x,))), x
+
+
+@pytest.mark.parametrize("kind", ["abelian", "two-engel"])
+def test_seed_growth_keeps_at_most_order_levels(monkeypatch, s4, kind):
+    # P_1 <= P_2 <= ... grows at most |G| - 1 times and stays put once two
+    # levels agree, so a longer length changes nothing past |G| levels
+    word, law = _word_and_law(s4, kind)
+    sizes = []
+    real = wordsets._next_levels
+    monkeypatch.setattr(
+        wordsets,
+        "_next_levels",
+        lambda G, letters, new, levels: sizes.append(len(levels)) or real(G, letters, new, levels),
+    )
+    long = _grow_seed_set(s4, word, law, 10**4)
+    assert sizes and max(sizes) <= s4.order
+    assert long == _grow_seed_set(s4, word, law, s4.order)
 
 
 @pytest.mark.parametrize("extract", [extract_abelian_subgroup, extract_engel_subgroup])
