@@ -8,8 +8,8 @@ lists, keys are emitted sorted.  Timing never enters the payload.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .engel import CentralSeries, CommutatorReport
@@ -111,13 +111,46 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-@dataclass
+_SCALARS = {
+    int: int.__repr__,
+    str: _encode_str,
+    bool: {True: "true", False: "false"}.get,
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj, indent="\n"):
+    """``json.dumps(obj, indent=2, sort_keys=True)`` without the pure-Python
+    encoder that any indent selects; ``indent`` precedes obj's closing bracket."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [_encode_str(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if {*map(type, obj)} == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(obj)
+
+
 class Report:
-    command: str
-    catalog: str
-    parameters: dict
-    results: list
-    timing_ms: float = 0.0
+    # a plain class: @dataclass execs its generated methods at every import
+    def __init__(self, command, catalog, parameters, results, timing_ms=0.0):
+        self.command = command
+        self.catalog = catalog
+        self.parameters = parameters
+        self.results = results
+        self.timing_ms = timing_ms
 
     def payload(self):
         return {
@@ -129,7 +162,8 @@ class Report:
         }
 
     def to_json(self):
-        return json.dumps(self.payload(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, and a newline."""
+        return _encode(self.payload()) + "\n"
 
     def to_csv(self):
         rows = [r if isinstance(r, dict) else {"value": r} for r in self.results]
@@ -142,7 +176,7 @@ class Report:
                 if isinstance(v, (dict, list)):
                     v = json.dumps(v, sort_keys=True, separators=(",", ":"))
                 cell = "" if v is None else str(v)
-                if any(c in cell for c in ",\"\n"):
+                if any(c in cell for c in ",\"\n\r"):
                     cell = '"' + cell.replace('"', '""') + '"'
                 cells.append(cell)
             out.append(",".join(cells))

@@ -263,6 +263,19 @@ def test_csv_format(capsys):
     assert "S3,1/2,torsion:3,3" in lines
 
 
+def test_a_csv_cell_with_a_carriage_return_is_quoted(tmp_path, capsys):
+    cat = tmp_path / "c.json"
+    table = [[0, 1], [1, 0]]
+    cat.write_text(json.dumps({"groups": [{"label": "Z\r2", "kind": "table", "table": table}]}))
+    argv = ["measure", "--set", "torsion:2", "--catalog", str(cat), "--format", "csv"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["label", "measure", "set", "size"],
+        ["Z\r2", "1/1", "torsion:2", "2"],
+    ]
+
+
 @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: " ".join(a))
 def test_csv_reads_back_as_the_json_results(capsys, argv):
     # a nested value is one quoted cell of compact JSON, None and a
