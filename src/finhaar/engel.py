@@ -7,9 +7,12 @@ classes is a commuting set, and each term of the series is a normal
 closure of commutators of generators.  A failing 2-Engel test falls
 back to the least-index pair scan, so its counterexample and count are
 those of the scan.  The two ``verify_*`` checks test the paper's lemma
-and its consequences, so they stay exhaustive over all |G|^3 triples;
-they only intersect translates once per row and read commutators from
-a table.
+and its consequences, and their counts stay exact over all |G|^3
+triples without a loop over them: the cube law counts its triples over
+pairs (a, x), as R = {g : g^3 = 1} is closed under conjugation, so
+Ry = yR and every condition on b is a translate of R; the swap law is
+trilinear in class at most 3, so it is checked on generators, and all
+triples are scanned only when it fails there.
 
 Convention: [a, b] = a^-1 b^-1 a b, and higher commutators are left
 normed, [a, b, c] = [[a, b], c].
@@ -126,13 +129,17 @@ def lower_central_series(H):
 
 
 def verify_cube_law(G, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
-    """Exhaustively confirm: eight cube conditions force [a, b, b] = 1.
+    """Confirm on all |G|^3 triples: eight cube conditions force [a, b, b] = 1.
 
-    For every pair (a, b) the qualifying x form an eight-fold translate
-    intersection of the cube-root set, so all |G|^3 triples are covered
-    exactly.  The three translates that depend only on a are intersected
-    once per row, and a row or a pair whose intersection is already
-    empty is skipped, since it has no qualifying x.  A counterexample
+    With R the cube roots of 1 and T[c] = cR, the qualifying x of a pair
+    (a, b) form an eight-fold intersection of translates.  R is closed
+    under inverses and conjugation, so Ry = yR, and each condition on b
+    is a translate too: for x in R, T[a] and T[a^-1], the qualifying b
+    are T[x^-1] & T[x^-1 a] & T[x a] & T[a^-1 x] & T[a^-1 x^-1].
+    Summing their sizes over (a, x) counts the qualifying triples
+    exactly, and their union over x is the set of pairs with a
+    qualifying x, whose law is read in least-index order up to the
+    first counterexample, reported with its least x.  A counterexample
     would be a genuine finding and is reported, never swallowed.  Raises
     SearchBudgetExceeded, naming the group, when |G| exceeds ``max_order``.
     """
@@ -150,24 +157,25 @@ def verify_cube_law(G, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
     counterexample = None
     for a, row in enumerate(t):
         inv_a = inv[a]
-        row_xs = cube_roots.bits & translated[a] & translated[inv_a]
+        row_xs = xs = cube_roots.bits & translated[a] & translated[inv_a]
         if not row_xs:
             continue
-        for b, inv_b in enumerate(inv):
-            xs = row_xs & translated[inv_b]
-            if not xs:
-                continue
-            ab = row[b]
-            xs &= (
-                translated[row[inv_b]]
-                & translated[t[b][inv_a]]
-                & translated[ab]
-                & translated[inv[ab]]
-            )
-            if not xs:
-                continue
-            qualifying += xs.bit_count()
-            if counterexample is None and left_normed_idx(G, a, b, b) != e:
+        left, bs = t[inv_a], 0
+        while xs:
+            x = (xs & -xs).bit_length() - 1
+            xs &= xs - 1
+            inv_x = inv[x]
+            m = translated[inv_x] & translated[t[inv_x][a]] & translated[t[x][a]]
+            m &= translated[left[x]] & translated[left[inv_x]]
+            qualifying += m.bit_count()
+            bs |= m
+        while counterexample is None and bs:
+            b = (bs & -bs).bit_length() - 1
+            bs &= bs - 1
+            if left_normed_idx(G, a, b, b) != e:
+                inv_b, ab = inv[b], row[b]
+                xs = row_xs & translated[inv_b] & translated[row[inv_b]]
+                xs &= translated[t[b][inv_a]] & translated[ab] & translated[inv[ab]]
                 counterexample = (a, b, (xs & -xs).bit_length() - 1)
     return CommutatorReport(
         group=G,
@@ -181,12 +189,16 @@ def verify_cube_law(G, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
 def verify_engel_consequences(H, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
     """On a 2-Engel subject, check class <= 3 and [x,y,z][x,z,y] = 1.
 
-    The swap law is checked on all |H|^3 triples, in least-index order,
-    from a table of the commutators of H: [x,y,z][x,z,y] = 1 exactly
-    when [[x,y],z] = [y,[x,z]].  Reports not-applicable when the subject
-    is not 2-Engel, and raises SoundnessError, naming the class, when a
-    2-Engel subject's class is not at most 3.  Raises
-    SearchBudgetExceeded, naming the group, when |H| exceeds ``max_order``.
+    In class at most 3, f(x,y,z) = [x,y,z][x,z,y] is trilinear with
+    central values, so it vanishes on all |H|^3 triples exactly when it
+    vanishes on the triples of generators; only when that check fails
+    are all triples scanned, in least-index order, from a table of the
+    commutators of H, to report the first failing triple and its count:
+    f(x,y,z) = 1 exactly when [[x,y],z] = [y,[x,z]].  Reports
+    not-applicable when the subject is not 2-Engel, and raises
+    SoundnessError, naming the class, when a 2-Engel subject's class is
+    not at most 3.  Raises SearchBudgetExceeded, naming the group, when
+    |H| exceeds ``max_order``.
     """
     H = as_subgroup(H)
     G, members = H.group, H.members
@@ -208,6 +220,20 @@ def verify_engel_consequences(H, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
             f"{G.label}: 2-Engel subject has nilpotency class {cls}, "
             "but a 2-Engel group has class at most 3"
         )
+    gens, e = H.generators, G.identity
+    if all(
+        G.mul(left_normed_idx(G, x, y, z), left_normed_idx(G, x, z, y)) == e
+        for x in gens
+        for y in gens
+        for z in gens
+    ):
+        return CommutatorReport(
+            group=G,
+            law="jacobi-swap",
+            counterexample=None,
+            triples_checked=len(members) ** 3,
+            nilpotency_class=cls,
+        )
     # comm[i][j] is the position in members of [members[i], members[j]]
     position = {x: i for i, x in enumerate(members)}
     comm = [[position[commutator_idx(G, x, y)] for y in members] for x in members]
@@ -227,10 +253,4 @@ def verify_engel_consequences(H, max_order=DEFAULT_TRIPLE_SCAN_LIMIT):
                     nilpotency_class=cls,
                 )
             checked += len(members)
-    return CommutatorReport(
-        group=G,
-        law="jacobi-swap",
-        counterexample=None,
-        triples_checked=checked,
-        nilpotency_class=cls,
-    )
+    raise AssertionError("a failing generator triple implies a counterexample")

@@ -18,6 +18,7 @@ from finhaar.engel import (
 from finhaar.errors import GroupMismatch, SearchBudgetExceeded, SoundnessError
 from finhaar.groups import (
     Subgroup,
+    automorphism_from_map,
     build_perm_group,
     build_table_group,
     conjugacy_classes,
@@ -139,32 +140,26 @@ def test_heisenberg_class_2(heis27):
     assert lower_central_series(heis27).nilpotency_class == 2
 
 
-def brute_cube_law(G):
-    """Oracle: literal scan over all triples."""
-    e = G.identity
+def _cube_xs(G, a, b):
+    """Oracle: the x meeting all eight cube conditions of the pair (a, b)."""
+    e, ia, ib = G.identity, G.inv(a), G.inv(b)
+    probes_left = (e, b, a, ia, G.mul(a, ib), G.mul(b, ia), G.mul(a, b), G.mul(ib, ia))
+    return [x for x in G.elements() if all(G.power(G.mul(c, x), 3) == e for c in probes_left)]
+
+
+def brute_cube_law(G, breaks=None):
+    """Oracle: literal scan over all triples; ``breaks(a, b)`` decides
+    [a, b, b] != 1, from the commutator unless given."""
+    if breaks is None:
+        def breaks(a, b):
+            return left_normed_idx(G, a, b, b) != G.identity
     qualifying = 0
     worst = None
-    for a in G.elements():
-        ia = G.inv(a)
-        for b in G.elements():
-            ib = G.inv(b)
-            probes_left = (
-                e,
-                b,
-                a,
-                ia,
-                G.mul(a, ib),
-                G.mul(b, ia),
-                G.mul(a, b),
-                G.mul(ib, ia),
-            )
-            for x in G.elements():
-                if all(
-                    G.power(G.mul(c, x), 3) == e for c in probes_left
-                ):
-                    qualifying += 1
-                    if worst is None and left_normed_idx(G, a, b, b) != e:
-                        worst = (a, b, x)
+    for a, b in itertools.product(G.elements(), repeat=2):
+        xs = _cube_xs(G, a, b)
+        qualifying += len(xs)
+        if xs and worst is None and breaks(a, b):
+            worst = (a, b, xs[0])
     return qualifying, worst
 
 
@@ -189,35 +184,80 @@ def test_cube_law_exponent3(heis27):
 
 
 def _pairs_emptied_late(G):
-    """Pairs (a, b) with some x meeting the four cube conditions on x,
-    a*x, a^-1*x and b*x, but none meeting all eight: the pairs that no
-    condition on a alone, or on b alone, rules out."""
+    """Pairs (a, b), in least-index order, with some x meeting the four
+    cube conditions on x, a*x, a^-1*x and b*x, but none meeting all
+    eight: the pairs that no condition on a alone, or on b alone, rules out."""
     e = G.identity
 
     def cube_root(y):
         return G.power(y, 3) == e
 
-    count = 0
+    pairs = []
     for a, b in itertools.product(G.elements(), repeat=2):
         ia, ib = G.inv(a), G.inv(b)
         early = [x for x in G.elements()
                  if all(cube_root(G.mul(c, x)) for c in (e, a, ia, b))]
         late = (G.mul(a, ib), G.mul(b, ia), G.mul(a, b), G.mul(ib, ia))
         if early and not any(all(cube_root(G.mul(c, x)) for c in late) for x in early):
-            count += 1
-    return count
+            pairs.append((a, b))
+    return pairs
 
 
-def test_cube_law_matches_brute_force(s3, s4, d8, z9):
+def test_cube_law_matches_brute_force(s3, s4, d8, z9, q8):
     f21 = bundled_catalog().get("F21").group
-    assert _pairs_emptied_late(s4) == 96 and _pairs_emptied_late(f21) == 336
-    for G in (s3, s4, d8, z9, cyclic_group(4), f21):
+    assert len(_pairs_emptied_late(s4)) == 96 and len(_pairs_emptied_late(f21)) == 336
+    a4 = build_perm_group(4, [(1, 2, 0, 3), (1, 0, 3, 2)], label="A4")
+    for G in (s3, s4, d8, z9, cyclic_group(4), f21, a4, dihedral_group(6), q8):
         report = verify_cube_law(G)
         qualifying, worst = brute_cube_law(G)
         assert report.triples_checked == G.order**3
         assert report.qualifying_triples == qualifying
         assert report.counterexample == worst
         assert worst is None
+
+
+@pytest.mark.parametrize(
+    "make, qualifying",
+    [
+        (lambda: symmetric_group(5), 861),
+        (lambda: build_perm_group(5, A5_GENS, label="A5"), 861),
+        (lambda: symmetric_group(6), 10881),
+        (lambda: dihedral_group(128), 1),
+    ],
+    ids=["S5", "A5", "S6", "D256"],
+)
+def test_cube_law_counts_at_larger_orders(make, qualifying):
+    # the counts of the least-index (a, b) scan over all |G|^3 triples
+    G = make()
+    report = verify_cube_law(G, max_order=720)
+    assert (report.counterexample, report.qualifying_triples) == (None, qualifying)
+    assert report.triples_checked == G.order**3
+
+
+@pytest.mark.parametrize("label", ["S4", "F21"])
+def test_cube_law_reports_a_forged_counterexample_as_the_oracle_does(monkeypatch, label):
+    # the lemma is a theorem, so no group reaches the counterexample branch:
+    # forge [a, b, b] != 1 on chosen pairs, among those with a qualifying x
+    # and among those emptied late, which have none and are never reported
+    G = bundled_catalog().get(label).group
+    late = _pairs_emptied_late(G)
+    pairs = [(a, b) for a, b in itertools.product(G.elements(), repeat=2) if _cube_xs(G, a, b)]
+    after = [p for p in pairs if p > late[0]]
+    real, not_e = engel.left_normed_idx, 1 - G.identity
+    for forged, first in (
+        ({late[0], after[0], late[-1], pairs[-1]}, after[0]),
+        ({pairs[len(pairs) // 2], pairs[-1]}, pairs[len(pairs) // 2]),
+        (set(late), None),
+    ):
+        def fake(H, a, b, *rest):
+            return not_e if (a, b) in forged and rest == (b,) else real(H, a, b, *rest)
+
+        monkeypatch.setattr(engel, "left_normed_idx", fake)
+        report = verify_cube_law(G)
+        qualifying, worst = brute_cube_law(G, breaks=lambda a, b: (a, b) in forged)
+        assert (report.counterexample, report.qualifying_triples) == (worst, qualifying)
+        assert (worst[:2] if worst else None) == first
+        assert report.counterexample is None or report.counterexample[:2] not in late
 
 
 def test_cube_law_budget(heis27):
@@ -438,20 +478,79 @@ def test_consequences_match_a_triple_loop(make):
     assert report.nilpotency_class == len(all_commutator_series(G, range(G.order))) - 1
 
 
+def _open_2engel_gate(monkeypatch):
+    monkeypatch.setattr(
+        engel, "is_2engel",
+        lambda H: engel.CommutatorReport(group=H, law="two-engel", counterexample=None,
+                                         triples_checked=0),
+    )
+
+
 def test_consequences_report_the_first_failing_triple(monkeypatch):
     # D16 has class 3 but is not 2-Engel, and the swap law fails there;
     # with the 2-Engel gate forced open the scan must find the same triple
     G = dihedral_group(8)
-    monkeypatch.setattr(
-        engel, "is_2engel",
-        lambda H: engel.CommutatorReport(group=G, law="two-engel", counterexample=None,
-                                         triples_checked=0),
-    )
+    _open_2engel_gate(monkeypatch)
     report = verify_engel_consequences(G)
     expected = swap_law_triple_loop(G)
     assert expected[0] is not None
     assert (report.counterexample, report.triples_checked) == expected
     assert report.nilpotency_class == 3
+
+
+def _c3_wr_c3():
+    """C3 wr C3: Z3^3 extended by the cycle of its coordinates (order 81, class 3)."""
+    vectors = list(itertools.product(range(3), repeat=3))
+    at = {v: i for i, v in enumerate(vectors)}
+    z3_cubed = build_table_group(
+        [[at[tuple((p + q) % 3 for p, q in zip(u, v))] for v in vectors] for u in vectors]
+    )
+    cycle = automorphism_from_map(z3_cubed, [at[(v[2], v[0], v[1])] for v in vectors])
+    return semidirect_c3(z3_cubed, cycle, label="C3wrC3")
+
+
+def _tabulated(G, members):
+    """The subgroup on ``members`` as a table group of its own."""
+    at = {x: i for i, x in enumerate(members)}
+    return build_table_group([[at[G.mul(x, y)] for y in members] for x in members])
+
+
+@pytest.mark.parametrize("make", [lambda: dihedral_group(8), _c3_wr_c3], ids=["D16", "C3wrC3"])
+def test_swap_law_is_trilinear_in_class_3(make):
+    # the premise of checking the swap law on generators alone:
+    # f(x, y, z) = [x,y,z][x,z,y] is a homomorphism in each argument
+    np = pytest.importorskip("numpy")
+    G = make()
+    assert lower_central_series(G).nilpotency_class == 3
+    t, inv = np.array(G.table()), np.array([G.inv(x) for x in G.elements()])
+
+    def comm(a, b):
+        return t[t[t[inv[a], inv[b]], a], b]
+
+    x, y, z = np.ix_(*[np.arange(G.order)] * 3)
+    f = t[comm(comm(x, y), z), comm(comm(x, z), y)]
+    for axis in range(3):
+        g = np.moveaxis(f, axis, 0)
+        for u in G.elements():
+            # g[u * v] = g[u] g[v] for every v, at every value of the other two
+            assert (g[t[u]] == t[g[u][None], g]).all()
+
+
+@pytest.mark.parametrize("make", [lambda: dihedral_group(8), _c3_wr_c3], ids=["D16", "C3wrC3"])
+def test_swap_law_verdicts_match_a_triple_loop_on_every_subgroup(monkeypatch, make):
+    # with the 2-Engel gate forced open, the generator check decides every
+    # subgroup (each of class <= 3) as the triple loop does, and a failure
+    # is scanned
+    _open_2engel_gate(monkeypatch)
+    G = make()
+    verdicts = set()
+    for H in all_subgroups(G):
+        K = _tabulated(G, H.members)
+        report = verify_engel_consequences(K, max_order=K.order)
+        expected = swap_law_triple_loop(K)
+        assert (report.counterexample, report.triples_checked) == expected
+        verdicts.add(expected[0] is None)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -463,10 +562,6 @@ def test_consequences_refuse_a_2engel_subject_of_class_above_3(monkeypatch, make
     # open, S3 (not nilpotent) and D32 (class 4) must be reported, not passed
     G = make()
     assert lower_central_series(G).nilpotency_class == cls
-    monkeypatch.setattr(
-        engel, "is_2engel",
-        lambda H: engel.CommutatorReport(group=G, law="two-engel", counterexample=None,
-                                         triples_checked=0),
-    )
+    _open_2engel_gate(monkeypatch)
     with pytest.raises(SoundnessError, match=rf"{G.label}: 2-Engel subject has nilpotency class {cls},"):
         verify_engel_consequences(G)
