@@ -14,6 +14,8 @@ Schema (top level object):
       ]
     }
 
+A perm group may also set "cap", a positive integer (default 4096): its
+closure may hold at most that many elements, or the catalog is rejected.
 Permutations use one-line image notation.  Everything is validated
 eagerly: a catalog that parses is a catalog whose groups, automorphisms
 and towers all passed their structural checks.
@@ -159,6 +161,8 @@ def parse_catalog(path):
         raise ParseError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc})") from exc
     return parse_catalog_dict(doc, source=str(path))
 
 

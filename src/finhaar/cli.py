@@ -2,11 +2,18 @@
 
 ``finhaar COMMAND [LAW] [options]``: one flat parser, in which options may
 come before or after the positionals and the law follows ``verify`` only.
-Exit codes: 0 success, 1 operation error, 2 parse/validation error
-(argparse errors, a malformed --set or --at and an unwritable --out
-included), 3 when a verification command found a counterexample to a
-published law or a guaranteed postcondition failed (SoundnessError,
-reported, never swallowed).
+One table, ``_COMMANDS``, says for each command how many --set values it
+takes and of which kind, how many --at indices, and how it computes one
+row per catalog entry; argv is checked against it before any catalog is
+read.  Exit codes: 0 success; 1 operation error, which needs the catalog
+(an unknown --group label, a set that does not fit the --group entry, a
+--group entry over a cap or budget, an --at index out of range);
+2 parse/validation error: whatever argv alone decides (argparse errors, a
+missing, extra, malformed or wrong-kind --set, a malformed --at or a wrong
+count of its indices), a malformed catalog and an unwritable --out; 3 when
+a verification command found a counterexample to a published law or a
+guaranteed postcondition failed (SoundnessError, reported, never
+swallowed).
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import argparse
 import sys
 import time
 import zlib
+from functools import partial
 
 from .catalog import bundled_catalog, parse_catalog
 from .engel import (
@@ -65,7 +73,7 @@ def build_parser():
         prog="finhaar",
         description="exact measure, largeness and Engel computations on finite group catalogs",
     )
-    parser.add_argument("command", choices=list(_HANDLERS))
+    parser.add_argument("command", choices=list(_COMMANDS))
     laws = ["lemma-2engel", "engel-consequences"]
     parser.add_argument("law", nargs="?", choices=laws, help="verify only")
     parser.add_argument("--catalog", help="catalog file (default: bundled)")
@@ -126,67 +134,47 @@ def _entries(catalog, args):
     return list(catalog.entries), False
 
 
-def _parse_at(args, expected):
-    if args.at is None:
-        return None
-    try:
-        values = [int(v) for v in args.at.split(",")]
-    except ValueError:
-        raise ParseError(f"--at must be comma separated integers, got {args.at!r}") from None
-    if len(values) != expected:
-        raise OperationError(f"--at needs {expected} indices, got {len(values)}")
-    return values
-
-
-def _single_set(args, kind):
-    """The command's one --set; unless ``kind`` is None, it must be of that kind."""
-    if not args.sets or len(args.sets) != 1:
-        raise OperationError("this command needs exactly one --set")
-    spec = args.sets[0]
-    if kind is not None and spec.partition(":")[0] != kind:
-        article = "an" if kind[0] in "aeiou" else "a"
-        raise OperationError(f"{args.command} needs {article} {kind}:* set, got {spec!r}")
-    return spec
-
-
-def _exponent(spec):
-    """N of a torsion:N spec, an integer >= 1."""
-    try:
-        n = int(spec.partition(":")[2])
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ParseError(f"bad torsion spec {spec!r}; N must be an integer >= 1")
-    return n
-
-
-def _resolve_set(entry, spec):
-    """WordSet for this entry, or the reason the spec does not fit it."""
+def _parse_spec(spec):
+    """(kind, N) of a torsion:N spec, N an integer >= 1, or (kind, AUT) of
+    an inverted:AUT or splitting:AUT spec."""
     kind, _, param = spec.partition(":")
+    if kind == "torsion":
+        try:
+            n = int(param)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ParseError(f"bad torsion spec {spec!r}; N must be an integer >= 1")
+        return kind, n
+    if kind not in ("inverted", "splitting"):
+        raise ParseError(f"bad set spec {spec!r}; use torsion:N | inverted:AUT | splitting:AUT")
+    return kind, param
+
+
+def _resolve_set(entry, kind, param):
+    """WordSet for this entry, or the reason the parsed spec does not fit it."""
     G = entry.group
     if kind == "torsion":
-        return torsion_set(G, _exponent(spec))
-    if kind in ("inverted", "splitting"):
-        aut = entry.automorphisms.get(param)
-        if aut is None:
-            return f"no automorphism named {param!r}"
-        if kind == "inverted":
-            return inverted_set(G, aut)
-        if 3 % aut.order != 0:
-            return f"automorphism {param!r} has order {aut.order}, not dividing 3"
-        return splitting_set(G, aut)
-    raise ParseError(f"bad set spec {spec!r}; use torsion:N | inverted:AUT | splitting:AUT")
+        return torsion_set(G, param)
+    aut = entry.automorphisms.get(param)
+    if aut is None:
+        return f"no automorphism named {param!r}"
+    if kind == "inverted":
+        return inverted_set(G, aut)
+    if 3 % aut.order != 0:
+        return f"automorphism {param!r} has order {aut.order}, not dividing 3"
+    return splitting_set(G, aut)
 
 
 def _per_group(entries, explicit, specs, fn):
     """One row per entry: its label plus fn(entry, *word_sets), one word
-    set per spec.  The row is {"label", "skipped"} where a spec does not
-    fit the entry or fn raises SearchBudgetExceeded, the library's one
-    exception for a cap or budget, whose message names the group; for
-    the entry named by --group, either is an error instead."""
+    set per parsed spec.  The row is {"label", "skipped"} where a spec
+    does not fit the entry or fn raises SearchBudgetExceeded, the
+    library's one exception for a cap or budget, whose message names the
+    group; for the entry named by --group, either is an error instead."""
     results = []
     for entry in entries:
-        words = [_resolve_set(entry, spec) for spec in specs]
+        words = [_resolve_set(entry, *spec) for spec in specs]
         reason = next((w for w in words if isinstance(w, str)), None)
         if reason is not None and explicit:
             raise OperationError(f"{entry.label}: {reason}")
@@ -205,227 +193,188 @@ def _caps(**options):
     return {kw: value for kw, value in options.items() if value is not None}
 
 
-# -- command handlers -----------------------------------------------------------
+# -- one row per catalog entry: row(args, xs, entry, *word_sets) ------------------
 
 
-def _cmd_validate(catalog, entries, explicit, args):
-    def fn(entry):
-        return {
-            "order": entry.group.order,
-            "backend": entry.group.backend,
-            "abelian": entry.group.is_abelian(),
-            "automorphisms": [
-                {"name": name, "order": entry.automorphisms[name].order}
-                for name in sorted(entry.automorphisms)
-            ],
-        }
-
-    results = _per_group(entries, explicit, [], fn)
-    if args.group is None:
-        for name in sorted(catalog.towers):
-            tower = catalog.towers[name]
-            results.append(
-                {
-                    "tower": name,
-                    "depth": tower.depth,
-                    "levels": [G.label for G in tower.levels],
-                }
-            )
-    return results, False
+def _validate_row(args, xs, entry):
+    return {
+        "order": entry.group.order,
+        "backend": entry.group.backend,
+        "abelian": entry.group.is_abelian(),
+        "automorphisms": [
+            {"name": name, "order": entry.automorphisms[name].order}
+            for name in sorted(entry.automorphisms)
+        ],
+    }
 
 
-def _cmd_measure(catalog, entries, explicit, args):
-    def fn(entry, word):
-        return {
-            "set": word.spec_string(),
-            "size": word.subset.size,
-            "measure": word.measure,
-        }
-
-    return _per_group(entries, explicit, [_single_set(args, None)], fn), False
+def _measure_row(args, xs, entry, word):
+    return {"set": word.spec_string(), "size": word.subset.size, "measure": word.measure}
 
 
-def _cmd_word_set(catalog, entries, explicit, args):
-    spec = _single_set(args, args.command)
-    return _per_group(entries, explicit, [spec], lambda entry, word: jsonable(word)), False
+def _word_set_row(args, xs, entry, word):
+    return jsonable(word)
 
 
-def _cmd_lambda(catalog, entries, explicit, args):
-    if not args.sets:
-        raise OperationError("need at least one --set")
-    xs = _parse_at(args, expected=len(args.sets))
+def _lambda_row(args, xs, entry, *words):
+    value = translate_intersection_measure([w.subset for w in words], xs)
+    return {"sets": [w.spec_string() for w in words], "at": xs, "measure": value}
+
+
+def _average_row(args, xs, entry, *words):
+    out = average_translate_intersection([w.subset for w in words], **_caps(budget=args.budget))
+    return {
+        "sets": [w.spec_string() for w in words],
+        "average": out.average,
+        "product_of_measures": out.product_of_measures,
+        "identity_holds": out.identity_holds,
+    }
+
+
+def _psi_row(args, xs, entry):
+    import numpy as np
+    G = entry.group
+    rng = np.random.default_rng([args.seed, zlib.crc32(entry.label.encode())])
+    funcs = [GroupFunction.random_unit(G, rng) for _ in range(args.n)]
     if xs is None:
-        raise OperationError("--at is required for this command")
-
-    def fn(entry, *words):
-        value = translate_intersection_measure([w.subset for w in words], xs)
-        return {"sets": [w.spec_string() for w in words], "at": xs, "measure": value}
-
-    return _per_group(entries, explicit, args.sets, fn), False
+        xs = [int(rng.integers(G.order)) for _ in range(args.n)]
+    return {"n": args.n, "at": xs, "value": translate_product_mean(funcs, xs)}
 
 
-def _cmd_average(catalog, entries, explicit, args):
-    if not args.sets:
-        raise OperationError("need at least one --set")
+def _klarge_row(args, xs, entry, word):
     caps = _caps(budget=args.budget)
-
-    def fn(entry, *words):
-        out = average_translate_intersection([w.subset for w in words], **caps)
-        return {
-            "sets": [w.spec_string() for w in words],
-            "average": out.average,
-            "product_of_measures": out.product_of_measures,
-            "identity_holds": out.identity_holds,
-        }
-
-    return _per_group(entries, explicit, args.sets, fn), False
+    cert = k_large_certificate(word.subset, args.k, strategy=args.strategy, **caps)
+    return {"set": word.spec_string(), "strategy": args.strategy, **jsonable(cert)}
 
 
-def _cmd_psi(catalog, entries, explicit, args):
-    xs_fixed = _parse_at(args, expected=args.n)
-
-    def fn(entry):
-        import numpy as np
-        G = entry.group
-        rng = np.random.default_rng([args.seed, zlib.crc32(entry.label.encode())])
-        funcs = [GroupFunction.random_unit(G, rng) for _ in range(args.n)]
-        xs = xs_fixed if xs_fixed is not None else [
-            int(rng.integers(G.order)) for _ in range(args.n)
-        ]
-        value = translate_product_mean(funcs, xs)
-        return {"n": args.n, "at": xs, "value": value}
-
-    return _per_group(entries, explicit, [], fn), False
+def _witness_row(args, xs, entry, word):
+    witness = coset_witness(word, **_caps(limit=args.max_order))
+    return {"set": word.spec_string(), **jsonable(witness)}
 
 
-def _cmd_klarge(catalog, entries, explicit, args):
-    caps = _caps(budget=args.budget)
-
-    def fn(entry, word):
-        cert = k_large_certificate(word.subset, args.k, strategy=args.strategy, **caps)
-        return {"set": word.spec_string(), "strategy": args.strategy, **jsonable(cert)}
-
-    return _per_group(entries, explicit, [_single_set(args, None)], fn), False
-
-
-def _cmd_witness(catalog, entries, explicit, args):
-    caps = _caps(limit=args.max_order)
-
-    def fn(entry, word):
-        return {"set": word.spec_string(), **jsonable(coset_witness(word, **caps))}
-
-    return _per_group(entries, explicit, [_single_set(args, None)], fn), False
+def _pair_cert_row(args, xs, entry, word):
+    G = entry.group
+    a, b = xs
+    if args.command == "commute-cert":
+        witness = commuting_certificate(word, a, b)
+        law_holds = G.mul(a, b) == G.mul(b, a)
+        law_key = "commutator_trivial"
+    else:
+        witness = engel_pair_certificate(word, a, b)
+        law_holds = left_normed_idx(G, a, b, b) == G.identity
+        law_key = "engel_identity_holds"
+    return {"set": word.spec_string(), "a": a, "b": b, "witness": witness, law_key: law_holds}
 
 
-def _cmd_pair_cert(catalog, entries, explicit, args):
-    commute = args.command == "commute-cert"
-    spec = _single_set(args, "inverted" if commute else "splitting")
-    ab = _parse_at(args, expected=2)
-    if ab is None:
-        raise OperationError("--at a,b is required for this command")
-    a, b = ab
-
-    def fn(entry, word):
-        G = entry.group
-        if commute:
-            witness = commuting_certificate(word, a, b)
-            law_holds = G.mul(a, b) == G.mul(b, a)
-            law_key = "commutator_trivial"
-        else:
-            witness = engel_pair_certificate(word, a, b)
-            law_holds = left_normed_idx(G, a, b, b) == G.identity
-            law_key = "engel_identity_holds"
-        return {
-            "set": word.spec_string(),
-            "a": a,
-            "b": b,
-            "witness": witness,
-            law_key: law_holds,
-        }
-
-    return _per_group(entries, explicit, [spec], fn), False
-
-
-def _cmd_extract(catalog, entries, explicit, args):
+def _extract_row(args, xs, entry, word):
     abelian = args.command == "extract-abelian"
-    spec = _single_set(args, "inverted" if abelian else "splitting")
-    caps = _caps(limit=args.max_order)
     extract = extract_abelian_subgroup if abelian else extract_engel_subgroup
-
-    def fn(entry, word):
-        report = extract(entry.group, word.aut, mode=args.mode, length=args.length, **caps)
-        return jsonable(report)
-
-    return _per_group(entries, explicit, [spec], fn), False
+    caps = _caps(limit=args.max_order)
+    return jsonable(extract(entry.group, word.aut, mode=args.mode, length=args.length, **caps))
 
 
-def _cmd_series(catalog, entries, explicit, args):
+def _series_row(args, xs, entry):
     series = is_2engel if args.command == "engel" else lower_central_series
-
-    def fn(entry):
-        return jsonable(series(entry.group))
-
-    return _per_group(entries, explicit, [], fn), False
+    return jsonable(series(entry.group))
 
 
-def _cmd_verify(catalog, entries, explicit, args):
-    caps = _caps(max_order=args.max_order)
+def _verify_row(args, xs, entry):
     check = verify_cube_law if args.law == "lemma-2engel" else verify_engel_consequences
-    results = _per_group(
-        entries, explicit, [], lambda entry: jsonable(check(entry.group, **caps))
-    )
-    finding = any(r.get("applicable", False) and not r.get("holds", True) for r in results)
-    return results, finding
+    return jsonable(check(entry.group, **_caps(max_order=args.max_order)))
 
 
-def _cmd_tower(catalog, entries, explicit, args):
-    n = _exponent(_single_set(args, "torsion"))
-    results = []
-    for name in sorted(catalog.towers):
-        tower = catalog.towers[name]
-        seq = torsion_measure_sequence(tower, n)
-        results.append(
-            {
-                "tower": name,
-                "levels": [G.label for G in tower.levels],
-                "exponent": n,
-                "measures": seq,
-                "non_increasing": all(b <= a for a, b in zip(seq, seq[1:])),
-                "images_contained": torsion_images_contained(tower, n),
-                "upper_bound": {"depth": tower.depth, "value": seq[-1]},
-            }
-        )
-    return results, False
+def _tower_row(args, specs, name, tower):
+    """validate's row of one tower, or tower's: the measures of its torsion:N set."""
+    levels = [G.label for G in tower.levels]
+    if args.command == "validate":
+        return {"tower": name, "depth": tower.depth, "levels": levels}
+    ((_, n),) = specs
+    seq = torsion_measure_sequence(tower, n)
+    return {
+        "tower": name,
+        "levels": levels,
+        "exponent": n,
+        "measures": seq,
+        "non_increasing": all(b <= a for a, b in zip(seq, seq[1:])),
+        "images_contained": torsion_images_contained(tower, n),
+        "upper_bound": {"depth": tower.depth, "value": seq[-1]},
+    }
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "measure": _cmd_measure,
-    "lambda": _cmd_lambda,
-    "average": _cmd_average,
-    "psi": _cmd_psi,
-    "klarge": _cmd_klarge,
-    "torsion": _cmd_word_set,
-    "inverted": _cmd_word_set,
-    "splitting": _cmd_word_set,
-    "witness": _cmd_witness,
-    "commute-cert": _cmd_pair_cert,
-    "engel-cert": _cmd_pair_cert,
-    "extract-abelian": _cmd_extract,
-    "extract-engel": _cmd_extract,
-    "engel": _cmd_series,
-    "class": _cmd_series,
-    "verify": _cmd_verify,
-    "tower": _cmd_tower,
+# command: (--set count, kind of every set, --at indices, row per entry); a
+# row gets the checked --at indices as xs, or None
+#   --set count: 0 (any --set is ignored), 1 (exactly one) or "1+" (one or more)
+#   kind: the one kind every set must have, or None for any kind
+#   --at: None (ignored), "per set" (one index per set), 2 (the pair a,b)
+#         or "n" (--n indices, or none: psi draws them)
+#   row: None for tower, whose rows are one per tower
+_COMMANDS = {
+    "validate": (0, None, None, _validate_row),
+    "measure": (1, None, None, _measure_row),
+    "lambda": ("1+", None, "per set", _lambda_row),
+    "average": ("1+", None, None, _average_row),
+    "psi": (0, None, "n", _psi_row),
+    "klarge": (1, None, None, _klarge_row),
+    "torsion": (1, "torsion", None, _word_set_row),
+    "inverted": (1, "inverted", None, _word_set_row),
+    "splitting": (1, "splitting", None, _word_set_row),
+    "witness": (1, None, None, _witness_row),
+    "commute-cert": (1, "inverted", 2, _pair_cert_row),
+    "engel-cert": (1, "splitting", 2, _pair_cert_row),
+    "extract-abelian": (1, "inverted", None, _extract_row),
+    "extract-engel": (1, "splitting", None, _extract_row),
+    "engel": (0, None, None, _series_row),
+    "class": (0, None, None, _series_row),
+    "verify": (0, None, None, _verify_row),
+    "tower": (1, "torsion", None, None),
 }
 
 
+def _check_argv(args):
+    """(specs, xs): the parsed --set specs and the --at indices (None when
+    ignored or left out) of args.command, checked against its row of
+    _COMMANDS.  Whatever argv alone decides raises ParseError here, before
+    any catalog is read."""
+    count, kind, at, _ = _COMMANDS[args.command]
+    specs = (args.sets or []) if count else []
+    if count == 1 and len(specs) != 1:
+        raise ParseError("this command needs exactly one --set")
+    if count and not specs:
+        raise ParseError("need at least one --set")
+    for spec in specs:
+        if kind is not None and spec.partition(":")[0] != kind:
+            article = "an" if kind[0] in "aeiou" else "a"
+            raise ParseError(f"{args.command} needs {article} {kind}:* set, got {spec!r}")
+    xs = None
+    if at is not None and args.at is not None:
+        try:
+            xs = [int(v) for v in args.at.split(",")]
+        except ValueError:
+            raise ParseError(f"--at must be comma separated integers, got {args.at!r}") from None
+        expected = {"per set": len(specs), "n": args.n}.get(at, at)
+        if len(xs) != expected:
+            raise ParseError(f"--at needs {expected} indices, got {len(xs)}")
+    elif at == "per set":
+        raise ParseError("--at is required for this command")
+    elif at == 2:
+        raise ParseError("--at a,b is required for this command")
+    return [_parse_spec(spec) for spec in specs], xs
+
+
 def run_command(args):
-    """Dispatch parsed arguments; returns (Report, finding_flag)."""
+    """Check argv, then dispatch; returns (Report, finding_flag)."""
     started = time.perf_counter()
+    specs, xs = _check_argv(args)
     catalog = _load_catalog(args)
     entries, explicit = _entries(catalog, args)
-    results, finding = _HANDLERS[args.command](catalog, entries, explicit, args)
+    row = _COMMANDS[args.command][3]
+    results = [] if row is None else _per_group(entries, explicit, specs, partial(row, args, xs))
+    if args.command == "tower" or (args.command == "validate" and args.group is None):
+        for name in sorted(catalog.towers):
+            results.append(_tower_row(args, specs, name, catalog.towers[name]))
+    finding = args.command == "verify" and any(
+        r.get("applicable", False) and not r.get("holds", True) for r in results
+    )
     parameters = {
         "group": args.group,
         "sets": args.sets,

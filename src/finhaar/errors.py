@@ -8,7 +8,10 @@ the library raises SearchBudgetExceeded, naming its group; CapExceeded
 is validation: a permutation group whose closure outgrows its cap.
 The CLI maps validation/parse failures to exit code 2, a failed
 guaranteed postcondition (SoundnessError) to exit code 3, and every
-other error, operation failures included, to exit code 1.
+other error, operation failures included, to exit code 1.  Whatever the
+CLI's argv alone decides (the count and kind of --set values, a spec's
+kind or torsion exponent, the --at list and its count) is a ParseError,
+raised before any catalog is read, so it exits 2.
 """
 
 

@@ -180,9 +180,58 @@ def test_an_empty_path_exits_2_with_one_line(capsys, option):
 def test_a_set_of_the_wrong_kind_is_named_with_its_article(capsys, argv, line):
     code = main(argv)
     captured = capsys.readouterr()
-    assert code == 1
+    assert code == 2
     assert captured.out == ""
     assert captured.err == line
+
+
+# argv errors that argv alone decides, each with its one line on stderr
+ARGV_ERRORS = [
+    (["measure"], "this command needs exactly one --set"),
+    (
+        ["witness", "--set", "torsion:2", "--set", "torsion:3"],
+        "this command needs exactly one --set",
+    ),
+    (["average"], "need at least one --set"),
+    (["lambda"], "need at least one --set"),
+    (["lambda", "--set", "torsion:2"], "--at is required for this command"),
+    (["commute-cert", "--set", "inverted:id"], "--at a,b is required for this command"),
+    (["engel-cert", "--set", "splitting:id", "--at", "0"], "--at needs 2 indices, got 1"),
+    (["lambda", "--set", "torsion:2", "--at", "0,1"], "--at needs 1 indices, got 2"),
+    (["psi", "--n", "3", "--at", "0,1"], "--at needs 3 indices, got 2"),
+    (["torsion", "--set", "inverted:id"], "torsion needs a torsion:* set, got 'inverted:id'"),
+    (["inverted", "--set", "torsion:2"], "inverted needs an inverted:* set, got 'torsion:2'"),
+    (
+        ["splitting", "--set", "inverted:id"],
+        "splitting needs a splitting:* set, got 'inverted:id'",
+    ),
+    (
+        ["commute-cert", "--set", "splitting:id", "--at", "0,1"],
+        "commute-cert needs an inverted:* set, got 'splitting:id'",
+    ),
+    (
+        ["engel-cert", "--set", "inverted:id", "--at", "0,1"],
+        "engel-cert needs a splitting:* set, got 'inverted:id'",
+    ),
+    (["extract-abelian", "--set", "é"], "extract-abelian needs an inverted:* set, got 'é'"),
+    (["tower", "--set", "inverted:id"], "tower needs a torsion:* set, got 'inverted:id'"),
+    (
+        ["measure", "--set", "é", "--group", "nope"],
+        "bad set spec 'é'; use torsion:N | inverted:AUT | splitting:AUT",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, line", ARGV_ERRORS, ids=[" ".join(a) for a, _ in ARGV_ERRORS])
+def test_an_argv_error_exits_2_before_the_catalog_is_read(monkeypatch, capsys, argv, line):
+    loads = []
+    monkeypatch.setattr(cli, "bundled_catalog", lambda: loads.append(1))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"finhaar: {line}\n"
+    assert loads == []
 
 
 def test_bad_set_spec(capsys):
@@ -197,6 +246,21 @@ def test_bad_catalog_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b'\xff\xfe{"groups": []}', b'{"groups": [{"label": "Z\xff2", "kind": "table"}]}'],
+    ids=["leading-byte", "in-a-string"],
+)
+def test_a_catalog_that_is_not_utf8_exits_2_naming_the_path(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code = main(["validate", "--catalog", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"finhaar: {bad}: ") and captured.err.count("\n") == 1
+
+
 def test_unknown_command_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
@@ -205,8 +269,10 @@ def test_unknown_command_exit_2(capsys):
 
 
 def test_lambda_requires_matching_at(capsys):
-    code, _ = run(capsys, ["lambda", "--set", "torsion:2", "--at", "0,1"])
-    assert code == 1
+    code = main(["lambda", "--set", "torsion:2", "--at", "0,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "finhaar: --at needs 1 indices, got 2\n"
 
 
 def test_verify_consequences_clean(capsys):
