@@ -24,12 +24,12 @@ and towers all passed their structural checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
+import os
 
 from .errors import FinhaarError, ParseError
 from .groups import (
     DEFAULT_CLOSURE_CAP,
+    _record,
     automorphism_from_map,
     build_perm_group,
     build_table_group,
@@ -37,14 +37,14 @@ from .groups import (
 from .towers import build_tower
 
 
-@dataclass(frozen=True)
+@_record
 class CatalogEntry:
     label: str
     group: object
     automorphisms: dict  # name -> Automorphism
 
 
-@dataclass(frozen=True)
+@_record
 class Catalog:
     source: str
     entries: tuple  # CatalogEntry, sorted by label
@@ -170,11 +170,12 @@ def parse_catalog(path):
 
 
 def bundled_catalog_text():
-    """The packaged data/catalog.json; ``build_bundled_dict`` in
+    """The packaged data/catalog.json, a plain file beside this module
+    (pyproject.toml's package-data ships it); ``build_bundled_dict`` in
     tests/test_catalog.py rebuilds it from the group constructors."""
-    return (
-        resources.files("finhaar").joinpath("data/catalog.json").read_text("utf-8")
-    )
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def bundled_catalog():

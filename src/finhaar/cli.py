@@ -369,9 +369,11 @@ def run_command(args):
     entries, explicit = _entries(catalog, args)
     row = _COMMANDS[args.command][3]
     results = [] if row is None else _per_group(entries, explicit, specs, partial(row, args, xs))
-    if args.command == "tower" or (args.command == "validate" and args.group is None):
-        for name in sorted(catalog.towers):
-            results.append(_tower_row(args, specs, name, catalog.towers[name]))
+    if args.command == "tower" or (args.command == "validate" and not explicit):
+        for name, tower in sorted(catalog.towers.items()):
+            # under --group, only the towers that have that group as a level
+            if not explicit or any(G.label == args.group for G in tower.levels):
+                results.append(_tower_row(args, specs, name, tower))
     finding = args.command == "verify" and any(
         r.get("applicable", False) and not r.get("holds", True) for r in results
     )

@@ -20,11 +20,8 @@ normed, [a, b, c] = [[a, b], c].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .errors import GroupMismatch, SearchBudgetExceeded, SoundnessError
-from .groups import _read_through, as_subgroup, conjugacy_classes, normal_closure
+from .groups import _read_through, _record, as_subgroup, conjugacy_classes, normal_closure
 from .measure import Subset
 
 DEFAULT_TRIPLE_SCAN_LIMIT = 64
@@ -50,14 +47,14 @@ def commutator(a, b, *rest):
     return G.element(left_normed_idx(G, a.idx, b.idx, *(c.idx for c in rest)))
 
 
-@dataclass(frozen=True)
+@_record
 class CommutatorReport:
     group: object
     law: str
-    counterexample: Optional[tuple]
+    counterexample: tuple | None
     triples_checked: int
-    qualifying_triples: Optional[int] = None
-    nilpotency_class: Optional[int] = None
+    qualifying_triples: int | None = None
+    nilpotency_class: int | None = None
     applicable: bool = True
 
     @property
@@ -96,12 +93,12 @@ def is_2engel(H):
     raise AssertionError("a class that does not commute implies a counterexample")
 
 
-@dataclass(frozen=True)
+@_record
 class CentralSeries:
     group: object
     terms: tuple
     stabilized: bool
-    nilpotency_class: Optional[int]
+    nilpotency_class: int | None
 
 
 def lower_central_series(H):

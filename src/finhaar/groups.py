@@ -795,3 +795,77 @@ class SemidirectExtension(FiniteGroup):
 def semidirect_c3(G, aut, label=None):
     """Order-3 semidirect extension of G by ``aut`` (see SemidirectExtension)."""
     return SemidirectExtension(G, aut, label=label)
+
+
+# -- frozen records ------------------------------------------------------------
+
+
+def _record(cls):
+    """Make ``cls`` a frozen record, as ``@dataclass(frozen=True)`` would,
+    without generating code: its fields are its own annotations, in
+    order, and a field's default is the class attribute of that name.
+    Every command imports every record class, and ``dataclasses`` (with
+    the ``inspect`` it imports) and the methods it execs were the largest
+    share of that import.
+
+    Instances take the fields positionally or by keyword, compare and
+    hash as the tuple of their fields (another class compares
+    ``NotImplemented``), and print as ``Name(field=value, ...)``; setting
+    or deleting an attribute raises AttributeError.  The fields live in
+    the instance ``__dict__``, which ``__init__`` fills by ``update`` and
+    checks once, as fast as a dataclass's ``__init__``: ``is_2engel``
+    builds a record per law check.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    n = len(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    # the keyword names allowed after k positional arguments
+    tails = tuple(frozenset(names[k:]) for k in range(n + 1))
+
+    def values(self):
+        return tuple(map(self.__dict__.__getitem__, names))
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__dict__
+        fields.update(defaults)
+        if args:
+            fields.update(zip(names, args))
+        fields.update(kwargs)
+        if len(fields) != n or len(args) > n or not kwargs.keys() <= tails[len(args)]:
+            raise TypeError(_bad_arguments(cls.__name__, names, defaults, args, kwargs))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{cls.__name__} is frozen: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{cls.__name__} is frozen: cannot delete {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+def _bad_arguments(name, names, defaults, args, kwargs):
+    """The TypeError message of a record constructor called with ``args``
+    and ``kwargs``, which do not fill the fields ``names`` exactly once."""
+    if len(args) > len(names):
+        return f"{name}() takes {len(names)} positional arguments but {len(args)} were given"
+    for key in kwargs:
+        if key not in names:
+            return f"{name}() got an unexpected keyword argument {key!r}"
+        if key in names[: len(args)]:
+            return f"{name}() got multiple values for argument {key!r}"
+    missing = [f for f in names[len(args) :] if f not in kwargs and f not in defaults]
+    return f"{name}() missing required arguments: {', '.join(map(repr, missing))}"

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,7 +36,7 @@ from .errors import (
     SearchBudgetExceeded,
     UnitBallViolated,
 )
-from .groups import _index, _index_list, _read_through
+from .groups import _index, _index_list, _read_through, _record
 
 DEFAULT_TUPLE_SPACE_BUDGET = 10**8
 DEFAULT_KLARGE_BUDGET = 10**7
@@ -198,7 +197,7 @@ def translate_intersection_measure(sets, xs):
     return Fraction(mask.bit_count(), G.order)
 
 
-@dataclass(frozen=True)
+@_record
 class AveragedIntersection:
     """Both sides of the exact averaging identity for translate tuples."""
 
@@ -358,7 +357,7 @@ def translate_product_mean(funcs, xs):
 # -- k-largeness ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class LargenessCertificate:
     """A symmetric set U around the identity certifying k-fold largeness.
 

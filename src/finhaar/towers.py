@@ -8,14 +8,12 @@ upper bound for any deeper refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotSurjective
-from .groups import _index_list, check_homomorphism
+from .groups import _index_list, _record, check_homomorphism
 from .wordsets import torsion_set
 
 
-@dataclass(frozen=True)
+@_record
 class Tower:
     name: str
     levels: tuple  # FiniteGroups, coarsest first

@@ -26,9 +26,8 @@ double cosets and coprime powers, as in the lattice search.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, repeat
-from typing import NamedTuple, Optional
 
 from .engel import is_2engel
 from .errors import (
@@ -43,6 +42,7 @@ from .groups import (
     _double_coset_marker,
     _extend,
     _index,
+    _record,
     generate_subgroup,
     normal_core,
 )
@@ -52,14 +52,14 @@ from .measure import Subset
 DEFAULT_PRODUCT_LENGTH = 2
 
 
-@dataclass(frozen=True)
+@_record
 class WordSet:
     """A word-defined subset together with its defining data."""
 
     group: object
     kind: str  # "torsion" | "inverted" | "splitting"
     subset: Subset
-    exponent: Optional[int] = None
+    exponent: int | None = None
     aut: object = None
 
     def spec_string(self):
@@ -106,7 +106,7 @@ def splitting_set(G, aut):
 # -- coset witnesses -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class CosetWitness:
     """A subgroup H and an element t with the whole coset tH inside the target.
 
@@ -118,7 +118,7 @@ class CosetWitness:
     subgroup: Subgroup
     t: int
     target: WordSet
-    fallback: Optional[str] = None
+    fallback: str | None = None
 
     def validate(self):
         G = self.group
@@ -246,15 +246,11 @@ def engel_pair_certificate(X, a, b):
 # -- extraction ------------------------------------------------------------------
 
 
-class PairCertificate(NamedTuple):
-    # a NamedTuple, built at about half the cost of a frozen dataclass:
-    # proof mode builds |P|^2 of them
-    a: int
-    b: int
-    witness: int
+# a tuple, not a record: proof mode builds |P|^2 of them, a row at a time in C
+PairCertificate = namedtuple("PairCertificate", "a b witness")
 
 
-@dataclass(frozen=True)
+@_record
 class ModeResult:
     mode: str  # "proof-following" | "direct-search"
     subgroup: Subgroup
@@ -262,7 +258,7 @@ class ModeResult:
     certificates: tuple = ()
 
 
-@dataclass(frozen=True)
+@_record
 class ExtractionReport:
     """Outcome of a normal abelian / 2-Engel subgroup extraction."""
 
@@ -274,12 +270,12 @@ class ExtractionReport:
     result_mode: str
     verified_normal: bool
     verified_law: bool
-    proof_following: Optional[ModeResult] = None
-    direct_search: Optional[ModeResult] = None
-    proof_reached_maximum: Optional[bool] = None
-    coset_witness: Optional[CosetWitness] = None
-    slice_subgroup: Optional[Subgroup] = None
-    findings: tuple = field(default=())
+    proof_following: ModeResult | None = None
+    direct_search: ModeResult | None = None
+    proof_reached_maximum: bool | None = None
+    coset_witness: CosetWitness | None = None
+    slice_subgroup: Subgroup | None = None
+    findings: tuple = ()
 
 
 def _next_levels(G, letters, new, levels):
@@ -368,7 +364,7 @@ def _grow_seed_set(G, word_set, law_holds, length):
             if H.size > accepted.size:
                 accepted, mark = H, None
     products = sorted(levels[-1])
-    # built in C: tuple.__new__ is how a NamedTuple makes itself
+    # built in C: tuple.__new__ is how a namedtuple makes itself
     certificates = tuple(
         chain.from_iterable(
             map(

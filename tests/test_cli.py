@@ -398,6 +398,19 @@ def test_tower_command(capsys):
     assert pow3["upper_bound"] == {"depth": 3, "value": "1/9"}
 
 
+@pytest.mark.parametrize(
+    "label, towers",
+    [("Z2", ["d8-flip", "pow2", "s3-sign"]), ("Z27", ["pow3"]), ("Q8", [])],
+)
+def test_tower_group_keeps_the_towers_with_that_level(capsys, label, towers):
+    code, out = run(capsys, ["tower", "--set", "torsion:3", "--group", label])
+    assert code == 0
+    doc = payload(out)
+    assert doc["parameters"]["group"] == label
+    assert [r["tower"] for r in doc["results"]] == towers
+    assert all(label in r["levels"] for r in doc["results"])
+
+
 @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: " ".join(a))
 def test_all_commands_deterministic(capsys, argv):
     code1, out1 = run(capsys, argv)
