@@ -2,6 +2,10 @@
 
 ``finhaar COMMAND [LAW] [options]``: one flat parser, in which options may
 come before or after the positionals and the law follows ``verify`` only.
+argv is parsed in one pass; only where that pass raises an argparse error
+or leaves arguments over (verify --group S3 lemma-2engel) is it parsed
+again intermixed, so every argv exits and prints as intermixed parsing alone
+would have it.
 One table, ``_COMMANDS``, says for each command how many --set values it
 takes and of which kind, how many --at indices, and how it computes one
 row per catalog entry; argv is checked against it before any catalog is
@@ -55,12 +59,22 @@ from .wordsets import (
 )
 
 
+def _int(text):
+    """The integer written as an optional sign and ASCII digits; ValueError
+    for anything else, which ``int`` alone would read too: spaces,
+    underscores (1_0) and other scripts' digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _min_int(option, low):
     """argparse type for an integer >= ``low``.  Its ParseError is not
     caught by argparse, so ``main`` reports it with exit code 2."""
     def parse(text):
         try:
-            if int(text) >= low:
+            if _int(text) >= low:
                 return int(text)
         except ValueError:
             pass
@@ -140,7 +154,7 @@ def _parse_spec(spec):
     kind, _, param = spec.partition(":")
     if kind == "torsion":
         try:
-            n = int(param)
+            n = _int(param)
         except ValueError:
             n = 0
         if n < 1:
@@ -348,7 +362,7 @@ def _check_argv(args):
     xs = None
     if at is not None and args.at is not None:
         try:
-            xs = [int(v) for v in args.at.split(",")]
+            xs = [_int(v) for v in args.at.split(",")]
         except ValueError:
             raise ParseError(f"--at must be comma separated integers, got {args.at!r}") from None
         expected = {"per set": len(specs), "n": args.n}.get(at, at)
@@ -404,11 +418,35 @@ def run_command(args):
     return report, finding
 
 
+class _Retry(Exception):
+    """An argparse error in the one-pass parse: parse again, intermixed."""
+
+
+def _raise_retry(message):
+    raise _Retry
+
+
+def _parse_argv(parser, argv):
+    """One parse_known_args pass over argv.  Where it raises an argparse
+    error or leaves arguments over, argv is parsed again intermixed, which
+    reports errors as before: in verify --group S3 lemma-2engel one pass
+    matches the empty law right after verify and leaves lemma-2engel over,
+    and in badcmd --mode bogus the intermixed parse names --mode first."""
+    parser.error = _raise_retry  # argparse reports every error through it
+    try:
+        args, rest = parser.parse_known_args(argv)
+    except _Retry:
+        rest = True
+    finally:
+        del parser.error
+    return parser.parse_intermixed_args(argv) if rest else args
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        # intermixed: in verify --group S3 lemma-2engel, law must not match empty
-        args = parser.parse_intermixed_args(_join_at(sys.argv[1:] if argv is None else argv))
+        # one pass, or the intermixed parse where that pass fails or leaves arguments over
+        args = _parse_argv(parser, _join_at(sys.argv[1:] if argv is None else argv))
         if (args.law is None) == (args.command == "verify"):
             parser.error("verify needs a law, and no other command takes one")
         report, finding = run_command(args)

@@ -3,13 +3,22 @@
 The payload (tool, catalog, command, parameters, results) is fully
 reproducible: rationals are "p/q" strings, subgroups are sorted index
 lists, keys are emitted sorted.  Timing never enters the payload.
+
+``Report.to_json`` renders the report in one walk: the encoder writes
+plain JSON data as it meets it and hands anything else (a Fraction, a
+complex, a Subgroup or a record) to ``jsonable`` at that point, so no
+converted copy of the payload is built first.  A list of dicts that
+share one key set and hold only exact ints, such as proof-mode pair
+certificates, is written from one format string built for that list.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 
 from . import __version__
 from .engel import CentralSeries, CommutatorReport
@@ -22,7 +31,7 @@ TOOL_NAME = "finhaar"
 
 def jsonable(obj):
     """Convert domain objects into JSON-ready structures."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return format_rational(obj)
@@ -119,9 +128,33 @@ _SCALARS = {
 }
 
 
+def _int_rows(rows, inner):
+    """The items of rows, each a dict with the key set of the first and
+    only exact ints as values, written from one format string; None when
+    rows are not such a list."""
+    first = rows[0]
+    if (
+        {*map(type, rows)} != {dict}
+        or not all(map(first.keys().__eq__, map(dict.keys, rows)))
+        or {*map(type, chain.from_iterable(map(dict.values, rows)))} != {int}
+    ):
+        return None
+    keys = sorted(first)
+    deeper = inner + "  "
+    fields = ("," + deeper).join(_encode_str(k).replace("%", "%%") + ": %d" for k in keys)
+    template = "{" + deeper + fields + inner + "}"
+    # itemgetter of one key gives the value itself, which % takes as well
+    return list(map(template.__mod__, map(itemgetter(*keys), rows)))
+
+
 def _encode(obj, indent="\n"):
-    """``json.dumps(obj, indent=2, sort_keys=True)`` without the pure-Python
-    encoder that any indent selects; ``indent`` precedes obj's closing bracket."""
+    """``json.dumps(jsonable(obj), indent=2, sort_keys=True)`` in one walk,
+    without the pure-Python encoder that any indent selects: a value that
+    is not plain JSON data goes through ``jsonable`` where the walk meets
+    it, an int-only list is joined at once and an int-only list of dicts
+    with one key set is written from one template (``_int_rows``).  A
+    dict key that is not a str raises TypeError, where jsonable would
+    have made it one.  ``indent`` precedes obj's closing bracket."""
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
@@ -138,9 +171,11 @@ def _encode(obj, indent="\n"):
         if {*map(type, obj)} == {int}:
             items = map(int.__repr__, obj)
         else:
-            items = [_encode(v, inner) for v in obj]
+            items = _int_rows(obj, inner) or [_encode(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return json.dumps(obj)
+    if isinstance(obj, (str, int, float)):
+        return json.dumps(obj)
+    return _encode(jsonable(obj), indent)
 
 
 class Report:
@@ -152,18 +187,22 @@ class Report:
         self.results = results
         self.timing_ms = timing_ms
 
-    def payload(self):
+    def _fields(self):
         return {
             "tool": {"name": TOOL_NAME, "version": __version__},
             "catalog": self.catalog,
             "command": self.command,
-            "parameters": jsonable(self.parameters),
-            "results": jsonable(self.results),
+            "parameters": self.parameters,
+            "results": self.results,
         }
 
+    def payload(self):
+        return jsonable(self._fields())
+
     def to_json(self):
-        """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, and a newline."""
-        return _encode(self.payload()) + "\n"
+        """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, and
+        a newline, in one walk over the fields: the payload is not built."""
+        return _encode(self._fields()) + "\n"
 
     def to_csv(self):
         rows = [r if isinstance(r, dict) else {"value": r} for r in self.results]

@@ -9,6 +9,7 @@ is left to give.
 
 import contextlib
 import io
+import re
 
 import pytest
 
@@ -76,3 +77,83 @@ def test_exit_2_exactly_when_no_catalog_was_read(argv):
     assert len([line for line in lines if line.startswith("finhaar: ")]) == 1
     assert all(line.startswith(("finhaar: ", "usage: ", " ")) for line in lines)
     assert (code == 2) == (not loads)
+
+
+# -- one pass against the intermixed parse ------------------------------------
+# main parses argv in one pass and parses it again intermixed only where that
+# pass fails or leaves arguments over; every argv must exit and print as a
+# main that always parses intermixed does.
+
+NOISE = [["-h"], ["--bogus"], ["extra"], ["--"], ["--mode", "bogus"], ["--k", "0"], ["lemma-2engel"]]
+
+
+def _units(argv):
+    """argv cut into its command, its law and its options with their values."""
+    units, rest = [], list(argv)
+    while rest:
+        token = rest.pop(0)
+        units.append([token, rest.pop(0)] if token in ("--set", "--group") else [token])
+    return units
+
+
+@st.composite
+def placed_argvs(draw):
+    """An argv of argvs() with its units in any order and noise among them."""
+    units = _units(draw(argvs()))
+    units += draw(st.lists(st.sampled_from(NOISE), max_size=1))
+    return [token for unit in draw(st.permutations(units)) for token in unit]
+
+
+def _run(argv, parse=None):
+    """(exit code, stdout, stderr) of main(argv), the timing left out of stderr;
+    ``parse`` stands in for cli._parse_argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if parse is not None:
+            mp.setattr(cli, "_parse_argv", parse)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # argparse's own errors and help
+                code = exc.code
+    return code, out.getvalue(), re.sub(r" in \d+\.\d ms$", "", err.getvalue(), flags=re.M)
+
+
+def _intermixed(parser, argv):
+    return parser.parse_intermixed_args(argv)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(argvs() | placed_argvs())
+def test_one_pass_parse_matches_intermixed(argv):
+    assert _run(argv) == _run(argv, _intermixed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["validate", "-h"],
+        ["verify", "--group", "S3", "lemma-2engel"],
+        ["--bogus"],
+        ["badcmd", "--mode", "bogus"],
+        ["badcmd", "--k", "0"],
+    ],
+    ids=" ".join,
+)
+def test_pinned_argvs_match_intermixed(argv):
+    assert _run(argv) == _run(argv, _intermixed)
+
+
+def test_the_law_after_an_option_takes_the_intermixed_parse(monkeypatch):
+    calls = []
+
+    def intermixed(parser, argv, original=cli.argparse.ArgumentParser.parse_intermixed_args):
+        calls.append(argv)
+        return original(parser, argv)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_intermixed_args", intermixed)
+    assert _run(["verify", "lemma-2engel", "--group", "S3"])[0] == 0
+    assert calls == []
+    assert _run(["verify", "--group", "S3", "lemma-2engel"])[0] == 0
+    assert calls == [["verify", "--group", "S3", "lemma-2engel"]]

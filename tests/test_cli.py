@@ -219,6 +219,18 @@ ARGV_ERRORS = [
         ["measure", "--set", "é", "--group", "nope"],
         "bad set spec 'é'; use torsion:N | inverted:AUT | splitting:AUT",
     ),
+    (["validate", "--k", "1_0"], "--k must be an integer >= 1, got '1_0'"),
+    (["validate", "--max-order", " 8"], "--max-order must be an integer >= 1, got ' 8'"),
+    (["psi", "--seed", "٣"], "--seed must be an integer >= 0, got '٣'"),
+    (
+        ["lambda", "--set", "torsion:2", "--at", "٣"],
+        "--at must be comma separated integers, got '٣'",
+    ),
+    (
+        ["lambda", "--set", "torsion:2", "--set", "torsion:3", "--at", "0, 1"],
+        "--at must be comma separated integers, got '0, 1'",
+    ),
+    (["torsion", "--set", "torsion:1_0"], "bad torsion spec 'torsion:1_0'; N must be an integer >= 1"),
 ]
 
 
@@ -936,6 +948,10 @@ def test_flat_parser_matches_the_subparser_tree(monkeypatch):
         ["verify", "lemma-2engel", "extra"],
         ["validate", "--k", "0"],
         ["validate", "--format", "xml"],
+        # argv integers are an optional sign and ASCII digits, not whatever int() reads
+        ["validate", "--k", "1_0"],
+        ["psi", "--seed", "٣"],
+        ["lambda", "--set", "torsion:2", "--at", "٣"],
     ],
     ids=lambda a: " ".join(a) or "no-command",
 )

@@ -4,11 +4,16 @@ behind it must give exactly ``json.dumps(obj, indent=2, sort_keys=True)``."""
 import enum
 import json
 from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 
 from finhaar import cli
-from finhaar.reports import _encode
+from finhaar.engel import is_2engel, lower_central_series
+from finhaar.groups import generate_subgroup, heisenberg_group_3, identity_automorphism, symmetric_group
+from finhaar.measure import k_large_certificate
+from finhaar.reports import Report, _encode, _int_rows
+from finhaar.wordsets import coset_witness, extract_engel_subgroup, torsion_set
 
 from test_acceptance import CLI_SWEEP
 from test_cli import ALL_COMMANDS
@@ -29,7 +34,42 @@ _TEXT = st.text(max_size=8) | st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\n
 _INT_LISTS = st.lists(_INTS, min_size=1).flatmap(
     lambda xs: st.integers(0, len(xs)).map(lambda i: xs[:i] + [True] + xs[i:])
 )
-_LEAVES = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT | _INT_LISTS | st.lists(_INTS)
+# lists of dicts with one key set and only exact int values take the template
+# path; _odd_rows() are such lists with one value or key set apart, which must not
+_KEYS = st.lists(_TEXT | st.sampled_from(["%", "%d", "a%sb", "{0}"]), min_size=1, max_size=3, unique=True)
+_INT_ROWS = _KEYS.flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({k: _INTS for k in keys}), min_size=1, max_size=4)
+)
+
+
+class _Int(int):
+    pass
+
+
+@st.composite
+def _odd_rows(draw):
+    """Int rows, two at least, with one value made a bool, None or an int
+    subclass, or one key taken out or put in."""
+    rows = draw(_INT_ROWS)
+    rows = [dict(row) for row in rows + rows[:1]]
+    row = draw(st.sampled_from(rows))
+    key = draw(st.sampled_from(sorted(row)))
+    how = draw(st.sampled_from(["bool", "none", "subclass", "missing", "extra"]))
+    if how == "missing":
+        del row[key]
+    elif how == "extra":
+        while key in row:
+            key += "+"
+        row[key] = 0
+    else:
+        row[key] = {"bool": True, "none": None, "subclass": _Int(row[key])}[how]
+    return rows
+
+
+_LEAVES = (
+    st.none() | st.booleans() | _INTS | _FLOATS | _TEXT | _INT_LISTS | st.lists(_INTS)
+    | _INT_ROWS | _odd_rows()
+)
 _TREES = st.recursive(
     _LEAVES,
     lambda children: (
@@ -45,6 +85,65 @@ _TREES = st.recursive(
 @hypothesis.given(_TREES)
 def test_the_encoder_is_json_dumps(tree):
     assert _encode(tree) == reference(tree)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(_INT_ROWS)
+def test_int_rows_take_the_template(rows):
+    assert _int_rows(rows, "\n  ") is not None
+    assert _encode(rows) == reference(rows)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(_odd_rows())
+def test_odd_rows_do_not_take_the_template(rows):
+    assert _int_rows(rows, "\n  ") is None
+    assert _encode(rows) == reference(rows)
+
+
+def _domain_values():
+    """Values that are not plain JSON data: each kind ``jsonable`` converts."""
+    s3, heis = symmetric_group(3), heisenberg_group_3()
+    word = torsion_set(s3, 2)
+    proof = extract_engel_subgroup(s3, identity_automorphism(s3), mode="proof")
+    return [
+        Fraction(2, 3),
+        Fraction(-5),
+        complex(0.5, -1.25),
+        generate_subgroup(s3, [2]),
+        word,
+        coset_witness(word),
+        k_large_certificate(word.subset, 2),
+        proof,
+        proof.proof_following,
+        extract_engel_subgroup(s3, identity_automorphism(s3), mode="both"),
+        is_2engel(heis),
+        lower_central_series(heis),
+    ]
+
+
+_DOMAIN = _domain_values()
+_MIXED = st.recursive(
+    st.none() | st.booleans() | _INTS | _FLOATS | _TEXT | _INT_ROWS | st.sampled_from(_DOMAIN),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+    ),
+    max_leaves=10,
+)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    _TEXT,
+    _TEXT | st.none(),
+    st.dictionaries(_TEXT, _MIXED, max_size=3),
+    st.lists(_MIXED, max_size=3),
+)
+def test_to_json_is_json_dumps_of_the_payload(command, catalog, parameters, results):
+    report = Report(command, catalog, parameters, results)
+    assert report.to_json() == reference(report.payload()) + "\n"
 
 
 _ARGVS = {" ".join(argv): argv for argv in ALL_COMMANDS + CLI_SWEEP + PROOF_COMMANDS}
