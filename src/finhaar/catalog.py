@@ -60,96 +60,114 @@ class Catalog:
         raise KeyError(f"no group labelled {label!r} in catalog {self.source}")
 
 
-def _require(condition, message):
-    if not condition:
-        raise ParseError(message)
-
-
-def _parse_group(spec, label, where):
-    """The CatalogEntry of one object of ``groups``."""
+def _parse_group(spec, label):
+    """The CatalogEntry of one object of ``groups``.  A ParseError or
+    ValueError names the fault within the object; the caller adds where
+    the object is, so no message is formatted unless a check fails."""
     kind = spec.get("kind")
     if kind == "table":
         table = spec.get("table")
-        _require(isinstance(table, list) and table, f"{where}: missing table")
-        _require(all(isinstance(r, list) for r in table), f"{where}: table rows must be lists")
+        if not (isinstance(table, list) and table):
+            raise ParseError("missing table")
+        if not all(isinstance(r, list) for r in table):
+            raise ParseError("table rows must be lists")
         group = build_table_group(table, label=label)
     elif kind == "perm":
         degree = spec.get("degree")
         gens = spec.get("generators")
-        _require(type(degree) is int and degree >= 1, f"{where}: bad degree")
-        _require(isinstance(gens, list), f"{where}: missing generators")
-        _require(all(isinstance(g, list) for g in gens), f"{where}: generators must be lists")
+        if not (type(degree) is int and degree >= 1):
+            raise ParseError("bad degree")
+        if not isinstance(gens, list):
+            raise ParseError("missing generators")
+        if not all(isinstance(g, list) for g in gens):
+            raise ParseError("generators must be lists")
         cap = spec.get("cap", DEFAULT_CLOSURE_CAP)
-        _require(type(cap) is int and cap >= 1, f"{where}: cap must be a positive integer")
+        if not (type(cap) is int and cap >= 1):
+            raise ParseError("cap must be a positive integer")
         group = build_perm_group(degree, gens, cap=cap, label=label)
     else:
-        raise ParseError(f"{where}: kind must be 'table' or 'perm'")
+        raise ParseError("kind must be 'table' or 'perm'")
     auts = {}
     aspecs = spec.get("automorphisms", [])
-    _require(isinstance(aspecs, list), f"{where}: automorphisms must be a list")
+    if not isinstance(aspecs, list):
+        raise ParseError("automorphisms must be a list")
     for apos, aspec in enumerate(aspecs):
-        awhere = f"{where}: automorphisms[{apos}]"
-        _require(isinstance(aspec, dict), f"{awhere}: must be an object")
+        if not isinstance(aspec, dict):
+            raise ParseError(f"automorphisms[{apos}]: must be an object")
         name = aspec.get("name")
-        _require(isinstance(name, str) and name, f"{awhere}: missing name")
-        _require(name not in auts, f"{awhere}: duplicate name {name!r}")
-        _require(isinstance(aspec.get("map"), list), f"{awhere}: missing map")
+        if not (isinstance(name, str) and name):
+            raise ParseError(f"automorphisms[{apos}]: missing name")
+        if name in auts:
+            raise ParseError(f"automorphisms[{apos}]: duplicate name {name!r}")
+        if not isinstance(aspec.get("map"), list):
+            raise ParseError(f"automorphisms[{apos}]: missing map")
         aut = automorphism_from_map(group, aspec["map"], name=name)
         declared = aspec.get("order")
-        _require(
-            declared is None or (type(declared) is int and declared == aut.order),
-            f"{awhere}: declared order {declared!r} but computed {aut.order}",
-        )
+        if not (declared is None or (type(declared) is int and declared == aut.order)):
+            raise ParseError(
+                f"automorphisms[{apos}]: declared order {declared!r} but computed {aut.order}"
+            )
         auts[name] = aut
     return CatalogEntry(label=label, group=group, automorphisms=auts)
 
 
 def parse_catalog_dict(doc, source="<dict>"):
-    _require(isinstance(doc, dict), f"{source}: top level must be an object")
-    _require("groups" in doc, f"{source}: missing 'groups'")
-    _require(isinstance(doc["groups"], list), f"{source}: 'groups' must be a list")
+    if not isinstance(doc, dict):
+        raise ParseError(f"{source}: top level must be an object")
+    if "groups" not in doc:
+        raise ParseError(f"{source}: missing 'groups'")
+    if not isinstance(doc["groups"], list):
+        raise ParseError(f"{source}: 'groups' must be a list")
     entries = []
     seen = set()
     for pos, spec in enumerate(doc["groups"]):
-        where = f"{source}: groups[{pos}]"
-        _require(isinstance(spec, dict), f"{where}: entry must be an object")
-        label = spec.get("label")
-        _require(isinstance(label, str) and label, f"{where}: missing label")
-        _require(label not in seen, f"{where}: duplicate label {label!r}")
-        seen.add(label)
         try:
-            entries.append(_parse_group(spec, label, where))
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+            if not isinstance(spec, dict):
+                raise ParseError("entry must be an object")
+            label = spec.get("label")
+            if not (isinstance(label, str) and label):
+                raise ParseError("missing label")
+            if label in seen:
+                raise ParseError(f"duplicate label {label!r}")
+            seen.add(label)
+            entries.append(_parse_group(spec, label))
+        except (ParseError, ValueError) as exc:
+            raise ParseError(f"{source}: groups[{pos}]: {exc}") from exc
     entries.sort(key=lambda e: e.label)
     by_label = {e.label: e for e in entries}
     towers = {}
-    _require(isinstance(doc.get("towers", []), list), f"{source}: 'towers' must be a list")
-    for pos, tspec in enumerate(doc.get("towers", [])):
-        where = f"{source}: towers[{pos}]"
-        _require(isinstance(tspec, dict), f"{where}: must be an object")
-        name = tspec.get("name")
-        _require(isinstance(name, str) and name, f"{where}: missing name")
-        _require(name not in towers, f"{where}: duplicate name {name!r}")
-        levels = tspec.get("levels")
-        _require(
-            isinstance(levels, list) and levels and all(isinstance(x, str) for x in levels),
-            f"{where}: levels must be a non-empty list of labels",
-        )
-        for lab in levels:
-            _require(lab in by_label, f"{where}: unknown level label {lab!r}")
-        maps = tspec.get("maps", [])
-        _require(
-            isinstance(maps, list) and all(isinstance(m, list) for m in maps),
-            f"{where}: maps must be a list of lists",
-        )
+    tspecs = doc.get("towers", [])
+    if not isinstance(tspecs, list):
+        raise ParseError(f"{source}: 'towers' must be a list")
+    for pos, tspec in enumerate(tspecs):
         try:
-            towers[name] = build_tower(
-                [by_label[lab].group for lab in levels], maps, name=name
-            )
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+            tower = _parse_tower(tspec, by_label, towers)
+        except (ParseError, ValueError) as exc:
+            raise ParseError(f"{source}: towers[{pos}]: {exc}") from exc
+        towers[tower.name] = tower
     return Catalog(source=source, entries=tuple(entries), towers=towers)
+
+
+def _parse_tower(tspec, by_label, towers):
+    """The Tower of one object of ``towers``, whose names ``towers`` holds
+    so far; errors as in ``_parse_group``."""
+    if not isinstance(tspec, dict):
+        raise ParseError("must be an object")
+    name = tspec.get("name")
+    if not (isinstance(name, str) and name):
+        raise ParseError("missing name")
+    if name in towers:
+        raise ParseError(f"duplicate name {name!r}")
+    levels = tspec.get("levels")
+    if not (isinstance(levels, list) and levels and all(isinstance(x, str) for x in levels)):
+        raise ParseError("levels must be a non-empty list of labels")
+    for lab in levels:
+        if lab not in by_label:
+            raise ParseError(f"unknown level label {lab!r}")
+    maps = tspec.get("maps", [])
+    if not (isinstance(maps, list) and all(isinstance(m, list) for m in maps)):
+        raise ParseError("maps must be a list of lists")
+    return build_tower([by_label[lab].group for lab in levels], maps, name=name)
 
 
 def parse_catalog(path):
@@ -161,6 +179,8 @@ def parse_catalog(path):
         raise ParseError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:  # json recurses once per open bracket
+        raise ParseError(f"{path}: invalid JSON (nested too deeply)") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 ({exc})") from exc
     return parse_catalog_dict(doc, source=str(path))

@@ -23,6 +23,7 @@ swallowed).
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 import time
 import zlib
@@ -83,9 +84,13 @@ def _min_int(option, low):
 
 
 def build_parser():
+    # argparse makes a HelpFormatter, which asks for the terminal size, on
+    # every add_argument; this one has the width argparse would compute
+    width = shutil.get_terminal_size().columns - 2
     parser = argparse.ArgumentParser(
         prog="finhaar",
         description="exact measure, largeness and Engel computations on finite group catalogs",
+        formatter_class=partial(argparse.HelpFormatter, width=width),
     )
     parser.add_argument("command", choices=list(_COMMANDS))
     laws = ["lemma-2engel", "engel-consequences"]

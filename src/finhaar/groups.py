@@ -6,8 +6,10 @@ table (table backend) or as a closure of permutations with
 deterministic breadth-first indexing (permutation backend).  Both build
 the table a whole row at a time with list operations that run in C:
 
-* table backend: each given row is checked once by the one rule for
-  element indices (``build_table_group``);
+* table backend: the given table is checked once by the one rule for
+  element indices, over all its cells at once, and its rows are copied;
+  rows are checked one by one only to name the bad entry of a table
+  that fails (``build_table_group``);
 * permutation backend: the closure records each new element as p*g for
   an earlier element p and a generator g (a Schreier tree), and its row
   is the row of p read through the row of g, since (p*g)*x = p*(g*x).
@@ -55,6 +57,7 @@ pure recomputations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from functools import lru_cache
@@ -115,7 +118,7 @@ class FiniteGroup:
         t = self._table
         ident = list(range(self.order))
         for e, row in enumerate(t):
-            if row == ident and all(r[e] == x for x, r in enumerate(t)):
+            if row == ident and list(map(operator.itemgetter(e), t)) == ident:
                 return e
         raise NoIdentity(f"{self.label}: no two-sided identity")
 
@@ -265,17 +268,25 @@ class GroupElement:
 def build_table_group(table, label="table-group"):
     """Validate a Cayley table and wrap it as a FiniteGroup.
 
-    Each row is checked once by ``_index_list``.  Raises NoIdentity /
-    NoInverse / NotAssociative naming a witness, and ValueError for
-    malformed input (non-square, an entry that is not an int in 0..n-1,
-    naming the first offending entry).
+    The index rule of ``_index_list`` is checked once for the whole
+    table, in C over a chain of its cells: every entry an exact ``int``,
+    all of them in 0..n-1.  Only a table that fails that check (or holds
+    numpy integers) is checked row by row, so that the ValueError names
+    the first bad entry.  Raises NoIdentity / NoInverse / NotAssociative
+    naming a witness, and ValueError for malformed input (non-square, an
+    entry that is not an int in 0..n-1, naming the first offending entry).
     """
     n = len(table)
     if n == 0:
         raise ValueError("empty table")
     if any(len(row) != n for row in table):
         raise ValueError(f"{label}: table is not square")
-    return FiniteGroup(label, table=[_index_list(row, n, label) for row in table])
+    cells = itertools.chain.from_iterable
+    if set(map(type, cells(table))) <= {int} and _index_range(n).issuperset(cells(table)):
+        rows = list(map(list, table))
+    else:
+        rows = [_index_list(row, n, label) for row in table]
+    return FiniteGroup(label, table=rows)
 
 
 def build_perm_group(degree, generators, cap=DEFAULT_CLOSURE_CAP, label="perm-group"):
@@ -565,7 +576,8 @@ def greedy_closure(G, candidates):
     least doubles the closure, so there are at most log2 of its order."""
     closure = Subgroup._trusted(G, [G.identity])
     for x in candidates:
-        closure = _extend(closure, x)
+        if x not in closure._member_set:
+            closure = _extend(closure, x)
     return closure
 
 
@@ -672,10 +684,11 @@ def check_homomorphism(source, target, phi, what):
     """Raise NotMultiplicative unless the index list ``phi`` has
     phi(x*g) == phi(x)*phi(g) for all x and each generator g of ``source``.
     That is exact: the g that pass are closed under products."""
+    t = target._table
     for g in source.generators:
         image = phi[g]
         for x, row in enumerate(source._table):
-            if phi[row[g]] != target.mul(phi[x], image):
+            if phi[row[g]] != t[phi[x]][image]:
                 raise NotMultiplicative(f"{what}: map(x*y) != map(x)*map(y) at ({x},{g})")
 
 
@@ -697,7 +710,7 @@ class Automorphism:
     def _validate(self):
         G, m = self.group, self.map
         n = G.order
-        if len(m) != n or sorted(m) != list(range(n)):
+        if len(m) != n or len(set(m)) != n:  # the map is in range already
             raise NotBijective(f"{G.label}/{self.name}: map is not a permutation of indices")
         if m[G.identity] != G.identity:
             raise NotMultiplicative(f"{G.label}/{self.name}: identity not fixed")

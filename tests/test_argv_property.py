@@ -145,6 +145,25 @@ def test_pinned_argvs_match_intermixed(argv):
     assert _run(argv) == _run(argv, _intermixed)
 
 
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", [["-h"], ["validate", "-h"], ["--bogus"]], ids=" ".join)
+def test_help_and_usage_are_as_argparse_formats_them_at_any_width(monkeypatch, argv, columns):
+    # build_parser sizes its help formatter once, and both sides of the
+    # tests above call it; argparse's default formatter asks for the
+    # terminal width each time it formats
+    monkeypatch.setenv("COLUMNS", columns)
+    sized = _run(argv)
+    build_parser = cli.build_parser
+
+    def default_formatter():
+        parser = build_parser()
+        parser.formatter_class = cli.argparse.HelpFormatter
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", default_formatter)
+    assert sized == _run(argv)
+
+
 def test_the_law_after_an_option_takes_the_intermixed_parse(monkeypatch):
     calls = []
 

@@ -273,6 +273,22 @@ def test_a_catalog_that_is_not_utf8_exits_2_naming_the_path(tmp_path, capsys, da
     assert captured.err.startswith(f"finhaar: {bad}: ") and captured.err.count("\n") == 1
 
 
+def test_a_catalog_nested_too_deeply_exits_2_naming_the_path(tmp_path):
+    # a fresh interpreter, so that an escaping RecursionError would print its traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"groups": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "finhaar", "validate", "--catalog", str(deep)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"finhaar: {deep}: invalid JSON (nested too deeply)\n"
+
+
 def test_unknown_command_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
