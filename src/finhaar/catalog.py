@@ -15,7 +15,8 @@ Schema (top level object):
     }
 
 A perm group may also set "cap", a positive integer (default 4096): its
-closure may hold at most that many elements, or the catalog is rejected.
+closure may hold at most that many elements, or the catalog is rejected;
+with no generators, its degree may be at most the cap.
 Permutations use one-line image notation.  Everything is validated
 eagerly: a catalog that parses is a catalog whose groups, automorphisms
 and towers all passed their structural checks.
@@ -177,12 +178,12 @@ def parse_catalog(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:  # a ValueError, so it comes first
+        raise ParseError(f"{path}: not UTF-8 ({exc})") from exc
     except RecursionError as exc:  # json recurses once per open bracket
         raise ParseError(f"{path}: invalid JSON (nested too deeply)") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 ({exc})") from exc
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return parse_catalog_dict(doc, source=str(path))
 
 

@@ -298,18 +298,25 @@ def build_perm_group(degree, generators, cap=DEFAULT_CLOSURE_CAP, label="perm-gr
     p found earlier and g a generator, so its table row is the row of p
     read through the row of g, because (p*g)*x = p*(g*x); the generators'
     rows, g*x for every x, are the only rows composed from permutations.
-    Raises CapExceeded when the closure grows past ``cap``, ValueError
-    for an entry that is not an int in 0..degree-1 (``_index_list``) and
-    InvalidPermutation for a generator that is no permutation.
+    Raises CapExceeded when the closure grows past ``cap``, or when there
+    is no generator and ``degree`` exceeds ``cap``, ValueError for an
+    entry that is not an int in 0..degree-1 (``_index_list``) and
+    InvalidPermutation for a generator that is no permutation.  Nothing
+    of size ``degree`` is built before a generator's length is checked,
+    so a huge degree fails at once.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     gens = []
     for g in generators:
-        g = tuple(_index_list(g, degree, label))
-        if sorted(g) != list(range(degree)):
-            raise InvalidPermutation(f"{label}: {g} is not a permutation of 0..{degree - 1}")
-        gens.append(g)
+        g = list(g)
+        if len(g) == degree:  # the index check builds a range of the degree
+            g = _index_list(g, degree, label)
+        if len(g) != degree or sorted(g) != list(range(degree)):
+            raise InvalidPermutation(f"{label}: {tuple(g)} is not a permutation of 0..{degree - 1}")
+        gens.append(tuple(g))
+    if not gens and degree > cap:
+        raise CapExceeded(f"{label}: degree {degree} exceeds cap {cap} with no generators")
     identity = tuple(range(degree))
     elems = [identity]
     position = {identity: 0}
@@ -821,13 +828,14 @@ def _record(cls):
     the ``inspect`` it imports) and the methods it execs were the largest
     share of that import.
 
-    Instances take the fields positionally or by keyword, compare and
-    hash as the tuple of their fields (another class compares
-    ``NotImplemented``), and print as ``Name(field=value, ...)``; setting
-    or deleting an attribute raises AttributeError.  The fields live in
-    the instance ``__dict__``, which ``__init__`` fills by ``update`` and
-    checks once, as fast as a dataclass's ``__init__``: ``is_2engel``
-    builds a record per law check.
+    The field names, in order, are the class's ``__match_args__``, as a
+    dataclass's are.  Instances take the fields positionally or by
+    keyword, compare and hash as the tuple of their fields (another class
+    compares ``NotImplemented``), and print as ``Name(field=value, ...)``;
+    setting or deleting an attribute raises AttributeError.  The fields
+    live in the instance ``__dict__``, which ``__init__`` fills by
+    ``update`` and checks once, as fast as a dataclass's ``__init__``:
+    ``is_2engel`` builds a record per law check.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     n = len(names)
@@ -867,6 +875,7 @@ def _record(cls):
 
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
     return cls
 
 

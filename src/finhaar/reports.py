@@ -82,34 +82,12 @@ def jsonable(obj):
                 {"a": a, "b": b, "witness": w} for a, b, w in obj.certificates
             ],
         }
-    if isinstance(obj, ExtractionReport):
-        return {
-            "kind": obj.kind,
-            "word_set": jsonable(obj.word_set),
-            "requested_mode": obj.requested_mode,
-            "result": jsonable(obj.result),
-            "result_mode": obj.result_mode,
-            "verified_normal": obj.verified_normal,
-            "verified_law": obj.verified_law,
-            "proof_following": jsonable(obj.proof_following),
-            "direct_search": jsonable(obj.direct_search),
-            "proof_reached_maximum": obj.proof_reached_maximum,
-            "coset_witness": jsonable(obj.coset_witness),
-            "slice_subgroup": jsonable(obj.slice_subgroup),
-            "findings": list(obj.findings),
-        }
-    if isinstance(obj, CommutatorReport):
-        return {
-            "law": obj.law,
-            "holds": obj.holds,
-            "applicable": obj.applicable,
-            "counterexample": list(obj.counterexample)
-            if obj.counterexample
-            else None,
-            "triples_checked": obj.triples_checked,
-            "qualifying_triples": obj.qualifying_triples,
-            "nilpotency_class": obj.nilpotency_class,
-        }
+    if isinstance(obj, (ExtractionReport, CommutatorReport)):
+        # every field but the group, which the result row names by its label
+        out = {k: jsonable(getattr(obj, k)) for k in obj.__match_args__ if k != "group"}
+        if isinstance(obj, CommutatorReport):
+            out["holds"] = obj.holds
+        return out
     if isinstance(obj, CentralSeries):
         return {
             "terms": [list(t.members) for t in obj.terms],

@@ -121,11 +121,10 @@ class CosetWitness:
     fallback: str | None = None
 
     def validate(self):
+        """Whether tH lies inside the target, that is H inside t^-1 X."""
         G = self.group
-        bits = self.target.subset.bits
-        return all(
-            bits >> G.mul(self.t, h) & 1 for h in self.subgroup.members
-        )
+        h = Subset.from_indices(G, self.subgroup.members).bits
+        return self.target.subset.translates()[G.inv(self.t)] & h == h
 
 
 def coset_witness(X, limit=SUBGROUP_SCAN_LIMIT):
@@ -140,12 +139,13 @@ def coset_witness(X, limit=SUBGROUP_SCAN_LIMIT):
     G = X.group
     if X.subset.size == 0:
         raise EmptyTarget(f"{G.label}: word set {X.spec_string()} is empty")
-    target_bits = X.subset.bits
     members_of_x = X.subset.indices()
 
     def least_t(H):
-        fits = lambda t: all(target_bits >> G.mul(t, h) & 1 for h in H.members)
-        return next(filter(fits, members_of_x), None)
+        # tH lies in X iff H lies in t^-1 X; the table is not built on a fallback
+        shifted = X.subset.translates()
+        h = Subset.from_indices(G, H.members).bits
+        return next((t for t in members_of_x if shifted[G.inv(t)] & h == h), None)
 
     try:
         H = maximal_subgroup_satisfying(G, lambda H: least_t(H) is not None, limit)
@@ -380,23 +380,19 @@ def _grow_seed_set(G, word_set, law_holds, length):
 
 def _best_coset_slice(G, X, K):
     """Coset of K with maximum overlap with X, its least X-element t,
-    and the slice {a in K : t*a in X}."""
-    target = X.subset.bits
-    seen = set()
-    best = None  # (overlap, coset rep, least t in overlap)
-    for rep in G.elements():
-        if rep in seen:
-            continue
-        coset = [G.mul(rep, h) for h in K.members]
-        seen.update(coset)
-        inside = sorted(c for c in coset if target >> c & 1)
-        if not inside:
-            continue
-        if best is None or len(inside) > best[0]:
-            best = (len(inside), rep, inside[0])
-    _, _, t = best
-    slice_members = [a for a in K.members if target >> G.mul(t, a) & 1]
-    return t, slice_members
+    and the slice {a in K : t*a in X}, which is K & t^-1 X.
+
+    Cosets are taken in order of their least element and a tie keeps the
+    earlier one.  The overlap |rK & X| = |K & r^-1 X| is the same for
+    every r in a coset, so the least r with the largest overlap is the
+    least element of the winning coset."""
+    shifted = X.subset.translates()
+    k = Subset.from_indices(G, K.members).bits
+    overlaps = [(k & shifted[G.inv(r)]).bit_count() for r in G.elements()]
+    rep = overlaps.index(max(overlaps))
+    # rK & X is rep * (K & rep^-1 X)
+    t = min(map(G._table[rep].__getitem__, Subset(G, k & shifted[G.inv(rep)]).indices()))
+    return t, Subset(G, k & shifted[G.inv(t)]).indices()
 
 
 def _subgroup_is_2engel(H):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -287,6 +288,55 @@ def test_a_catalog_nested_too_deeply_exits_2_naming_the_path(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"finhaar: {deep}: invalid JSON (nested too deeply)\n"
+
+
+def test_an_integer_past_the_digit_limit_exits_2_naming_the_path(tmp_path, capsys):
+    # json.load raises a plain ValueError for it, not a JSONDecodeError
+    big = tmp_path / "big.json"
+    big.write_text(
+        '{"groups": [{"label": "S2", "kind": "perm", "degree": '
+        + "1" * 5000
+        + ', "generators": [[1, 0]]}]}'
+    )
+    code = main(["validate", "--catalog", str(big)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"finhaar: {big}: invalid JSON (")
+    assert captured.err.count("\n") == 1
+
+
+def _limit_memory():
+    limit = 2 * 10**9  # bytes, as CI's ulimit -v 2000000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        ([[1, 0]], "S2: (1, 0) is not a permutation of 0..999999999"),
+        ([], "S2: degree 1000000000 exceeds cap 4096 with no generators"),
+    ],
+    ids=["short-generator", "no-generators"],
+)
+def test_a_huge_degree_exits_2_before_building_anything_of_its_size(tmp_path, generators, message):
+    # a fresh interpreter under a memory limit: a regression fails fast
+    # with a MemoryError instead of taking the host's memory
+    huge = tmp_path / "huge.json"
+    spec = {"label": "S2", "kind": "perm", "degree": 10**9, "generators": generators}
+    huge.write_text(json.dumps({"groups": [spec]}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "finhaar", "validate", "--catalog", str(huge)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"finhaar: {message}\n"
 
 
 def test_unknown_command_exit_2(capsys):

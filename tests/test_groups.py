@@ -87,6 +87,9 @@ def test_out_of_range_entry_rejected():
 def test_perm_group_empty_generators():
     G = build_perm_group(3, [])
     assert G.order == 1
+    assert build_perm_group(4, [], cap=4).order == 1
+    with pytest.raises(CapExceeded, match="degree 5 exceeds cap 4 with no generators"):
+        build_perm_group(5, [], cap=4)
 
 
 def test_s3_breadth_first_indexing(s3):
@@ -103,6 +106,10 @@ def test_perm_group_cap():
 def test_invalid_generator():
     with pytest.raises(InvalidPermutation):
         build_perm_group(3, [(0, 0, 1)])
+    # a generator of another length is no permutation, whatever its entries
+    for g in [(1, 0), (1, 0, 2, 3), (5,), (1.5, 0)]:
+        with pytest.raises(InvalidPermutation, match=r"is not a permutation of 0\.\.2"):
+            build_perm_group(3, [g])
 
 
 def test_power(z6, s3):

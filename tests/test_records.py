@@ -101,6 +101,12 @@ def cls(request):
     return request.param
 
 
+def test_the_field_tuple_is_the_listed_fields(cls):
+    # reports.jsonable renders ExtractionReport and CommutatorReport from it
+    names, _ = RECORDS[cls]
+    assert cls.__match_args__ == names == REFERENCES[cls].__match_args__
+
+
 def test_equality_field_by_field(cls):
     names, _ = RECORDS[cls]
     values = _values(cls)

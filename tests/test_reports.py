@@ -9,11 +9,23 @@ from fractions import Fraction
 import pytest
 
 from finhaar import cli
-from finhaar.engel import is_2engel, lower_central_series
+from finhaar.catalog import bundled_catalog
+from finhaar.engel import (
+    is_2engel,
+    lower_central_series,
+    verify_cube_law,
+    verify_engel_consequences,
+)
 from finhaar.groups import generate_subgroup, heisenberg_group_3, identity_automorphism, symmetric_group
-from finhaar.measure import k_large_certificate
-from finhaar.reports import Report, _encode, _int_rows
-from finhaar.wordsets import coset_witness, extract_engel_subgroup, torsion_set
+from finhaar.measure import average_translate_intersection, k_large_certificate
+from finhaar.reports import Report, _encode, _int_rows, jsonable
+from finhaar.towers import Tower
+from finhaar.wordsets import (
+    coset_witness,
+    extract_abelian_subgroup,
+    extract_engel_subgroup,
+    torsion_set,
+)
 
 from test_acceptance import CLI_SWEEP
 from test_cli import ALL_COMMANDS
@@ -185,3 +197,69 @@ class _Small(enum.IntEnum):
 )
 def test_subclasses_encode_as_json_dumps_does(obj):
     assert _encode(obj) == reference(obj)
+
+
+# -- record payloads --------------------------------------------------------------
+
+EXTRACTION_KEYS = {
+    "kind",
+    "word_set",
+    "requested_mode",
+    "result",
+    "result_mode",
+    "verified_normal",
+    "verified_law",
+    "proof_following",
+    "direct_search",
+    "proof_reached_maximum",
+    "coset_witness",
+    "slice_subgroup",
+    "findings",
+}
+COMMUTATOR_KEYS = {
+    "law",
+    "holds",
+    "applicable",
+    "counterexample",
+    "triples_checked",
+    "qualifying_triples",
+    "nilpotency_class",
+}
+
+
+@pytest.mark.parametrize("extract", [extract_abelian_subgroup, extract_engel_subgroup])
+def test_an_extraction_payload_has_exactly_its_keys(extract):
+    G = symmetric_group(3)
+    assert set(jsonable(extract(G, identity_automorphism(G)))) == EXTRACTION_KEYS
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda: is_2engel(symmetric_group(3)),
+        lambda: verify_cube_law(symmetric_group(3)),
+        lambda: verify_engel_consequences(heisenberg_group_3()),
+        lambda: verify_engel_consequences(symmetric_group(3)),
+    ],
+    ids=["2engel-fails", "cube-law", "consequences", "not-applicable"],
+)
+def test_a_commutator_payload_has_exactly_its_keys(report):
+    report = report()
+    out = jsonable(report)
+    assert set(out) == COMMUTATOR_KEYS
+    assert out["holds"] is report.holds
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        bundled_catalog,
+        lambda: bundled_catalog().get("S3"),
+        lambda: Tower(name="t", levels=(), maps=()),
+        lambda: average_translate_intersection([torsion_set(symmetric_group(3), 2).subset]),
+    ],
+    ids=["Catalog", "CatalogEntry", "Tower", "AveragedIntersection"],
+)
+def test_a_record_without_a_payload_rule_is_not_serialized(record):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        jsonable(record())
