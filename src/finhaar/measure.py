@@ -8,15 +8,16 @@ averaging and k-largeness all read that table.  It is built a whole
 row at a time in C: each Cayley row is read through the members and
 the powers of two of the images are summed, which equals their OR
 because a row is a bijection (``_image_masks``, which also makes right
-translates and inverse sets).  Scans over translate tuples walk the
-leading members one tuple at a time and take the last member a whole
-row at a time: the average sums the last translate through the
-bit-planes of a per-element count (:func:`average_translate_intersection`),
-which equals the per-tuple sum for every mask table, so the averaging
+translates and inverse sets).  Scans over translates walk the leading
+members one at a time and take the last member a whole row at a time:
+the average sums the last translate through the bit-planes of a
+per-element count (:func:`average_translate_intersection`), which
+equals the per-tuple sum for every mask table, so the averaging
 identity is still checked and the product of the measures never read;
-largeness checks AND a prefix with a whole row of masks
-(``_tuples_meet``), charging the budget exactly what one check at a
-time would.  The one deliberately inexact operation is
+largeness checks AND a prefix with a whole row of masks over sets of
+distinct members, not k-tuples, so their work is bounded by |U| and
+not by k (``_sets_meet``), charging the budget exactly what one check
+at a time would.  The one deliberately inexact operation is
 :func:`translate_product_mean`, which works with complex-valued
 functions in floating point (documented tolerance 1e-10); only it,
 ``GroupFunction`` and ``l2_distance`` use numpy, which each imports
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import (
     EmptyBase,
@@ -362,7 +363,10 @@ class LargenessCertificate:
     """A symmetric set U around the identity certifying k-fold largeness.
 
     Every k-tuple drawn from U (repetition allowed) leaves the k-fold
-    translate intersection with the base set nonempty.
+    translate intersection with the base set nonempty.  A tuple's
+    intersection is A ∩ ⋂ uA over its distinct members other than the
+    identity, and it only shrinks as that set grows, so ``validate``
+    checks the sets of min(k, |U| - 1) members of U - {e}.
     """
 
     group: object
@@ -371,12 +375,13 @@ class LargenessCertificate:
     u_set: Subset
 
     def validate(self):
-        if self.group.identity not in self.u_set:
+        e = self.group.identity
+        if e not in self.u_set or not self.u_set.is_symmetric():
             return False
-        if not self.u_set.is_symmetric():
-            return False
-        return _tuples_meet(
-            self.base.bits, self.base.translates(), [(self.u_set.indices(), self.k)]
+        rest = [u for u in self.u_set.indices() if u != e]
+        unlimited = _TupleBudget(self.group.label, float("inf"))
+        return _sets_meet(
+            self.base.bits, self.base.translates(), rest, min(self.k, len(rest)), unlimited
         )
 
 
@@ -387,7 +392,7 @@ class _TupleBudget:
         self.used = 0
 
     def spend(self, amount):
-        """Charge ``amount`` tuple checks.  Past the limit it raises as a
+        """Charge ``amount`` set checks.  Past the limit it raises as a
         count of one check at a time would: at check limit + 1."""
         if self.used + amount > self.limit:
             self.used = self.limit + 1
@@ -397,72 +402,70 @@ class _TupleBudget:
         self.used += amount
 
 
-def _tuples_meet(base_bits, masks, blocks, budget=None):
-    """Whether A ∩ u_1 A ∩ ... ∩ u_k A is nonempty for every tuple u,
-    where ``base_bits`` is A and ``masks`` its translate table.
+def _sets_meet(base_bits, masks, members, size, budget):
+    """Whether base ∩ u_1 A ∩ ... ∩ u_s A is nonempty for every set of
+    ``size`` distinct ``members``, where ``base_bits`` is a mask and
+    ``masks`` is A's translate table.
 
-    A tuple joins one sorted multiset per block (members, count), drawn
-    with ``combinations_with_replacement``; tuples run in product order
-    over the blocks.  The leading members are walked one tuple at a
-    time; the last member, which runs over the last block's members from
-    the previous member's position on, is tested for a whole row at
-    once.  ``budget`` is charged the tuples up to and including the
-    first that misses, or the whole row when none does.
+    Sets run in ``itertools.combinations`` order of the sorted members,
+    which are sorted only when a set has any.  The leading members are
+    walked one set at a time; the last member, which runs over the
+    members after the previous one, is tested for a whole row at once.
+    ``budget`` is charged one check per set up to and including the
+    first that misses, or the whole row when none does.  Size 0 is the
+    one empty set: one check of the base alone.
     """
-    blocks = [(sorted(members), count) for members, count in blocks if count]
-    if not blocks:  # k = 0: only the empty tuple, which checks nothing
-        return True
-    *front, (members, count) = blocks
-    row = [masks[u] for u in members]
-    leads = itertools.product(
-        *(itertools.combinations_with_replacement(m, c) for m, c in front),
-        itertools.combinations_with_replacement(range(len(row)), count - 1),
-    )
-    for *outer, positions in leads:
-        acc = base_bits
-        for part in outer:
-            for u in part:
-                acc &= masks[u]
-        for p in positions:
-            acc &= row[p]
-        last = row[positions[-1]:] if positions else row
+    if not size:
+        budget.spend(1)
+        return bool(base_bits)
+    row = [masks[u] for u in sorted(members)]
+    for positions in itertools.combinations(range(len(row) - 1), size - 1):
+        acc = reduce(int.__and__, map(row.__getitem__, positions), base_bits)
+        last = row[positions[-1] + 1:] if positions else row
         if all(map(acc.__and__, last)):
-            if budget is not None:
-                budget.spend(len(last))
+            budget.spend(len(last))
             continue
-        if budget is not None:
-            budget.spend(operator.indexOf(map(acc.__and__, last), 0) + 1)
+        budget.spend(operator.indexOf(map(acc.__and__, last), 0) + 1)
         return False
     return True
 
 
-def _valid_extension(base_bits, masks, old, new, k, budget):
-    """Check the k-tuples over ``old`` and ``new`` that involve a new member.
+def _valid_extension(base_bits, masks, rest, cls, k, budget):
+    """Whether U ∪ cls is valid for a valid U = {e} ∪ ``rest``.
 
-    Intersection is order independent, so unordered tuples with
-    repetition suffice: j >= 1 new members, then k - j old ones, which
-    enumerates exactly the tuples not checked before.  The budget is
-    exact: it is charged one check per tuple, in that order, up to and
-    including the first tuple that misses the base set; if it runs out
-    first, SearchBudgetExceeded reports ``limit + 1`` checks, as a
+    The sets to check have min(k, |rest| + |cls|) members.  Those inside
+    ``rest`` are subsets of sets that U's validity already covers, so
+    only the ones that meet the class are walked: each nonempty part D
+    of it ({x}, {x^-1}, then {x, x^-1}) with the rest of the set drawn
+    from ``rest``, against the base A ∩ DA.  The budget is exact: it is
+    charged one check per set, in that order, up to and including the
+    first set that misses the base set; if it runs out first,
+    SearchBudgetExceeded reports ``limit + 1`` checks, as a
     one-at-a-time count would.
     """
-    return all(
-        _tuples_meet(base_bits, masks, [(new, j), (old, k - j)], budget)
-        for j in range(1, k + 1)
-    )
+    size = min(k, len(rest) + len(cls))
+    for n in range(1, min(len(cls), size) + 1):
+        for part in itertools.combinations(cls, n):
+            base = reduce(int.__and__, map(masks.__getitem__, part), base_bits)
+            if not _sets_meet(base, masks, rest, size - n, budget):
+                return False
+    return True
 
 
 def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
     """Search for a largeness certificate around the identity.
 
-    greedy: grow U from {identity}, trying each inverse class {x, x^-1}
-    once, in order of its least member, and keeping it only if every
-    k-tuple from the enlarged U still meets the base set; a class that
-    fails stays failed as U grows, so one trial decides it.  exhaustive:
-    branch over all inverse classes for a maximum-size valid U (group
-    order capped at 24).  Budgets count individual tuple checks; past
-    the cap or the budget, SearchBudgetExceeded names the group.
+    U is valid when every k-tuple from U meets the base set A, which
+    holds exactly when every set of min(k, |U| - 1) distinct members of
+    U - {e} does (see ``LargenessCertificate``), so the work is bounded
+    by |U| and not by k.  U starts as {identity}, valid because A is
+    not empty.  greedy: try each inverse class {x, x^-1} once, in order
+    of its least member, and keep it only if the enlarged U is still
+    valid; a class that fails stays failed as U grows, so one trial
+    decides it.  exhaustive: branch over all inverse classes for a
+    maximum-size valid U (group order capped at 24).  Budgets count one
+    check per set of distinct members; past the cap or the budget,
+    SearchBudgetExceeded names the group.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -479,32 +482,27 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
     e = G.identity
     classes = sorted({tuple(sorted({x, G.inv(x)})) for x in G.elements() if x != e})
     if strategy == "greedy":
-        # the identity's class is checked first, so U always holds it
-        members = set()
-        for cls in [(e,), *classes]:
-            if _valid_extension(A.bits, masks, members, cls, k, tracker):
-                members.update(cls)
-        return LargenessCertificate(G, A, k, Subset.from_indices(G, members))
+        rest = []
+        for cls in classes:
+            if _valid_extension(A.bits, masks, rest, cls, k, tracker):
+                rest += cls
+        return LargenessCertificate(G, A, k, Subset.from_indices(G, [e, *rest]))
     if strategy == "exhaustive":
-        best_size, best_members = 1, (e,)
+        best = (e,)
 
         def extend(members, idx):
-            nonlocal best_size, best_members
-            current = tuple(sorted(members))
-            if len(current) > best_size or (
-                len(current) == best_size and current < best_members
-            ):
-                best_size, best_members = len(current), current
+            nonlocal best
+            # the largest U, then the least members
+            best = min(best, tuple(sorted(members)), key=lambda m: (-len(m), m))
             # validity is monotone decreasing, so prune when even taking
             # every remaining class cannot beat the best size found
             remaining = sum(len(c) for c in classes[idx:])
-            if len(members) + remaining < best_size:
+            if len(members) + remaining < len(best):
                 return
-            for i in range(idx, len(classes)):
-                cls = classes[i]
-                if _valid_extension(A.bits, masks, members, cls, k, tracker):
+            for i, cls in enumerate(classes[idx:], idx):
+                if _valid_extension(A.bits, masks, members - {e}, cls, k, tracker):
                     extend(members | set(cls), i + 1)
 
         extend({e}, 0)
-        return LargenessCertificate(G, A, k, Subset.from_indices(G, best_members))
+        return LargenessCertificate(G, A, k, Subset.from_indices(G, best))
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -2,11 +2,13 @@ pytest_plugins = ["pytester"]
 
 import pytest
 
+from finhaar.catalog import bundled_catalog
 from finhaar.groups import (
     cyclic_group,
     dihedral_group,
     heisenberg_group_3,
     quaternion_group,
+    semidirect_c3,
     symmetric_group,
 )
 
@@ -26,6 +28,13 @@ S3_CYCLIC = (0, 2, 5)
 
 # (0 1 2) and (0 1 2 3 4) generate the alternating group A5
 A5_GENS = [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]
+
+
+def heis27_rtimes_c3():
+    """Heis27 ⋊ C3 twisted by the catalog's conj-x (order 81), built
+    afresh on each call, so that no lattice is cached between tests."""
+    heis = bundled_catalog().get("Heis27")
+    return semidirect_c3(heis.group, heis.automorphisms["conj-x"], label="Heis27:conj-x")
 
 
 @pytest.fixture(scope="session")

@@ -466,6 +466,35 @@ def test_klarge_output_revalidates(capsys):
         assert res["valid"] and cert.validate()
 
 
+KLARGE_HUGE_K = (
+    "import sys\n"
+    "from finhaar.cli import main\n"
+    "from finhaar.groups import cyclic_group\n"
+    "from finhaar.measure import LargenessCertificate, Subset\n"
+    "G = cyclic_group(2)\n"
+    "full = Subset.full(G)\n"
+    "assert LargenessCertificate(G, full, 10**9, full).validate()\n"
+    "sys.exit(main(['klarge', '--set', 'torsion:2', '--k', '100000', '--group', 'Z2']))\n"
+)
+
+
+def test_klarge_work_is_bounded_by_u_not_by_k():
+    # a fresh interpreter with a timeout and a memory limit, so that work
+    # or memory growing with k (a 10^9-member tuple) fails here fast
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", KLARGE_HUGE_K],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    [result] = json.loads(proc.stdout)["results"]
+    assert (result["k"], result["u_members"], result["valid"]) == (100000, [0, 1], True)
+
+
 def test_tower_command(capsys):
     code, out = run(capsys, ["tower", "--set", "torsion:3"])
     assert code == 0

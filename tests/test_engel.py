@@ -34,7 +34,7 @@ from finhaar.groups import (
 )
 from finhaar.lattice import all_subgroups
 
-from conftest import A5_GENS, S3_CYCLIC
+from conftest import A5_GENS, S3_CYCLIC, heis27_rtimes_c3
 
 
 def test_commutator_with_identity(s3):
@@ -328,11 +328,6 @@ def brute_classes(G, members):
     return {frozenset(G.mul(G.mul(h, x), G.inv(h)) for h in members) for x in members}
 
 
-def _heis27_rtimes_c3():
-    heis = bundled_catalog().get("Heis27")
-    return semidirect_c3(heis.group, heis.automorphisms["conj-x"], label="Heis27:conj-x")
-
-
 def _assert_matches_oracles(G, H):
     members = H.members if isinstance(H, Subgroup) else tuple(G.elements())
     report = is_2engel(H)
@@ -353,7 +348,7 @@ def _assert_matches_oracles(G, H):
         lambda: dihedral_group(8),
         quaternion_group,
         heisenberg_group_3,
-        _heis27_rtimes_c3,
+        heis27_rtimes_c3,
         lambda: symmetric_group(5),
     ],
     ids=["S4", "D16", "Q8", "Heis27", "Heis27:conj-x", "S5"],

@@ -50,7 +50,7 @@ from finhaar.wordsets import (
     torsion_set,
 )
 
-from conftest import A5_GENS, S3_CYCLIC, S3_ELEMS, S3_TRANSPOSITIONS
+from conftest import A5_GENS, S3_CYCLIC, S3_ELEMS, S3_TRANSPOSITIONS, heis27_rtimes_c3
 
 
 def test_trivial_table_group():
@@ -200,11 +200,6 @@ def _normal_by_all_pairs(G, members):
     return all(G.mul(G.mul(g, h), G.inv(g)) in ms for g in G.elements() for h in ms)
 
 
-def _heis27_rtimes_c3():
-    heis = bundled_catalog().get("Heis27")
-    return semidirect_c3(heis.group, heis.automorphisms["conj-x"])
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -213,7 +208,7 @@ def _heis27_rtimes_c3():
         quaternion_group,
         heisenberg_group_3,
         lambda: symmetric_group(5),
-        _heis27_rtimes_c3,
+        heis27_rtimes_c3,
     ],
     ids=["S4", "D16", "Q8", "Heis27", "S5", "Heis27:conj-x"],
 )

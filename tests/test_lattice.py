@@ -28,6 +28,8 @@ from finhaar.groups import (
 )
 from finhaar.lattice import all_subgroups, maximal_subgroup_satisfying
 
+from conftest import heis27_rtimes_c3
+
 
 def _tau(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
@@ -111,16 +113,11 @@ def test_generate_subgroup_against_sympy_and_brute_force(degree):
         assert set(H.members) == members
 
 
-def _heis81():
-    heis = bundled_catalog().get("Heis27")
-    return semidirect_c3(heis.group, heis.automorphisms["conj-x"], label="Heis27:conj-x")
-
-
 EXTENSION_GROUPS = {
     "S4": lambda: symmetric_group(4),
     "A5": lambda: build_perm_group(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], label="A5"),
     "D48": lambda: dihedral_group(24),
-    "Heis27:conj-x": _heis81,
+    "Heis27:conj-x": heis27_rtimes_c3,
     "S5": lambda: symmetric_group(5),
 }
 
@@ -137,7 +134,7 @@ LADDER_GROUPS = {
     "Z64": lambda: cyclic_group(64),
     "D48": lambda: dihedral_group(24),
     "A5": EXTENSION_GROUPS["A5"],
-    "Heis27:conj-x": _heis81,
+    "Heis27:conj-x": heis27_rtimes_c3,
 }
 
 

@@ -249,6 +249,11 @@ def test_forged_certificates_do_not_validate(s3):
     assert s3.mul(three_cycle, 1) not in (0, 1)
     assert not LargenessCertificate(s3, pair, 1, full).validate()
     assert LargenessCertificate(s3, pair, 1, pair).validate()
+    # U = {e} leaves no set of distinct members but the empty one, which
+    # still needs the base to be nonempty
+    only_e = Subset.from_indices(s3, [s3.identity])
+    assert not LargenessCertificate(s3, Subset.empty(s3), 2, only_e).validate()
+    assert LargenessCertificate(s3, pair, 2, only_e).validate()
 
 
 def test_klarge_empty_base(s3):
@@ -321,26 +326,41 @@ def test_greedy_never_beats_exhaustive(s3, z9, k=2):
             assert greedy.u_set.size <= exhaustive.u_set.size
 
 
+def _inverse_class_sizes(G):
+    """|{x, x^-1}| per class other than the identity's, by least member."""
+    classes = {tuple(sorted({x, G.inv(x)})) for x in G.elements() if x != G.identity}
+    return [len(c) for c in sorted(classes)]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_greedy_checks_each_tuple_once(s4, k):
     # on the full base every extension succeeds, so the search checks
-    # each unordered k-tuple of S4 exactly once
-    tuples = math.comb(s4.order + k - 1, k)
-    cert = k_large_certificate(Subset.full(s4), k, budget=tuples)
+    # each set of min(k, |rest| + |C|) distinct non-identity members
+    # that meets the new class C exactly once: with r members kept so
+    # far, the part D of C takes the other m - |D| from those r
+    checks, r = 0, 0
+    for size in _inverse_class_sizes(s4):
+        m = min(k, r + size)
+        checks += sum(
+            math.comb(size, d) * math.comb(r, m - d) for d in range(1, min(size, m) + 1)
+        )
+        r += size
+    cert = k_large_certificate(Subset.full(s4), k, budget=checks)
     assert cert.u_set.size == s4.order
     with pytest.raises(SearchBudgetExceeded):
-        k_large_certificate(Subset.full(s4), k, budget=tuples - 1)
+        k_large_certificate(Subset.full(s4), k, budget=checks - 1)
 
 
 @pytest.mark.parametrize("n", [7, 9, 27])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_greedy_tries_each_inverse_class_once(n, k):
     # in Z_n, n odd, xA misses A = {0} for every x != 0, so each of the
-    # (n - 1) / 2 classes {x, -x} fails at its first tuple, (x, 0, ..., 0);
-    # with the all-identity tuple that is 1 + (n - 1) / 2 checks
+    # (n - 1) / 2 classes {x, -x} fails at its first set: {x} for k = 1,
+    # {x, -x} for k >= 2 (no set of two holds x alone while U = {0}); U
+    # starts as {0} without a check, so that is (n - 1) / 2 checks
     G = cyclic_group(n)
     A = Subset.from_indices(G, [G.identity])
-    checks = 1 + (n - 1) // 2
+    checks = (n - 1) // 2
     cert = k_large_certificate(A, k, budget=checks)
     assert cert.u_set.indices() == [G.identity]
     with pytest.raises(SearchBudgetExceeded):

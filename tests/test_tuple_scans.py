@@ -1,9 +1,10 @@
-"""Property tests for the translate-tuple scans in ``finhaar.measure``,
-each against a per-tuple walk written here with the test's own
-arithmetic on the catalog groups' Cayley tables:
+"""Property tests for the translate scans in ``finhaar.measure``, each
+against a walk written here with the test's own arithmetic on the
+catalog groups' Cayley tables:
 
 - k_large_certificate gives the certificate, or the budget message, of
-  a walk that checks one tuple at a time and charges one check each;
+  a walk that checks one set of distinct members at a time and charges
+  one check each;
 - the translate average, whose last coordinate is summed as bit-planes,
   equals the plain sum over tuples for any table of masks, forged ones
   included;
@@ -45,12 +46,15 @@ def _subsets(order, min_size=0):
 
 
 def reference_search(ar, base, k, strategy, limit, label):
-    """The certificate search, one tuple check at a time.
+    """The certificate search, one set check at a time.
 
-    Tuples that involve a new member are checked j >= 1 new members
-    first, then k - j old ones, each part in sorted order with
-    repetition; every check costs one unit, and the check past ``limit``
-    raises before it is made.  Returns (members of U, checks used).
+    U starts as {e}.  A class C joins a valid U when every set of
+    min(k, |U - {e}| + |C|) distinct members of (U - {e}) ∪ C that
+    meets C meets the base: its part D in C ({x}, {x^-1}, then
+    {x, x^-1}), and for each part the rest of the set drawn from the
+    sorted U - {e} in ``itertools.combinations`` order.  Every check
+    costs one unit, and the check past ``limit`` raises before it is
+    made.  Returns (members of U, checks used).
     """
     order = len(ar.t)
     translates = [ar.translate(x, base) for x in range(order)]
@@ -58,24 +62,27 @@ def reference_search(ar, base, k, strategy, limit, label):
 
     def extends(old, new):
         nonlocal used
-        new, old = sorted(new), sorted(old)
-        for j in range(1, k + 1):
-            for head in itertools.combinations_with_replacement(new, j):
-                for tail in itertools.combinations_with_replacement(old, k - j):
-                    used += 1
-                    if used > limit:
-                        raise SearchBudgetExceeded(
-                            f"{label}: tuple checks {used} exceed budget {limit}"
-                        )
-                    if not base.intersection(*(translates[u] for u in head + tail)):
-                        return False
+        rest = sorted(old - {ar.e})
+        size = min(k, len(rest) + len(new))
+        parts = [(x,) for x in new] + ([tuple(new)] if len(new) == 2 else [])
+        for part in parts:
+            if len(part) > size:
+                continue
+            for tail in itertools.combinations(rest, size - len(part)):
+                used += 1
+                if used > limit:
+                    raise SearchBudgetExceeded(
+                        f"{label}: tuple checks {used} exceed budget {limit}"
+                    )
+                if not base.intersection(*(translates[u] for u in part + tail)):
+                    return False
         return True
 
     e = ar.e
     classes = sorted({tuple(sorted({x, ar.inv[x]})) for x in range(order) if x != e})
     if strategy == "greedy":
-        members = set()
-        for cls in [(e,), *classes]:
+        members = {e}
+        for cls in classes:
             if extends(members, cls):
                 members.update(cls)
         return tuple(sorted(members)), used

@@ -39,7 +39,7 @@ from finhaar.wordsets import (
     torsion_set,
 )
 
-from conftest import S3_CYCLIC, S3_TRANSPOSITIONS
+from conftest import S3_CYCLIC, S3_TRANSPOSITIONS, heis27_rtimes_c3
 
 
 def test_torsion_trivial(s3):
@@ -416,11 +416,6 @@ def test_engel_extract_modes_monotone(s3, s4, d8, q8, heis27):
         )
 
 
-def _heis81():
-    heis = bundled_catalog().get("Heis27")
-    return semidirect_c3(heis.group, heis.automorphisms["conj-x"], label="Heis27:conj-x")
-
-
 def test_proof_mode_maps_each_translate_once(monkeypatch):
     # finhaar.measure the module, not the function that finhaar exports
     measure_module = importlib.import_module("finhaar.measure")
@@ -429,7 +424,7 @@ def test_proof_mode_maps_each_translate_once(monkeypatch):
     monkeypatch.setattr(
         measure_module, "_image_masks", lambda A, maps: calls.extend(maps) or real(A, maps)
     )
-    G = _heis81()
+    G = heis27_rtimes_c3()
     report = extract_engel_subgroup(G, identity_automorphism(G), mode="proof")
     # one splitting set, so at most one translate per element of G
     assert len(calls) <= G.order
@@ -437,7 +432,7 @@ def test_proof_mode_maps_each_translate_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make", [_heis81, lambda: dihedral_group(8)], ids=["Heis27:conj-x", "D16"]
+    "make", [heis27_rtimes_c3, lambda: dihedral_group(8)], ids=["Heis27:conj-x", "D16"]
 )
 def test_seed_growth_checks_each_generated_subgroup_once(monkeypatch, make):
     G = make()
@@ -500,7 +495,7 @@ def _grow_seed_set_by_rewalking(G, word_set, cert_fn, law_holds, length):
 
 
 _GROWTH_GROUPS = [
-    ("Heis27:conj-x", _heis81, (2, 1, 3)),
+    ("Heis27:conj-x", heis27_rtimes_c3, (2, 1, 3)),
     ("D16", lambda: dihedral_group(8), (2, 1, 3)),
     ("S4", lambda: bundled_catalog().get("S4").group, (2, 1, 3)),
     ("S5", lambda: symmetric_group(5), (2, 1, 3)),
