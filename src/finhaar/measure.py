@@ -379,13 +379,13 @@ class LargenessCertificate:
         if e not in self.u_set or not self.u_set.is_symmetric():
             return False
         rest = [u for u in self.u_set.indices() if u != e]
-        unlimited = _TupleBudget(self.group.label, float("inf"))
+        unlimited = _SetBudget(self.group.label, float("inf"))
         return _sets_meet(
             self.base.bits, self.base.translates(), rest, min(self.k, len(rest)), unlimited
         )
 
 
-class _TupleBudget:
+class _SetBudget:
     def __init__(self, label, limit):
         self.label = label
         self.limit = limit
@@ -397,7 +397,7 @@ class _TupleBudget:
         if self.used + amount > self.limit:
             self.used = self.limit + 1
             raise SearchBudgetExceeded(
-                f"{self.label}: tuple checks {self.used} exceed budget {self.limit}"
+                f"{self.label}: set checks {self.used} exceed budget {self.limit}"
             )
         self.used += amount
 
@@ -477,7 +477,7 @@ def k_large_certificate(A, k, strategy="greedy", budget=DEFAULT_KLARGE_BUDGET):
             f"{G.label}: exhaustive search capped at order "
             f"{EXHAUSTIVE_ORDER_LIMIT} (|G| = {G.order})"
         )
-    tracker = _TupleBudget(G.label, budget)
+    tracker = _SetBudget(G.label, budget)
     masks = A.translates()
     e = G.identity
     classes = sorted({tuple(sorted({x, G.inv(x)})) for x in G.elements() if x != e})

@@ -1,5 +1,16 @@
+"""Shared fixtures, and the table arithmetic the tests check finhaar with.
+
+Reference answers come from ``oracles``, the benchmark's oracle module
+(``bench/oracles.py``, on the path through pytest's ``pythonpath``
+setting).  It works on plain Cayley tables and imports nothing from
+finhaar.  ``Arithmetic`` below reads products, commutators and
+translates off such a table, with its identity and inverses from
+``oracles``.
+"""
+
 pytest_plugins = ["pytester"]
 
+import oracles
 import pytest
 
 from finhaar.catalog import bundled_catalog
@@ -75,3 +86,37 @@ def q8():
 @pytest.fixture(scope="session")
 def heis27():
     return heisenberg_group_3()
+
+
+def greedy_generators(table):
+    """Each element, in index order, outside the closure of those kept
+    before it: the rule finhaar's ``FiniteGroup.generators`` follows."""
+    e = oracles.identity_of(table)
+    kept, closure = [], {e}
+    for x in range(len(table)):
+        if x not in closure:
+            kept.append(x)
+            closure = oracles.closure(table, kept, e)
+    return tuple(kept)
+
+
+class Arithmetic:
+    """Products, inverses and left translates read off a Cayley table."""
+
+    def __init__(self, table):
+        self.t = table
+        self.e = oracles.identity_of(table)
+        self.inv = oracles.inverses(table)
+
+    def mul(self, *xs):
+        out = self.e
+        for x in xs:
+            out = self.t[out][x]
+        return out
+
+    def comm(self, x, y):
+        return oracles.commutator(self.t, self.inv, x, y)
+
+    def translate(self, c, A):
+        """The left translate cA."""
+        return oracles.left_translate(self.t, c, A)

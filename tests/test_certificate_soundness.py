@@ -1,5 +1,5 @@
-"""Soundness of the paper's constructions, checked with the test's own
-arithmetic on each catalog group's Cayley table:
+"""Soundness of the paper's constructions, checked on each catalog
+group's Cayley table with ``oracles`` and conftest's ``Arithmetic``:
 
 - a pair certificate's witness lies in every translate the certificate
   names and forces its law; no witness means those translates have no
@@ -9,15 +9,15 @@ arithmetic on each catalog group's Cayley table:
 - the average of |x_1 A_1 ∩ ... ∩ x_n A_n| over all translate tuples is
   the product of the measures of the A_i;
 - the coset witness of a subset X is the least (-|H|, members of H, t)
-  over the subgroups H, listed by the test itself, and t in X with
+  over the subgroups H, listed by ``oracles.all_subgroups``, and t in X with
   tH inside X.
 """
 
-import functools
 import itertools
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from finhaar.catalog import bundled_catalog
@@ -34,33 +34,13 @@ from finhaar.wordsets import (
     splitting_set,
 )
 
+from conftest import Arithmetic
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 CATALOG = bundled_catalog()
 ENTRIES = list(CATALOG.entries)
-
-
-class Arithmetic:
-    """Products, inverses and left translates read off a Cayley table."""
-
-    def __init__(self, table):
-        self.t = table
-        self.e = next(i for i, row in enumerate(table) if row == list(range(len(table))))
-        self.inv = [row.index(self.e) for row in table]
-
-    def mul(self, *xs):
-        out = self.e
-        for x in xs:
-            out = self.t[out][x]
-        return out
-
-    def comm(self, x, y):
-        return self.mul(self.inv[x], self.inv[y], x, y)
-
-    def translate(self, c, A):
-        """The left translate cA."""
-        return {self.t[c][x] for x in A}
 
 
 def _word_set(ar, kind, aut_map):
@@ -136,18 +116,16 @@ def test_extracted_subgroups_are_normal_and_satisfy_their_law(case):
         r.subgroup for r in (report.proof_following, report.direct_search) if r is not None
     ]
     for H in found:
-        members = set(H.members)
-        assert ar.e in members
-        assert all(ar.mul(a, b) in members for a in members for b in members)
-        assert all(ar.mul(ar.inv[g], h, g) in members for h in members for g in range(len(ar.t)))
+        assert ar.e in H.members and oracles.is_subgroup(ar.t, H.members)
+        assert oracles.is_normal(ar.t, ar.inv, H.members)
         if kind == "abelian":
-            assert all(ar.comm(a, b) == ar.e for a in members for b in members)
+            assert oracles.is_abelian_on(ar.t, H.members)
         else:
-            assert all(ar.comm(ar.comm(a, b), b) == ar.e for a in members for b in members)
+            assert oracles.is_2engel_on(ar.t, ar.inv, H.members)
     if kind == "abelian":
         W = report.coset_witness
         A = _word_set(ar, "inverted", list(aut.map))
-        assert {ar.mul(W.t, h) for h in W.subgroup.members} <= A
+        assert ar.translate(W.t, W.subgroup.members) <= A
 
 
 @st.composite
@@ -194,30 +172,6 @@ def test_the_translate_average_at_order_128():
     assert out.average == Fraction(len(sets[0]) * len(sets[1]), 128**2)
 
 
-@functools.lru_cache(maxsize=None)
-def _subgroups(label):
-    """Every subgroup of the catalog group, as a sorted tuple: the cyclic
-    subgroups, then joins of a found subgroup with a cyclic one until
-    nothing is new."""
-    ar = Arithmetic(CATALOG.get(label).group.table())
-
-    def closure(gens):
-        members = {ar.e} | set(gens)
-        while True:
-            grown = members | {ar.t[a][b] for a in members for b in members}
-            if grown == members:
-                return tuple(sorted(members))
-            members = grown
-
-    cyclic = {closure([g]) for g in range(len(ar.t))}
-    found = set(cyclic)
-    frontier = set(cyclic)
-    while frontier:
-        frontier = {closure(A + C) for A in frontier for C in cyclic} - found
-        found |= frontier
-    return found
-
-
 @st.composite
 def subset_cases(draw):
     entry = draw(st.sampled_from(ENTRIES))
@@ -231,12 +185,12 @@ def subset_cases(draw):
 def test_the_coset_witness_is_the_largest_coset_then_the_least(case):
     entry, X = case
     G = entry.group
-    ar = Arithmetic(G.table())
+    table = G.table()
     best = min(
-        (-len(H), H, t)
-        for H in _subgroups(entry.label)
+        (-len(H), tuple(sorted(H)), t)
+        for H in oracles.all_subgroups(table)
         for t in X
-        if all(ar.t[t][h] in X for h in H)
+        if oracles.left_translate(table, t, H) <= X
     )
     W = coset_witness(WordSet(group=G, kind="torsion", subset=Subset.from_indices(G, X)))
     assert W.fallback is None

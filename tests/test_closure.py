@@ -1,13 +1,14 @@
-"""Property: generate_subgroup against a plain breadth-first closure,
-and FiniteGroup.generators against the greedy rule computed by brute force.
+"""Property: generate_subgroup against ``oracles.closure``, and
+FiniteGroup.generators against the greedy rule computed with it.
 
-The oracles multiply out elements on a copy of the Cayley table until no
-product is new, and record nothing of the coset-at-a-time closure they
-check.
+The oracle multiplies out elements on a copy of the Cayley table until no
+product is new, and records nothing of the coset-at-a-time closure it
+checks.
 """
 
 import random
 
+import oracles
 import pytest
 
 from finhaar.catalog import bundled_catalog
@@ -19,23 +20,15 @@ from finhaar.groups import (
     symmetric_group,
 )
 
+from conftest import greedy_generators
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 CATALOG = bundled_catalog()
 GROUPS = [symmetric_group(5)] + [CATALOG.get(label).group for label in CATALOG.labels()]
 TABLES = [G.table() for G in GROUPS]
-
-
-def _bfs_closure(table, identity, gens):
-    """Members of the subgroup ``gens`` generate: the identity and every
-    product reached from it by right multiplication by a generator."""
-    members, frontier = {identity}, [identity]
-    while frontier:
-        reached = {table[x][g] for x in frontier for g in gens}
-        frontier = sorted(reached - members)
-        members.update(frontier)
-    return tuple(sorted(members))
+IDENTITIES = [oracles.identity_of(table) for table in TABLES]
 
 
 @st.composite
@@ -45,7 +38,7 @@ def closure_cases(draw):
     i = draw(st.integers(0, len(GROUPS) - 1))
     G = GROUPS[i]
     drawn = draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
-    inside = _bfs_closure(TABLES[i], G.identity, drawn)
+    inside = sorted(oracles.closure(TABLES[i], drawn, IDENTITIES[i]))
     extra = draw(st.lists(st.sampled_from(drawn) | st.sampled_from(inside), max_size=3))
     return i, draw(st.permutations(drawn + extra))
 
@@ -56,30 +49,11 @@ def test_generate_subgroup_matches_a_breadth_first_closure(case):
     i, gens = case
     G = GROUPS[i]
     H = generate_subgroup(G, gens)
-    assert H.members == _bfs_closure(TABLES[i], G.identity, gens)
+    assert H.members == tuple(sorted(oracles.closure(TABLES[i], gens, IDENTITIES[i])))
     assert H.generators == tuple(dict.fromkeys(gens))
 
 
 # -- FiniteGroup.generators against the greedy rule by brute force -------------
-
-
-def _greedy_generators(table):
-    """Each element, in index order, outside the closure of those kept
-    before it; the closure is grown by products of all its members until
-    no product is new."""
-    identity = next(e for e, row in enumerate(table) if row == list(range(len(table))))
-    kept, closure = [], {identity}
-    for x in range(len(table)):
-        if x in closure:
-            continue
-        kept.append(x)
-        closure.add(x)
-        while True:
-            products = {table[a][b] for a in closure for b in closure}
-            if products <= closure:
-                break
-            closure |= products
-    return tuple(kept)
 
 
 def _tabulated_subgroups(G, count, seed):
@@ -89,7 +63,7 @@ def _tabulated_subgroups(G, count, seed):
     table = G.table()
     for _ in range(count):
         gens = [rng.randrange(G.order) for _ in range(rng.randint(1, 2))]
-        members = _bfs_closure(table, G.identity, gens)
+        members = sorted(oracles.closure(table, gens, oracles.identity_of(table)))
         index = {x: i for i, x in enumerate(members)}
         yield [[index[table[x][y]] for y in members] for x in members]
 
@@ -106,4 +80,4 @@ def _generator_cases():
 
 @pytest.mark.parametrize("G", [pytest.param(G, id=G.label) for G in _generator_cases()])
 def test_generators_follow_the_greedy_rule(G):
-    assert G.generators == _greedy_generators(G.table())
+    assert G.generators == greedy_generators(G.table())

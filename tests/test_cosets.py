@@ -1,10 +1,12 @@
 """Property: the mask-based coset tests against cosets multiplied out by hand.
 
 ``_best_coset_slice`` and ``CosetWitness.validate`` read X's translate
-table; the oracles here list each coset tH from a copy of the Cayley
-table (``G.table()``) and test membership in X one element at a time.
+table; the oracles here list each coset tH with ``oracles.left_translate``
+on a copy of the Cayley table (``G.table()``) and test membership in X
+one element at a time.
 """
 
+import oracles
 import pytest
 
 from finhaar.catalog import bundled_catalog
@@ -32,17 +34,13 @@ def _word_set(G, members):
     return WordSet(group=G, kind="torsion", subset=Subset.from_indices(G, members), exponent=1)
 
 
-def _coset(table, t, members):
-    return [table[t][h] for h in members]
-
-
 def _best_coset_by_hand(table, target, members):
     """The coset with the largest overlap with ``target``, cosets taken
     in order of their least element and a tie kept by the earlier one;
     its least target element t and the slice {a in K : ta in target}."""
-    cosets = sorted({frozenset(_coset(table, r, members)) for r in range(len(table))}, key=min)
+    cosets = {frozenset(oracles.left_translate(table, r, members)) for r in range(len(table))}
     best = []
-    for coset in cosets:
+    for coset in sorted(cosets, key=min):
         inside = sorted(coset & target)
         if len(inside) > len(best):
             best = inside
@@ -77,7 +75,7 @@ def test_validate_is_the_coset_tested_by_hand(case):
     i, target, H, t = case
     G = GROUPS[i]
     witness = CosetWitness(group=G, subgroup=H, t=t, target=_word_set(G, target))
-    assert witness.validate() == (set(_coset(TABLES[i], t, H.members)) <= target)
+    assert witness.validate() == (oracles.left_translate(TABLES[i], t, H.members) <= target)
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
@@ -87,7 +85,7 @@ def test_validate_holds_on_a_coset_inside_its_target(case):
     # then the coset without the image of H's last member
     i, _target, H, t = case
     G = GROUPS[i]
-    inside = set(_coset(TABLES[i], t, H.members))
+    inside = oracles.left_translate(TABLES[i], t, H.members)
     witness = CosetWitness(group=G, subgroup=H, t=t, target=_word_set(G, inside))
     assert witness.validate()
     short = inside - {TABLES[i][t][H.members[-1]]}
@@ -101,5 +99,6 @@ def test_the_witness_t_is_the_least_by_hand(i, n):
     X = torsion_set(G, n)
     W = coset_witness(X)
     target = set(X.subset.indices())
-    fits = [t for t in sorted(target) if set(_coset(table, t, W.subgroup.members)) <= target]
+    H = W.subgroup.members
+    fits = [t for t in sorted(target) if oracles.left_translate(table, t, H) <= target]
     assert W.t == fits[0]

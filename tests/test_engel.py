@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 
+import oracles
 import pytest
 
 from finhaar import engel
@@ -34,7 +35,7 @@ from finhaar.groups import (
 )
 from finhaar.lattice import all_subgroups
 
-from conftest import A5_GENS, S3_CYCLIC, heis27_rtimes_c3
+from conftest import A5_GENS, S3_CYCLIC, Arithmetic, heis27_rtimes_c3
 
 
 def test_commutator_with_identity(s3):
@@ -140,23 +141,26 @@ def test_heisenberg_class_2(heis27):
     assert lower_central_series(heis27).nilpotency_class == 2
 
 
-def _cube_xs(G, a, b):
-    """Oracle: the x meeting all eight cube conditions of the pair (a, b)."""
-    e, ia, ib = G.identity, G.inv(a), G.inv(b)
-    probes_left = (e, b, a, ia, G.mul(a, ib), G.mul(b, ia), G.mul(a, b), G.mul(ib, ia))
-    return [x for x in G.elements() if all(G.power(G.mul(c, x), 3) == e for c in probes_left)]
+def _cube_xs(ar, roots, a, b):
+    """Oracle: the x meeting all eight cube conditions of the pair (a, b),
+    where ``roots`` is the set {y : y^3 = 1}."""
+    ia, ib = ar.inv[a], ar.inv[b]
+    probes_left = (ar.e, b, a, ia, ar.mul(a, ib), ar.mul(b, ia), ar.mul(a, b), ar.mul(ib, ia))
+    return [x for x in range(len(ar.t)) if all(ar.t[c][x] in roots for c in probes_left)]
 
 
 def brute_cube_law(G, breaks=None):
-    """Oracle: literal scan over all triples; ``breaks(a, b)`` decides
-    [a, b, b] != 1, from the commutator unless given."""
+    """Oracle: literal scan over all triples on G's table; ``breaks(a, b)``
+    decides [a, b, b] != 1, from the commutator unless given."""
+    ar = Arithmetic(G.table())
+    roots = oracles.torsion(ar.t, 3)
     if breaks is None:
         def breaks(a, b):
-            return left_normed_idx(G, a, b, b) != G.identity
+            return ar.comm(ar.comm(a, b), b) != ar.e
     qualifying = 0
     worst = None
-    for a, b in itertools.product(G.elements(), repeat=2):
-        xs = _cube_xs(G, a, b)
+    for a, b in itertools.product(range(len(ar.t)), repeat=2):
+        xs = _cube_xs(ar, roots, a, b)
         qualifying += len(xs)
         if xs and worst is None and breaks(a, b):
             worst = (a, b, xs[0])
@@ -187,18 +191,15 @@ def _pairs_emptied_late(G):
     """Pairs (a, b), in least-index order, with some x meeting the four
     cube conditions on x, a*x, a^-1*x and b*x, but none meeting all
     eight: the pairs that no condition on a alone, or on b alone, rules out."""
-    e = G.identity
-
-    def cube_root(y):
-        return G.power(y, 3) == e
-
+    ar = Arithmetic(G.table())
+    roots = oracles.torsion(ar.t, 3)
     pairs = []
-    for a, b in itertools.product(G.elements(), repeat=2):
-        ia, ib = G.inv(a), G.inv(b)
-        early = [x for x in G.elements()
-                 if all(cube_root(G.mul(c, x)) for c in (e, a, ia, b))]
-        late = (G.mul(a, ib), G.mul(b, ia), G.mul(a, b), G.mul(ib, ia))
-        if early and not any(all(cube_root(G.mul(c, x)) for c in late) for x in early):
+    for a, b in itertools.product(range(len(ar.t)), repeat=2):
+        ia, ib = ar.inv[a], ar.inv[b]
+        early = [x for x in range(len(ar.t))
+                 if all(ar.t[c][x] in roots for c in (ar.e, a, ia, b))]
+        late = (ar.mul(a, ib), ar.mul(b, ia), ar.mul(a, b), ar.mul(ib, ia))
+        if early and not any(all(ar.t[c][x] in roots for c in late) for x in early):
             pairs.append((a, b))
     return pairs
 
@@ -241,7 +242,11 @@ def test_cube_law_reports_a_forged_counterexample_as_the_oracle_does(monkeypatch
     # and among those emptied late, which have none and are never reported
     G = bundled_catalog().get(label).group
     late = _pairs_emptied_late(G)
-    pairs = [(a, b) for a, b in itertools.product(G.elements(), repeat=2) if _cube_xs(G, a, b)]
+    ar = Arithmetic(G.table())
+    roots = oracles.torsion(ar.t, 3)
+    pairs = [
+        (a, b) for a, b in itertools.product(G.elements(), repeat=2) if _cube_xs(ar, roots, a, b)
+    ]
     after = [p for p in pairs if p > late[0]]
     real, not_e = engel.left_normed_idx, 1 - G.identity
     for forged, first in (
@@ -299,45 +304,46 @@ def test_consequences_budget(heis27):
 # -- the pair scan and the all-commutator series as oracles ---------------------
 
 
-def pair_scan(G, members):
+def pair_scan(ar, members):
     """Oracle: (least-index counterexample to [a, b, b] = 1, pairs scanned)."""
     checked = 0
     for a in members:
         for b in members:
             checked += 1
-            if left_normed_idx(G, a, b, b) != G.identity:
+            if ar.comm(ar.comm(a, b), b) != ar.e:
                 return (a, b), checked
     return None, checked
 
 
-def all_commutator_series(G, members):
+def all_commutator_series(ar, members):
     """Oracle: member tuples of the lower central series, each term the
     closure of every commutator of a member and a member of the last term."""
     terms = [tuple(sorted(members))]
     while len(terms[-1]) > 1:
-        comms = {commutator_idx(G, g, h) for g in members for h in terms[-1]}
-        nxt = generate_subgroup(G, sorted(comms)).members
+        comms = {ar.comm(g, h) for g in members for h in terms[-1]}
+        nxt = tuple(sorted(oracles.closure(ar.t, comms, ar.e)))
         if nxt == terms[-1]:
             break
         terms.append(nxt)
     return terms
 
 
-def brute_classes(G, members):
+def brute_classes(ar, members):
     """Oracle: the sets {h x h^-1 : h in H}."""
-    return {frozenset(G.mul(G.mul(h, x), G.inv(h)) for h in members) for x in members}
+    return {frozenset(ar.mul(h, x, ar.inv[h]) for h in members) for x in members}
 
 
 def _assert_matches_oracles(G, H):
+    ar = Arithmetic(G.table())
     members = H.members if isinstance(H, Subgroup) else tuple(G.elements())
     report = is_2engel(H)
-    assert (report.counterexample, report.triples_checked) == pair_scan(G, members)
+    assert (report.counterexample, report.triples_checked) == pair_scan(ar, members)
     series = lower_central_series(H)
-    assert [t.members for t in series.terms] == all_commutator_series(G, members)
+    assert [t.members for t in series.terms] == all_commutator_series(ar, members)
     for term in series.terms:
         assert generate_subgroup(G, term.generators).members == term.members
     classes = conjugacy_classes(H)
-    assert {frozenset(c) for c in classes} == brute_classes(G, members)
+    assert {frozenset(c) for c in classes} == brute_classes(ar, members)
     assert [c[0] for c in classes] == sorted(c[0] for c in classes)
 
 
@@ -440,18 +446,17 @@ def test_series_and_classes_against_sympy():
 
 def swap_law_triple_loop(G):
     """Oracle: (first (x, y, z) with [x,y,z][x,z,y] != 1, triples scanned)."""
-    t, inv = G.table(), [G.inv(x) for x in G.elements()]
+    t = G.table()
+    e, inv = oracles.identity_of(t), oracles.inverses(t)
 
     def comm(a, b):
         return t[t[t[inv[a]][inv[b]]][a]][b]
 
     checked = 0
-    for x in G.elements():
-        for y in G.elements():
-            for z in G.elements():
-                checked += 1
-                if t[comm(comm(x, y), z)][comm(comm(x, z), y)] != G.identity:
-                    return (x, y, z), checked
+    for x, y, z in itertools.product(range(len(t)), repeat=3):
+        checked += 1
+        if t[comm(comm(x, y), z)][comm(comm(x, z), y)] != e:
+            return (x, y, z), checked
     return None, checked
 
 
@@ -470,7 +475,8 @@ def test_consequences_match_a_triple_loop(make):
     assert report.applicable
     assert (report.counterexample, report.triples_checked) == swap_law_triple_loop(G)
     assert report.triples_checked == G.order**3
-    assert report.nilpotency_class == len(all_commutator_series(G, range(G.order))) - 1
+    ar = Arithmetic(G.table())
+    assert report.nilpotency_class == len(all_commutator_series(ar, range(G.order))) - 1
 
 
 def _open_2engel_gate(monkeypatch):

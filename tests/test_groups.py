@@ -4,6 +4,7 @@ import random
 import re
 
 import numpy as np
+import oracles
 import pytest
 
 from finhaar.catalog import bundled_catalog, bundled_catalog_text
@@ -50,7 +51,14 @@ from finhaar.wordsets import (
     torsion_set,
 )
 
-from conftest import A5_GENS, S3_CYCLIC, S3_ELEMS, S3_TRANSPOSITIONS, heis27_rtimes_c3
+from conftest import (
+    A5_GENS,
+    S3_CYCLIC,
+    S3_ELEMS,
+    S3_TRANSPOSITIONS,
+    greedy_generators,
+    heis27_rtimes_c3,
+)
 
 
 def test_trivial_table_group():
@@ -194,12 +202,6 @@ def test_normal_core_is_normal_and_idempotent(s3, s4, d8):
             assert normal_core(G, core).members == core.members
 
 
-def _normal_by_all_pairs(G, members):
-    """Oracle: g * h * g^-1 lies in the set for every g in G and every member h."""
-    ms = set(members)
-    return all(G.mul(G.mul(g, h), G.inv(g)) in ms for g in G.elements() for h in ms)
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -214,8 +216,10 @@ def _normal_by_all_pairs(G, members):
 )
 def test_is_normal_and_normal_core_against_all_pairs(make):
     G = make()
+    table = G.table()
+    inv = oracles.inverses(table)
     subgroups = all_subgroups(G)
-    normal = {H.members for H in subgroups if _normal_by_all_pairs(G, H.members)}
+    normal = {H.members for H in subgroups if oracles.is_normal(table, inv, H.members)}
     for H in subgroups:
         # as built and rebuilt from its members alone (greedy generators)
         assert H.is_normal() == (H.members in normal)
@@ -318,18 +322,15 @@ def test_element_wrapper(s3):
             s3.element(i)
 
 
-def _commute_by_pair_scan(G, members):
-    return all(G.mul(a, b) == G.mul(b, a) for a in members for b in members)
-
-
 def test_abelianness(z6, s3, s4, d8, q8, heis27):
     assert z6.is_abelian()
     assert not s3.is_abelian()
     outcomes = set()
     for G in (s4, d8, q8, heis27, bundled_catalog().get("F21").group):
-        assert G.is_abelian() == _commute_by_pair_scan(G, G.elements())
+        table = G.table()
+        assert G.is_abelian() == oracles.is_abelian_on(table, G.elements())
         for H in all_subgroups(G):
-            expected = _commute_by_pair_scan(G, H.members)
+            expected = oracles.is_abelian_on(table, H.members)
             # as built, then rebuilt from its members alone (greedy generators)
             assert H.is_abelian() == Subgroup(G, H.members).is_abelian() == expected
             outcomes.add(expected)
@@ -354,38 +355,6 @@ def test_table_group_associativity_witness():
 def test_s3_transpositions_have_order_2(s3):
     for t in S3_TRANSPOSITIONS:
         assert s3.element_order(t) == 2
-
-
-
-def _composed_perm_group(degree, gens):
-    """Reference construction, by composition alone: the breadth-first
-    closure, then every pair of permutations composed and looked up; the
-    least two-sided inverses; and greedy generators, each the least
-    index the closure so far misses."""
-    identity = tuple(range(degree))
-    perms, position = [identity], {identity: 0}
-    for current in perms:
-        for g in gens:
-            new = tuple(current[g[x]] for x in range(degree))
-            if new not in position:
-                position[new] = len(perms)
-                perms.append(new)
-    # mul(i, j) applies j first, then i
-    table = [[position[tuple([p[x] for x in q])] for q in perms] for p in perms]
-    inverses = [
-        next(y for y, xy in enumerate(row) if xy == 0 and table[y][x] == 0)
-        for x, row in enumerate(table)
-    ]
-    generators, closure = [], [0]
-    for x in range(len(perms)):
-        if x not in closure:
-            generators.append(x)
-            closure = [0]
-            for y in closure:
-                for g in generators:
-                    if table[y][g] not in closure:
-                        closure.append(table[y][g])
-    return perms, table, inverses, generators
 
 
 S4_SWAP, S4_CYCLE = (1, 0, 2, 3), (1, 2, 3, 0)
@@ -427,13 +396,13 @@ def test_permutation_tables_compose_the_permutations():
         24, 60, 120, 720, 1, 2, 6, 1, 1, 24, 24, 1, 1, 24, 6, 24
     ]
     for G, degree, gens in cases:
-        perms, table, inverses, generators = _composed_perm_group(degree, gens)
+        perms, table = oracles.perm_closure(degree, gens)
         assert G.backend == "permutation"
         assert [G.perm_of(i) for i in G.elements()] == perms
         assert G.table() == table
         assert G.identity == 0
-        assert [G.inv(x) for x in G.elements()] == inverses
-        assert list(G.generators) == generators
+        assert [G.inv(x) for x in G.elements()] == oracles.inverses(table)
+        assert G.generators == greedy_generators(table)
     # both orders of the S4 generators index S4 differently
     assert cases[0][0].table() != cases[-3][0].table()
 

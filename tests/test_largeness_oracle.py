@@ -14,12 +14,15 @@ own table arithmetic; it is used for
   among those, over every set of inverse classes that passes (a subset
   of a passing U passes, by the oracle's own definition);
 
-on the catalog groups, with k from 1 to |U| + 1.
+on the catalog groups, with k from 1 to |U| + 1, and on seeded random
+bases of S3, D8 and Z9.
 """
 
 import functools
 import itertools
+import random
 
+import oracles
 import pytest
 
 from finhaar.catalog import bundled_catalog
@@ -30,7 +33,7 @@ from finhaar.measure import (
     k_large_certificate,
 )
 
-from test_certificate_soundness import Arithmetic
+from conftest import Arithmetic
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -106,10 +109,6 @@ def _up_to_u_plus_one(G, A, strategy):
         k += 1
 
 
-def _torsion(ar, n):
-    return {x for x in range(len(ar.t)) if ar.mul(*[x] * n) == ar.e}
-
-
 # torsion:2 and torsion:3 of every catalog group, except a whole group of
 # order above 8 (Heis27's torsion:3): every set meets a whole group, so
 # there the oracle would walk all 2^27 subsets of U = Heis27 at k = 28;
@@ -120,7 +119,7 @@ TORSION_CASES = [
     for n in (2, 3)
     for strategy in _strategies(entry.group)
     if entry.group.order <= 8
-    or len(_torsion(Arithmetic(entry.group.table()), n)) < entry.group.order
+    or len(oracles.torsion(entry.group.table(), n)) < entry.group.order
 ]
 
 
@@ -132,7 +131,7 @@ TORSION_CASES = [
 def test_certificates_on_torsion_sets_match_the_oracle(entry, n, strategy):
     G = entry.group
     ar = Arithmetic(G.table())
-    base = _torsion(ar, n)
+    base = oracles.torsion(ar.t, n)
     A = Subset.from_indices(G, base)
     for k, cert in _up_to_u_plus_one(G, A, strategy):
         U = tuple(cert.u_set.indices())
@@ -194,3 +193,30 @@ def test_validate_matches_the_oracle(case):
         G, Subset.from_indices(G, base), k, Subset.from_indices(G, U)
     )
     assert cert.validate() == passes(ar, base, U, k)
+
+
+def _members(bits):
+    return {x for x in range(bits.bit_length()) if bits >> x & 1}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_klarge_exhaustive_is_maximal(s3, d8, z9, k):
+    rng = random.Random(f"klarge-{k}")
+    for G in (s3, d8, z9):
+        ar = Arithmetic(G.table())
+        for _ in range(4):
+            base = _members(rng.getrandbits(G.order) or 1)
+            cert = k_large_certificate(Subset.from_indices(G, base), k, strategy="exhaustive")
+            assert cert.validate()
+            assert tuple(cert.u_set.indices()) == oracle_certificate(ar, base, k, "exhaustive")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_klarge_greedy_matches_brute_force(s3, d8, z9, k):
+    rng = random.Random(f"greedy-{k}")
+    for G in (s3, d8, z9):
+        ar = Arithmetic(G.table())
+        for _ in range(6):
+            base = _members(rng.getrandbits(G.order) | 1 << ar.e)
+            cert = k_large_certificate(Subset.from_indices(G, base), k)
+            assert tuple(cert.u_set.indices()) == oracle_certificate(ar, base, k, "greedy")

@@ -1,10 +1,10 @@
-import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
 from finhaar.errors import (
@@ -30,15 +30,12 @@ from finhaar.measure import (
 from conftest import S3_CYCLIC
 
 
-def cube_roots(G):
-    return Subset.from_predicate(G, lambda g: G.power(g, 3) == G.identity)
-
-
 def test_measure_basics(s3):
     assert measure(Subset.empty(s3)) == 0
     assert measure(Subset.full(s3)) == 1
-    assert cube_roots(s3).indices() == list(S3_CYCLIC)
-    assert measure(cube_roots(s3)) == Fraction(1, 2)
+    cube_roots = Subset.from_indices(s3, oracles.torsion(s3.table(), 3))
+    assert cube_roots.indices() == list(S3_CYCLIC)
+    assert measure(cube_roots) == Fraction(1, 2)
 
 
 def test_format_rational():
@@ -124,14 +121,15 @@ def test_average_with_empty_set(s3):
 def test_average_matches_brute_force(s3):
     # independent oracle: enumerate every tuple with fresh set arithmetic
     rng = random.Random("fubini-brute")
+    table = s3.table()
     for _ in range(5):
         A = Subset(s3, rng.getrandbits(6))
         B = Subset(s3, rng.getrandbits(6))
         total = Fraction(0)
         for x in s3.elements():
-            xa = {s3.mul(x, a) for a in A.indices()}
+            xa = oracles.left_translate(table, x, A.indices())
             for y in s3.elements():
-                yb = {s3.mul(y, b) for b in B.indices()}
+                yb = oracles.left_translate(table, y, B.indices())
                 total += Fraction(len(xa & yb), 6)
         brute = total / 36
         assert average_translate_intersection([A, B]).average == brute
@@ -271,49 +269,6 @@ def test_klarge_exhaustive_gate(heis27):
         k_large_certificate(Subset.full(heis27), 1, strategy="exhaustive")
 
 
-def brute_force_max_u(A, k):
-    """Oracle: try every inverse-closed set around the identity."""
-    G = A.group
-    e = G.identity
-    classes = sorted(
-        {tuple(sorted({x, G.inv(x)})) for x in G.elements() if x != e}
-    )
-    best = (e,)
-    for take in itertools.product([False, True], repeat=len(classes)):
-        members = {e}
-        for flag, cls in zip(take, classes):
-            if flag:
-                members.update(cls)
-        ok = True
-        for tup in itertools.product(sorted(members), repeat=k):
-            acc = A.bits
-            for u in tup:
-                acc &= A.left_translate(u).bits
-            if not acc:
-                ok = False
-                break
-        if ok:
-            cand = tuple(sorted(members))
-            if len(cand) > len(best) or (len(cand) == len(best) and cand < best):
-                best = cand
-    return best
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_klarge_exhaustive_is_maximal(s3, d8, z9, k):
-    rng = random.Random(f"klarge-{k}")
-    for G in (s3, d8, z9):
-        for _ in range(4):
-            bits = rng.getrandbits(G.order)
-            if not bits:
-                bits = 1
-            A = Subset(G, bits)
-            cert = k_large_certificate(A, k, strategy="exhaustive")
-            assert cert.validate()
-            expected = brute_force_max_u(A, k)
-            assert tuple(cert.u_set.indices()) == expected
-
-
 def test_greedy_never_beats_exhaustive(s3, z9, k=2):
     rng = random.Random("greedy-vs-exhaustive")
     for G in (s3, z9):
@@ -326,9 +281,10 @@ def test_greedy_never_beats_exhaustive(s3, z9, k=2):
             assert greedy.u_set.size <= exhaustive.u_set.size
 
 
-def _inverse_class_sizes(G):
+def _inverse_class_sizes(table):
     """|{x, x^-1}| per class other than the identity's, by least member."""
-    classes = {tuple(sorted({x, G.inv(x)})) for x in G.elements() if x != G.identity}
+    inv, e = oracles.inverses(table), oracles.identity_of(table)
+    classes = {tuple(sorted({x, inv[x]})) for x in range(len(table)) if x != e}
     return [len(c) for c in sorted(classes)]
 
 
@@ -339,7 +295,7 @@ def test_greedy_checks_each_tuple_once(s4, k):
     # that meets the new class C exactly once: with r members kept so
     # far, the part D of C takes the other m - |D| from those r
     checks, r = 0, 0
-    for size in _inverse_class_sizes(s4):
+    for size in _inverse_class_sizes(s4.table()):
         m = min(k, r + size)
         checks += sum(
             math.comb(size, d) * math.comb(r, m - d) for d in range(1, min(size, m) + 1)
@@ -365,27 +321,3 @@ def test_greedy_tries_each_inverse_class_once(n, k):
     assert cert.u_set.indices() == [G.identity]
     with pytest.raises(SearchBudgetExceeded):
         k_large_certificate(A, k, budget=checks - 1)
-
-
-def brute_force_greedy_u(A, k):
-    """Oracle: the greedy walk, re-checking every ordered k-tuple."""
-    G = A.group
-    members = {G.identity}
-    for x in G.elements():
-        trial = members | {x, G.inv(x)}
-        if all(
-            A.bits & functools.reduce(int.__and__, (A.left_translate(u).bits for u in tup))
-            for tup in itertools.product(sorted(trial), repeat=k)
-        ):
-            members = trial
-    return sorted(members)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_klarge_greedy_matches_brute_force(s3, d8, z9, k):
-    rng = random.Random(f"greedy-{k}")
-    for G in (s3, d8, z9):
-        for _ in range(6):
-            A = Subset(G, rng.getrandbits(G.order) | 1 << G.identity)
-            cert = k_large_certificate(A, k)
-            assert cert.u_set.indices() == brute_force_greedy_u(A, k)

@@ -2,6 +2,7 @@
 
 import importlib
 
+import oracles
 import pytest
 
 from finhaar.groups import dihedral_group, symmetric_group
@@ -33,8 +34,7 @@ SETTINGS = hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(subset_and_points())
 def test_left_translates_compose(data):
     A, x, y = data
-    G = A.group
-    assert A.left_translate(x).left_translate(y) == A.left_translate(G.mul(y, x))
+    assert A.left_translate(x).left_translate(y) == A.left_translate(A.group.table()[y][x])
 
 
 @SETTINGS
@@ -43,21 +43,16 @@ def test_inverse_set_is_an_involution(data):
     A, _, _ = data
     G = A.group
     assert A.inverse_set().inverse_set() == A
-    inverses = {b for a in A.indices() for b in G.elements() if G.mul(a, b) == G.identity}
-    assert A.inverse_set() == Subset.from_indices(G, inverses)
+    inv = oracles.inverses(G.table())
+    assert A.inverse_set() == Subset.from_indices(G, {inv[a] for a in A.indices()})
 
 
 @SETTINGS
 @hypothesis.given(subset_and_points())
 def test_right_translate_is_the_set_of_products(data):
     A, x, _ = data
-    G = A.group
-    assert A.right_translate(x) == Subset.from_indices(G, {G.mul(a, x) for a in A.indices()})
-
-
-def _table_translate(A, x):
-    G = A.group
-    return {G.mul(x, a) for a in A.indices()}
+    G, table = A.group, A.group.table()
+    assert A.right_translate(x) == Subset.from_indices(G, {table[a][x] for a in A.indices()})
 
 
 @SETTINGS
@@ -70,19 +65,20 @@ def _table_translate(A, x):
 def test_remembered_translates_match_the_table(data, calls):
     """Repeated, nested and interleaved calls all see the table's translate."""
     A, _, _ = data
-    G = A.group
+    G, cayley = A.group, A.group.table()
     current = A
     for from_base, x in calls:
         x %= G.order
         source = A if from_base else current
         translate = source.left_translate(x)
-        assert set(translate.indices()) == _table_translate(source, x)
+        assert set(translate.indices()) == oracles.left_translate(cayley, x, source.indices())
         current = translate
     table = A.translates()
     assert type(table) is tuple and len(table) == G.order
     for x in G.elements():
-        assert set(A.left_translate(x).indices()) == _table_translate(A, x)
-        assert {a for a in G.elements() if table[x] >> a & 1} == _table_translate(A, x)
+        expected = oracles.left_translate(cayley, x, A.indices())
+        assert set(A.left_translate(x).indices()) == expected
+        assert {a for a in G.elements() if table[x] >> a & 1} == expected
 
 
 def test_the_table_is_built_once_per_subset(monkeypatch):
@@ -107,12 +103,9 @@ def test_the_table_is_built_once_per_subset(monkeypatch):
     assert builds == [(A, G.order)]
 
 
-def _cube_roots(G):
-    return Subset.from_indices(G, [g for g in G.elements() if G.power(g, 3) == G.identity])
-
-
-def _involutions_and_identity(G):
-    return Subset.from_indices(G, [g for g in G.elements() if G.mul(g, g) == G.identity])
+def _torsion(G, n):
+    """{g : g^n = 1} as a subset of G, from ``oracles.torsion``."""
+    return Subset.from_indices(G, oracles.torsion(G.table(), n))
 
 
 @pytest.mark.parametrize(
@@ -121,8 +114,8 @@ def _involutions_and_identity(G):
         lambda: Subset.empty(GROUPS["D16"]),
         lambda: Subset.full(GROUPS["S4"]),
         lambda: Subset.full(symmetric_group(5)),
-        lambda: _cube_roots(symmetric_group(6)),
-        lambda: _involutions_and_identity(dihedral_group(256)),
+        lambda: _torsion(symmetric_group(6), 3),
+        lambda: _torsion(dihedral_group(256), 2),
     ],
     ids=["D16-empty", "S4-full", "S5-full", "S6-cube-roots", "D512-torsion2"],
 )
@@ -130,12 +123,12 @@ def test_translate_tables_at_the_benchmarked_orders(make):
     """Every entry, against products read straight from the Cayley table,
     at the orders where the table is built from whole rows."""
     A = make()
-    G = A.group
+    G, cayley, members = A.group, A.group.table(), A.indices()
     table = A.translates()
     assert type(table) is tuple and len(table) == G.order
     for x in G.elements():
-        assert table[x] == sum(1 << g for g in _table_translate(A, x))
-    inverses = {b for a in A.indices() for b in G.elements() if G.mul(a, b) == G.identity}
-    assert set(A.inverse_set().indices()) == inverses
+        assert table[x] == sum(1 << g for g in oracles.left_translate(cayley, x, members))
+    inv = oracles.inverses(cayley)
+    assert set(A.inverse_set().indices()) == {inv[a] for a in members}
     for x in G.elements():
-        assert set(A.right_translate(x).indices()) == {G.mul(a, x) for a in A.indices()}
+        assert set(A.right_translate(x).indices()) == {cayley[a][x] for a in members}

@@ -27,7 +27,7 @@ from finhaar.measure import (
     k_large_certificate,
 )
 
-from test_certificate_soundness import Arithmetic
+from conftest import Arithmetic
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -72,7 +72,7 @@ def reference_search(ar, base, k, strategy, limit, label):
                 used += 1
                 if used > limit:
                     raise SearchBudgetExceeded(
-                        f"{label}: tuple checks {used} exceed budget {limit}"
+                        f"{label}: set checks {used} exceed budget {limit}"
                     )
                 if not base.intersection(*(translates[u] for u in part + tail)):
                     return False
