@@ -1,63 +1,110 @@
-"""Exact counting-measure, largeness and Engel-law computations on finite groups."""
+"""Exact counting-measure, largeness and Engel-law computations on finite groups.
+
+``import finhaar`` loads no library module: each public name is imported
+from its module when it is first read, and then bound here, so a command
+compiles and runs only the modules it uses.
+"""
+
+import sys
 
 __version__ = "0.1.0"
 
-from .catalog import Catalog, CatalogEntry, bundled_catalog, parse_catalog
-from .engel import (
-    CentralSeries,
-    CommutatorReport,
-    commutator,
-    is_2engel,
-    lower_central_series,
-    verify_cube_law,
-    verify_engel_consequences,
-)
-from .groups import (
-    Automorphism,
-    FiniteGroup,
-    GroupElement,
-    SemidirectExtension,
-    Subgroup,
-    automorphism_from_map,
-    build_perm_group,
-    build_table_group,
-    cyclic_group,
-    dihedral_group,
-    generate_subgroup,
-    heisenberg_group_3,
-    identity_automorphism,
-    inner_automorphism,
-    inversion_automorphism,
-    normal_core,
-    quaternion_group,
-    semidirect_c3,
-    symmetric_group,
-)
-from .lattice import all_subgroups, normal_subgroups
-from .measure import (
-    AveragedIntersection,
-    GroupFunction,
-    LargenessCertificate,
-    Subset,
-    average_translate_intersection,
-    format_rational,
-    k_large_certificate,
-    l2_distance,
-    measure,
-    translate_intersection_measure,
-    translate_product_mean,
-)
-from .towers import Tower, build_tower, torsion_measure_sequence
-from .wordsets import (
-    CosetWitness,
-    ExtractionReport,
-    WordSet,
-    commuting_certificate,
-    coset_witness,
-    engel_pair_certificate,
-    extract_abelian_subgroup,
-    extract_engel_subgroup,
-    inverted_set,
-    splitting_set,
-    torsion_set,
-)
+# module -> the public names it defines
+_EXPORTS = {
+    "catalog": ("Catalog", "CatalogEntry", "bundled_catalog", "parse_catalog"),
+    "engel": (
+        "CentralSeries",
+        "CommutatorReport",
+        "commutator",
+        "is_2engel",
+        "lower_central_series",
+        "verify_cube_law",
+        "verify_engel_consequences",
+    ),
+    "groups": (
+        "Automorphism",
+        "FiniteGroup",
+        "GroupElement",
+        "SemidirectExtension",
+        "Subgroup",
+        "automorphism_from_map",
+        "build_perm_group",
+        "build_table_group",
+        "cyclic_group",
+        "dihedral_group",
+        "generate_subgroup",
+        "heisenberg_group_3",
+        "identity_automorphism",
+        "inner_automorphism",
+        "inversion_automorphism",
+        "normal_core",
+        "quaternion_group",
+        "semidirect_c3",
+        "symmetric_group",
+    ),
+    "lattice": ("all_subgroups", "normal_subgroups"),
+    "measure": (
+        "AveragedIntersection",
+        "GroupFunction",
+        "LargenessCertificate",
+        "Subset",
+        "average_translate_intersection",
+        "format_rational",
+        "k_large_certificate",
+        "l2_distance",
+        "measure",
+        "translate_intersection_measure",
+        "translate_product_mean",
+    ),
+    "towers": ("Tower", "build_tower", "torsion_measure_sequence"),
+    "wordsets": (
+        "CosetWitness",
+        "ExtractionReport",
+        "WordSet",
+        "commuting_certificate",
+        "coset_witness",
+        "engel_pair_certificate",
+        "extract_abelian_subgroup",
+        "extract_engel_subgroup",
+        "inverted_set",
+        "splitting_set",
+        "torsion_set",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+# the modules an eager ``import finhaar`` made attributes of the package
+_SUBMODULES = frozenset(_EXPORTS) - {"measure"} | {"errors"}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    """A public name, imported from its module and bound here, or one of
+    ``_SUBMODULES`` (``finhaar.errors.SearchBudgetExceeded``), imported."""
+    public = name in _MODULE_OF
+    if not public and name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__name__}.{_MODULE_OF[name] if public else name}"
+    __import__(module)
+    value = sys.modules[module]
+    if public:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})
+
+
+class _Package(type(sys)):
+    """The package's module type.  Importing the submodule ``finhaar.measure``
+    binds it as the package attribute ``measure``, the public function of
+    that name; that one binding is dropped, in any import order."""
+
+    def __setattr__(self, name, value):
+        if name != "measure" or not isinstance(value, type(sys)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

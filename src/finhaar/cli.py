@@ -30,34 +30,10 @@ import zlib
 from functools import partial
 
 from .catalog import bundled_catalog, parse_catalog
-from .engel import (
-    is_2engel,
-    left_normed_idx,
-    lower_central_series,
-    verify_cube_law,
-    verify_engel_consequences,
-)
 from .errors import FinhaarError, OperationError, ParseError, SoundnessError, ValidationError
 from .errors import SearchBudgetExceeded
-from .measure import (
-    GroupFunction,
-    average_translate_intersection,
-    k_large_certificate,
-    translate_intersection_measure,
-    translate_product_mean,
-)
 from .reports import Report, jsonable
 from .towers import torsion_images_contained, torsion_measure_sequence
-from .wordsets import (
-    commuting_certificate,
-    coset_witness,
-    engel_pair_certificate,
-    extract_abelian_subgroup,
-    extract_engel_subgroup,
-    inverted_set,
-    splitting_set,
-    torsion_set,
-)
 
 
 def _int(text):
@@ -172,6 +148,8 @@ def _parse_spec(spec):
 
 def _resolve_set(entry, kind, param):
     """WordSet for this entry, or the reason the parsed spec does not fit it."""
+    from .wordsets import inverted_set, splitting_set, torsion_set
+
     G = entry.group
     if kind == "torsion":
         return torsion_set(G, param)
@@ -213,6 +191,8 @@ def _caps(**options):
 
 
 # -- one row per catalog entry: row(args, xs, entry, *word_sets) ------------------
+# A row imports what it calls, so that a command loads only the library
+# modules it runs (validate: catalog, towers and groups).
 
 
 def _validate_row(args, xs, entry):
@@ -236,11 +216,15 @@ def _word_set_row(args, xs, entry, word):
 
 
 def _lambda_row(args, xs, entry, *words):
+    from .measure import translate_intersection_measure
+
     value = translate_intersection_measure([w.subset for w in words], xs)
     return {"sets": [w.spec_string() for w in words], "at": xs, "measure": value}
 
 
 def _average_row(args, xs, entry, *words):
+    from .measure import average_translate_intersection
+
     out = average_translate_intersection([w.subset for w in words], **_caps(budget=args.budget))
     return {
         "sets": [w.spec_string() for w in words],
@@ -252,6 +236,9 @@ def _average_row(args, xs, entry, *words):
 
 def _psi_row(args, xs, entry):
     import numpy as np
+
+    from .measure import GroupFunction, translate_product_mean
+
     G = entry.group
     rng = np.random.default_rng([args.seed, zlib.crc32(entry.label.encode())])
     funcs = [GroupFunction.random_unit(G, rng) for _ in range(args.n)]
@@ -261,17 +248,24 @@ def _psi_row(args, xs, entry):
 
 
 def _klarge_row(args, xs, entry, word):
+    from .measure import k_large_certificate
+
     caps = _caps(budget=args.budget)
     cert = k_large_certificate(word.subset, args.k, strategy=args.strategy, **caps)
     return {"set": word.spec_string(), "strategy": args.strategy, **jsonable(cert)}
 
 
 def _witness_row(args, xs, entry, word):
+    from .wordsets import coset_witness
+
     witness = coset_witness(word, **_caps(limit=args.max_order))
     return {"set": word.spec_string(), **jsonable(witness)}
 
 
 def _pair_cert_row(args, xs, entry, word):
+    from .engel import left_normed_idx
+    from .wordsets import commuting_certificate, engel_pair_certificate
+
     G = entry.group
     a, b = xs
     if args.command == "commute-cert":
@@ -286,6 +280,8 @@ def _pair_cert_row(args, xs, entry, word):
 
 
 def _extract_row(args, xs, entry, word):
+    from .wordsets import extract_abelian_subgroup, extract_engel_subgroup
+
     abelian = args.command == "extract-abelian"
     extract = extract_abelian_subgroup if abelian else extract_engel_subgroup
     caps = _caps(limit=args.max_order)
@@ -293,11 +289,15 @@ def _extract_row(args, xs, entry, word):
 
 
 def _series_row(args, xs, entry):
+    from .engel import is_2engel, lower_central_series
+
     series = is_2engel if args.command == "engel" else lower_central_series
     return jsonable(series(entry.group))
 
 
 def _verify_row(args, xs, entry):
+    from .engel import verify_cube_law, verify_engel_consequences
+
     check = verify_cube_law if args.law == "lemma-2engel" else verify_engel_consequences
     return jsonable(check(entry.group, **_caps(max_order=args.max_order)))
 

@@ -15,26 +15,22 @@ certificates, is written from one format string built for that list.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 
 from . import __version__
-from .engel import CentralSeries, CommutatorReport
 from .groups import Subgroup
-from .measure import LargenessCertificate, format_rational
-from .wordsets import CosetWitness, ExtractionReport, ModeResult, WordSet
 
 TOOL_NAME = "finhaar"
 
 
 def jsonable(obj):
-    """Convert domain objects into JSON-ready structures."""
+    """Convert domain objects into JSON-ready structures.  A Fraction or a
+    record is told by its class's module and name, so that rendering
+    imports none of the modules that define them."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, (list, tuple)):
@@ -47,14 +43,18 @@ def jsonable(obj):
             "members": list(obj.members),
             "index": obj.index(),
         }
-    if isinstance(obj, WordSet):
+    kind = f"{type(obj).__module__}.{type(obj).__qualname__}"
+    if kind == "fractions.Fraction":
+        # lowest terms, positive denominator: measure.format_rational(obj)
+        return f"{obj.numerator}/{obj.denominator}"
+    if kind == "finhaar.wordsets.WordSet":
         return {
             "set": obj.spec_string(),
             "size": obj.subset.size,
-            "measure": format_rational(obj.measure),
+            "measure": jsonable(obj.measure),
             "members": obj.subset.indices(),
         }
-    if isinstance(obj, CosetWitness):
+    if kind == "finhaar.wordsets.CosetWitness":
         out = {
             "subgroup": jsonable(obj.subgroup),
             "t": obj.t,
@@ -64,16 +64,16 @@ def jsonable(obj):
         if obj.fallback is not None:
             out["fallback"] = obj.fallback
         return out
-    if isinstance(obj, LargenessCertificate):
+    if kind == "finhaar.measure.LargenessCertificate":
         return {
             "k": obj.k,
             "base_size": obj.base.size,
-            "base_measure": format_rational(obj.base.measure),
+            "base_measure": jsonable(obj.base.measure),
             "u_size": obj.u_set.size,
             "u_members": obj.u_set.indices(),
             "valid": obj.validate(),
         }
-    if isinstance(obj, ModeResult):
+    if kind == "finhaar.wordsets.ModeResult":
         return {
             "mode": obj.mode,
             "subgroup": jsonable(obj.subgroup),
@@ -82,13 +82,13 @@ def jsonable(obj):
                 {"a": a, "b": b, "witness": w} for a, b, w in obj.certificates
             ],
         }
-    if isinstance(obj, (ExtractionReport, CommutatorReport)):
+    if kind in ("finhaar.wordsets.ExtractionReport", "finhaar.engel.CommutatorReport"):
         # every field but the group, which the result row names by its label
         out = {k: jsonable(getattr(obj, k)) for k in obj.__match_args__ if k != "group"}
-        if isinstance(obj, CommutatorReport):
+        if kind == "finhaar.engel.CommutatorReport":
             out["holds"] = obj.holds
         return out
-    if isinstance(obj, CentralSeries):
+    if kind == "finhaar.engel.CentralSeries":
         return {
             "terms": [list(t.members) for t in obj.terms],
             "sizes": [t.size for t in obj.terms],

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .errors import NotSurjective
 from .groups import _index_list, _record, check_homomorphism
-from .wordsets import torsion_set
 
 
 @_record
@@ -49,11 +48,17 @@ def build_tower(levels, maps, name="tower"):
 
 def torsion_measure_sequence(tower, n):
     """Exact measures of the x^n = 1 sets, one per level, coarse to fine."""
+    # imported here: catalog imports towers, and parsing a catalog needs
+    # none of wordsets and the modules it imports
+    from .wordsets import torsion_set
+
     return [torsion_set(G, n).measure for G in tower.levels]
 
 
 def torsion_images_contained(tower, n):
     """Check that each fine torsion set maps into the coarse one."""
+    from .wordsets import torsion_set
+
     for i, phi in enumerate(tower.maps):
         fine = torsion_set(tower.levels[i + 1], n).subset
         coarse = torsion_set(tower.levels[i], n).subset

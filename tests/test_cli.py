@@ -378,7 +378,7 @@ def test_verify_counterexample_exits_3(capsys, monkeypatch):
             qualifying_triples=1,
         )
 
-    monkeypatch.setattr("finhaar.cli.verify_cube_law", fake_check)
+    monkeypatch.setattr(engel, "verify_cube_law", fake_check)
     code, out = run(capsys, ["verify", "lemma-2engel", "--group", "S3"])
     assert code == 3
     (res,) = payload(out)["results"]
@@ -722,7 +722,7 @@ def test_failed_recheck_exits_3_with_message(monkeypatch, capsys, command, spec)
     # the certificate's own re-check of a pair that breaks the law fails
     kind = spec.split(":")[0]
     forged = lambda G, aut: wordsets.WordSet(group=G, kind=kind, subset=Subset.full(G))
-    monkeypatch.setattr(cli, f"{kind}_set", forged)
+    monkeypatch.setattr(wordsets, f"{kind}_set", forged)
     at, law = ("1,2", "[1,2]") if kind == "inverted" else ("1,3", "[1,3,3]")
     code = main([command, "--set", spec, "--at", at, "--group", "S3"])
     captured = capsys.readouterr()
@@ -735,7 +735,7 @@ def test_other_package_error_exits_1(monkeypatch, capsys):
     def fail(*_args, **_kwargs):
         raise FinhaarError("unexpected")
 
-    monkeypatch.setattr(cli, "coset_witness", fail)
+    monkeypatch.setattr(wordsets, "coset_witness", fail)
     code = main(["witness", "--set", "torsion:2", "--group", "S3"])
     assert code == 1
     assert capsys.readouterr().err == "finhaar: unexpected\n"

@@ -1,7 +1,11 @@
-"""Every name a library module imports at module level is used there, and
-the command-line module starts without the stdlib's heavier machinery."""
+"""Every name a library module imports at module level is used there; the
+command-line module starts without the stdlib's heavier machinery; the
+package's public names are pinned, and each command loads only the library
+modules it runs.  Checks of what is loaded run in a fresh interpreter."""
 
 import ast
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,16 +43,126 @@ def test_every_module_level_import_is_read(path):
 NOT_AT_START_UP = ("dataclasses", "inspect", "typing", "importlib.resources")
 
 
+# where this finhaar lives, first on a fresh interpreter's path
+SRC = str(Path(finhaar.__file__).parent.parent)
+
+
+def _fresh(code):
+    """stdout of ``code`` run by a fresh ``python -S`` that imports finhaar
+    from SRC; -S, since the site module imports typing and
+    importlib.resources itself on hosts whose site-packages hold some
+    .pth files."""
+    code = f"import sys; sys.path.insert(0, {SRC!r})\n{code}"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_the_cli_starts_without_stdlib_machinery():
-    # -S: the site module imports typing and importlib.resources itself
-    # on hosts whose site-packages hold some .pth files
-    parent = str(Path(finhaar.__file__).parent.parent)
     code = (
-        f"import sys; sys.path.insert(0, {parent!r}); "
         "import finhaar.cli; finhaar.bundled_catalog(); "
         f"print(sorted(m for m in {NOT_AT_START_UP!r} if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out == "[]\n"
+    assert _fresh(code) == "[]\n"
+
+
+# the public names of finhaar, by the module that defines them
+PUBLIC = {
+    "catalog": ["Catalog", "CatalogEntry", "bundled_catalog", "parse_catalog"],
+    "engel": [
+        "CentralSeries", "CommutatorReport", "commutator", "is_2engel",
+        "lower_central_series", "verify_cube_law", "verify_engel_consequences",
+    ],
+    "groups": [
+        "Automorphism", "FiniteGroup", "GroupElement", "SemidirectExtension", "Subgroup",
+        "automorphism_from_map", "build_perm_group", "build_table_group", "cyclic_group",
+        "dihedral_group", "generate_subgroup", "heisenberg_group_3", "identity_automorphism",
+        "inner_automorphism", "inversion_automorphism", "normal_core", "quaternion_group",
+        "semidirect_c3", "symmetric_group",
+    ],
+    "lattice": ["all_subgroups", "normal_subgroups"],
+    "measure": [
+        "AveragedIntersection", "GroupFunction", "LargenessCertificate", "Subset",
+        "average_translate_intersection", "format_rational", "k_large_certificate",
+        "l2_distance", "measure", "translate_intersection_measure", "translate_product_mean",
+    ],
+    "towers": ["Tower", "build_tower", "torsion_measure_sequence"],
+    "wordsets": [
+        "CosetWitness", "ExtractionReport", "WordSet", "commuting_certificate",
+        "coset_witness", "engel_pair_certificate", "extract_abelian_subgroup",
+        "extract_engel_subgroup", "inverted_set", "splitting_set", "torsion_set",
+    ],
+}
+PUBLIC_NAMES = sorted(name for names in PUBLIC.values() for name in names)
+
+
+def test_the_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 57
+    code = f"""
+import finhaar, json
+names = sorted(finhaar.__all__)
+defined = {{
+    name: getattr(finhaar, name) is vars(sys.modules["finhaar." + module])[name]
+    for module, names in {PUBLIC!r}.items()
+    for name in names
+}}
+star = {{}}
+exec("from finhaar import *", star)
+print(json.dumps([names, defined, sorted(set(star) - {{"__builtins__"}})]))
+"""
+    names, defined, star = json.loads(_fresh(code))
+    assert names == PUBLIC_NAMES
+    assert [name for name, same in defined.items() if not same] == []
+    assert star == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize(
+    "imports",
+    [
+        "import finhaar",
+        "import finhaar, finhaar.wordsets",
+        "import finhaar.wordsets, finhaar",
+        "import finhaar; finhaar.Subset; import finhaar.wordsets",
+        "from finhaar.measure import Subset; import finhaar",
+        "import finhaar; from finhaar.measure import Subset",
+        "import finhaar.measure",
+    ],
+)
+def test_finhaar_measure_is_the_function_in_every_import_order(imports):
+    # importing the submodule finhaar.measure binds the package attribute
+    # of that name, unless the package drops that binding
+    check = "print(finhaar.measure is sys.modules['finhaar.measure'].measure)"
+    assert _fresh(f"{imports}\nimport finhaar\n{check}") == "True\n"
+
+
+def test_reading_the_bundled_catalog_loads_four_library_modules():
+    code = (
+        "import finhaar; finhaar.bundled_catalog(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'finhaar'))"
+    )
+    loaded = _fresh(code).split("'")[1::2]
+    assert loaded == [
+        "finhaar", "finhaar.catalog", "finhaar.errors", "finhaar.groups", "finhaar.towers"
+    ]
+
+
+def _loaded_by_command(argv):
+    """The finhaar modules that ``python -m finhaar ARGV`` imports, read from
+    the interpreter's own import log (-X importtime)."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "finhaar", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    names = {line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")}
+    return {name for name in names if name.split(".")[0] == "finhaar"}
+
+
+def test_validate_loads_no_module_it_does_not_run():
+    loaded = _loaded_by_command(["validate"])
+    not_run = {f"finhaar.{m}" for m in ("engel", "lattice", "measure", "wordsets")}
+    assert {"finhaar.catalog", "finhaar.cli", "finhaar.reports"} <= loaded
+    assert sorted(loaded & not_run) == []

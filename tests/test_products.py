@@ -35,4 +35,4 @@ def test_levels_built_letter_by_letter_are_the_bounded_products(which, picks, le
         levels = wordsets._next_levels(G, sorted(letters), new, levels)
         letters += new
         for k in range(1, length + 1):
-            assert sorted(levels[k - 1]) == _products_up_to(G, letters, k)
+            assert sorted(levels[k - 1]) == _products_up_to(G.table(), letters, k)

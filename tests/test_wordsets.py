@@ -39,6 +39,7 @@ from finhaar.wordsets import (
     torsion_set,
 )
 
+import oracles
 from conftest import S3_CYCLIC, S3_TRANSPOSITIONS, heis27_rtimes_c3
 
 
@@ -456,39 +457,47 @@ def test_seed_growth_checks_each_generated_subgroup_once(monkeypatch, make):
     assert len(generated) > len(checked)
 
 
-def _products_up_to(G, seed, length):
+def _products_up_to(table, seed, length):
     """Products of at most ``length`` letters of ``seed``, which holds the
-    identity, sorted: ``length - 1`` rounds of right multiplication."""
+    identity, sorted: ``length - 1`` rounds of right multiplication in
+    the Cayley table."""
     current = set(seed)
     out = set(seed)
     for _ in range(length - 1):
-        current = {G.mul(p, v) for p in current for v in seed}
+        current = {table[p][v] for p in current for v in seed}
         out |= current
     return sorted(out)
 
 
-def _grow_seed_set_by_rewalking(G, word_set, cert_fn, law_holds, length):
-    """Reference seed growth by the plain rule: every trial closes all of
-    its letters, multiplies out its products and walks every pair of
-    them, certified before or not."""
-    members, cache = {G.identity}, {}
+def _grow_seed_set_by_rewalking(table, word_set, cert_fn, kind, length):
+    """Reference seed growth by the plain rule, on the Cayley table: every
+    trial closes all of its letters, checks the ``kind`` law ("abelian" or
+    "two-engel") on every pair of the closure, multiplies out its products
+    and walks every pair of them, certified before or not."""
+    e = oracles.identity_of(table)
+    inv = oracles.inverses(table)
+    if kind == "abelian":
+        law_holds = lambda H: oracles.is_abelian_on(table, H)
+    else:
+        law_holds = lambda H: oracles.is_2engel_on(table, inv, H)
+    members, cache = {e}, {}
 
     def certified(a, b):
         if (a, b) not in cache:
             cache[(a, b)] = cert_fn(word_set, a, b)
         return cache[(a, b)]
 
-    for x in G.elements():
+    for x in range(len(table)):
         if x in members:
             continue
-        trial = members | {x, G.inv(x)}
-        if not law_holds(generate_subgroup(G, sorted(trial))):
+        trial = members | {x, inv[x]}
+        if not law_holds(oracles.closure(table, trial, e)):
             continue
-        products = _products_up_to(G, sorted(trial), length)
+        products = _products_up_to(table, sorted(trial), length)
         if all(certified(a, b) is not None for a in products for b in products):
             members = trial
     seed = tuple(sorted(members))
-    products = _products_up_to(G, seed, length)
+    products = _products_up_to(table, seed, length)
     return seed, tuple(
         wordsets.PairCertificate(a, b, certified(a, b)) for a in products for b in products
     )
@@ -499,7 +508,7 @@ _GROWTH_GROUPS = [
     ("D16", lambda: dihedral_group(8), (2, 1, 3)),
     ("S4", lambda: bundled_catalog().get("S4").group, (2, 1, 3)),
     ("S5", lambda: symmetric_group(5), (2, 1, 3)),
-    # the rewalk takes about a second on S6, so one length only
+    # the rewalk takes about 0.3 s on S6, so one length only
     ("S6", lambda: symmetric_group(6), (2,)),
 ]
 
@@ -544,9 +553,11 @@ def test_seed_growth_certifies_each_pair_once_as_a_rewalk_would(monkeypatch, kin
     monkeypatch.setattr(wordsets, "_certify_row", certify_row)
     *grown, generated = _grow_seed_set(G, word, law, length)
     grown_calls, calls[:] = calls[:], []
-    expected = _grow_seed_set_by_rewalking(G, word, cert_fn, law, length)
+    table = G.table()
+    expected = _grow_seed_set_by_rewalking(table, word, cert_fn, kind, length)
     assert tuple(grown) == expected
-    assert generated == generate_subgroup(G, grown[0])
+    assert generated.group is G
+    assert set(generated.members) == oracles.closure(table, grown[0], oracles.identity_of(table))
     assert grown_calls == calls
     assert len(calls) == len(set(calls))
 
