@@ -21,28 +21,29 @@ _EXPORTS = {
         "verify_cube_law",
         "verify_engel_consequences",
     ),
-    "groups": (
-        "Automorphism",
-        "FiniteGroup",
-        "GroupElement",
+    "families": (
         "SemidirectExtension",
-        "Subgroup",
-        "automorphism_from_map",
-        "build_perm_group",
-        "build_table_group",
         "cyclic_group",
         "dihedral_group",
-        "generate_subgroup",
         "heisenberg_group_3",
-        "identity_automorphism",
-        "inner_automorphism",
-        "inversion_automorphism",
-        "normal_core",
         "quaternion_group",
         "semidirect_c3",
         "symmetric_group",
     ),
-    "lattice": ("all_subgroups", "normal_subgroups"),
+    "groups": (
+        "Automorphism",
+        "FiniteGroup",
+        "GroupElement",
+        "Subgroup",
+        "automorphism_from_map",
+        "build_perm_group",
+        "build_table_group",
+        "generate_subgroup",
+        "identity_automorphism",
+        "inner_automorphism",
+        "inversion_automorphism",
+    ),
+    "lattice": ("all_subgroups", "normal_core", "normal_subgroups"),
     "measure": (
         "AveragedIntersection",
         "GroupFunction",
@@ -72,7 +73,8 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-# the modules an eager ``import finhaar`` made attributes of the package
+# the modules read as attributes of the package (``finhaar.groups``);
+# ``finhaar.measure`` is the public function of that name
 _SUBMODULES = frozenset(_EXPORTS) - {"measure"} | {"errors"}
 
 __all__ = list(_MODULE_OF)

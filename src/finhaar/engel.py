@@ -21,7 +21,8 @@ normed, [a, b, c] = [[a, b], c].
 from __future__ import annotations
 
 from .errors import GroupMismatch, SearchBudgetExceeded, SoundnessError
-from .groups import _read_through, _record, as_subgroup, conjugacy_classes, normal_closure
+from .groups import _read_through, _record
+from .lattice import as_subgroup, conjugacy_classes, normal_closure
 from .measure import Subset
 
 DEFAULT_TRIPLE_SCAN_LIMIT = 64

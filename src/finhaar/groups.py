@@ -1,4 +1,12 @@
-"""Finite groups on integer element indices.
+"""Finite groups on integer element indices: the group core.
+
+This module owns what reading a catalog needs: ``FiniteGroup`` and
+``GroupElement``, the two builders and the one rule for element
+indices, ``Subgroup`` and its closures, ``check_homomorphism``,
+``Automorphism`` with its identity, inversion and inner shortcuts, and
+the frozen records (``_record``).  Named groups and the order-3
+extension live in ``families``; conjugacy classes, normal closures and
+cores, and the double cosets the searches skip live in ``lattice``.
 
 Every group keeps its full Cayley table as a list of lists, so ``mul``
 and ``left_row`` are plain lookups.  A group is given either by that
@@ -33,10 +41,6 @@ The one subgroup closure, ``_extend``, extends a closed subgroup by
 one element a coset at a time; ``generate_subgroup`` and
 ``greedy_closure`` fold it from the trivial subgroup.
 
-Conjugacy classes, normal closures and the double cosets that the
-lattice search and seed growth skip (``_double_coset_marker``) are
-orbits of an index under index maps (``orbit``).
-
 One rule decides what an element index from outside is (``_index_list``
 for lists, ``_index`` for one): a Python or numpy integer in 0..n-1,
 never a bool, float or str, kept as a Python int.  Every public call
@@ -61,7 +65,6 @@ import itertools
 import math
 import operator
 from functools import lru_cache
-from numbers import Integral
 
 from .errors import (
     CapExceeded,
@@ -72,7 +75,6 @@ from .errors import (
     NotAssociative,
     NotBijective,
     NotMultiplicative,
-    OrderNotDividing3,
 )
 
 DEFAULT_CLOSURE_CAP = 4096
@@ -347,10 +349,14 @@ def _index_list(values, n, what):
     without importing numpy; bool, float and str entries do not,
     integral or not.  ValueError names the first bad entry."""
     values = list(values)
-    out = values if set(map(type, values)) <= {int} else [
-        operator.index(v) if isinstance(v, Integral) and type(v) is not bool else -1
-        for v in values
-    ]  # -1 marks an entry that is not an integer
+    out = values
+    if not set(map(type, values)) <= {int}:
+        from numbers import Integral
+
+        out = [
+            operator.index(v) if isinstance(v, Integral) and type(v) is not bool else -1
+            for v in values
+        ]  # -1 marks an entry that is not an integer
     if not _index_range(n).issuperset(out):
         v = next(v for v, i in zip(values, out) if not 0 <= i < n)
         raise ValueError(f"{what}: entry {v!r} out of range 0..{n - 1}")
@@ -381,67 +387,6 @@ def _read_through(index_map):
         return lambda row: [row[i]]
     get = operator.itemgetter(*index_map)
     return lambda row: list(get(row))
-
-
-def _rule_group(elements, mul, label):
-    """The table group on ``elements``, indexed in the order given, under
-    the multiplication rule ``mul`` on them."""
-    index = {x: i for i, x in enumerate(elements)}
-    return build_table_group([[index[mul(x, y)] for y in elements] for x in elements], label)
-
-
-def cyclic_group(n, label=None):
-    ident = list(range(n))
-    return build_table_group([ident[i:] + ident[:i] for i in range(n)], label or f"Z{n}")
-
-
-def symmetric_group(n, label=None):
-    """S_n closed from (0 1) and (0 1 ... n-1), both (0 1) for n = 2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    gens = [tuple((x + 1) % m if x < m else x for x in range(n)) for m in (min(2, n), n)]
-    return build_perm_group(n, gens, cap=math.factorial(n), label=label or f"S{n}")
-
-
-def dihedral_group(n, label=None):
-    """Dihedral group of order 2n; index j*n+i is r^i s^j."""
-    # (r^i s^j)(r^k s^l) = r^(i +- k) s^(j+l), since s r^k = r^-k s
-    return _rule_group(
-        [(i, j) for j in range(2) for i in range(n)],
-        lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % n, (x[1] + y[1]) % 2),
-        label or f"D{2 * n}",
-    )
-
-
-def quaternion_group(label="Q8"):
-    """Quaternion group of order 8; indices 0..7 are 1,i,j,k,-1,-i,-j,-k:
-    index 4s+b is (-1)^s times unit b."""
-    units = {
-        (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
-        (1, 0): (0, 1), (2, 0): (0, 2), (3, 0): (0, 3),
-        (1, 1): (1, 0), (2, 2): (1, 0), (3, 3): (1, 0),
-        (1, 2): (0, 3), (2, 1): (1, 3),
-        (2, 3): (0, 1), (3, 2): (1, 1),
-        (3, 1): (0, 2), (1, 3): (1, 2),
-    }
-
-    def mul(x, y):
-        s, b = units[x[1], y[1]]
-        return (x[0] + y[0] + s) % 2, b
-
-    return _rule_group([(s, b) for s in range(2) for b in range(4)], mul, label)
-
-
-def heisenberg_group_3(label="Heis27"):
-    """Upper unitriangular 3x3 matrices over F_3: order 27, exponent 3.
-
-    Index of (a, b, c) is 9a + 3b + c; (a,b,c)*(d,e,f) = (a+d, b+e, c+f+a*e).
-    """
-    return _rule_group(
-        [(a, b, c) for a in range(3) for b in range(3) for c in range(3)],
-        lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3, (x[2] + y[2] + x[0] * y[1]) % 3),
-        label,
-    )
 
 
 # -- subgroups ----------------------------------------------------------------
@@ -588,102 +533,6 @@ def greedy_closure(G, candidates):
     return closure
 
 
-def as_subgroup(H):
-    """A FiniteGroup as its whole subgroup, a Subgroup as itself; both
-    record generators."""
-    if isinstance(H, FiniteGroup):
-        return Subgroup._trusted(H, H.elements(), H.generators)
-    if not isinstance(H, Subgroup):
-        raise TypeError(f"expected FiniteGroup or Subgroup, got {type(H)!r}")
-    return H
-
-
-def orbit(start, maps, seen):
-    """Indices reachable from ``start`` by the index maps ``maps`` (lists
-    or dicts), in breadth-first order.  Each is marked in the bytearray
-    ``seen``; indices marked before are not entered.  For maps that are
-    bijections (left or right multiplication, conjugation) this is the
-    orbit of ``start`` under the group they generate."""
-    seen[start] = 1
-    out = [start]
-    for x in out:
-        for m in maps:
-            y = m[x]
-            if not seen[y]:
-                seen[y] = 1
-                out.append(y)
-    return out
-
-
-def _double_coset_marker(H, done):
-    """A function mark(g) that marks in the bytearray ``done`` the double
-    cosets H g^k H for k prime to the order of g: extending H by any of
-    them gives <H, g>, because it holds g^k and so g.  HgH is the orbit
-    of g under left and right multiplication by H's generators, and
-    mark(identity) marks H itself."""
-    G = H.group
-    t = G._table
-    shifts = [t[s] for s in H.generators] + [G.right_map(s) for s in H.generators]
-
-    def mark(g):
-        row, powers = t[g], [g]
-        while powers[-1] != G.identity:
-            powers.append(row[powers[-1]])
-        for k, p in enumerate(powers, 1):
-            if not done[p] and math.gcd(k, len(powers)) == 1:
-                orbit(p, shifts, done)
-
-    return mark
-
-
-def _conjugations(G, gens, domain):
-    """Index maps {x: s*x*s^-1 for x in domain}, one per s in ``gens``."""
-    t, inv = G._table, G._inv
-    return [{x: t[t[s][x]][inv[s]] for x in domain} for s in gens]
-
-
-def conjugacy_classes(H):
-    """Conjugacy classes of a FiniteGroup or Subgroup, each the orbit of
-    its least member under conjugation by H's generators, in order of
-    least member."""
-    H = as_subgroup(H)
-    maps = _conjugations(H.group, H.generators, H.members)
-    seen = bytearray(H.group.order)
-    return [tuple(sorted(orbit(x, maps, seen))) for x in H.members if not seen[x]]
-
-
-def normal_closure(H, elements):
-    """Smallest normal subgroup of H containing ``elements`` (members of
-    H): the subgroup generated by their conjugacy classes in H."""
-    H = as_subgroup(H)
-    G = H.group
-    elements = _index_list(elements, G.order, f"normal_closure on {G.label}")
-    maps = _conjugations(G, H.generators, H.members)
-    seen = bytearray(G.order)
-    return greedy_closure(G, [y for x in elements if not seen[x] for y in orbit(x, maps, seen)])
-
-
-def normal_core(G, H):
-    """Intersection of all conjugates of H: the largest normal subgroup
-    of G inside H.  Equals H exactly when H is normal.
-
-    K <- K & sKs^-1 over the generators s of G until K stops changing:
-    the core lies in every iterate, and the fixed point is normal.
-    """
-    if H.group is not G:
-        raise GroupMismatch("subgroup belongs to a different group")
-    maps = _conjugations(G, G.generators, H.members)  # every iterate lies in H
-    core = set(H.members)
-    changed = True
-    while changed and len(core) > 1:
-        changed = False
-        for m in maps:
-            kept = core.intersection([m[k] for k in core])
-            if len(kept) < len(core):
-                core, changed = kept, True
-    return greedy_closure(G, sorted(core))
-
-
 # -- homomorphisms and automorphisms -------------------------------------------
 
 
@@ -774,49 +623,6 @@ def inner_automorphism(G, g, name=None):
     )
 
 
-# -- order-3 semidirect extension ---------------------------------------------
-
-
-class SemidirectExtension(FiniteGroup):
-    """G extended by an order-dividing-3 automorphism.
-
-    Pairs (g, i), i in 0..2, are indexed as g + |G|*i, so the i=0 block
-    embeds G.  Multiplication is
-        (g, i) * (h, j) = (g * aut^((3-i) mod 3)(h), (i+j) mod 3)
-    which makes (a, 1)**3 the identity exactly for a in the splitting
-    set {x : x^(aut^2) x^aut x = 1}.
-    """
-
-    def __init__(self, base, aut, label=None):
-        if 3 % aut.order != 0:
-            raise OrderNotDividing3(
-                f"{base.label}/{aut.name}: automorphism order {aut.order} does not divide 3"
-            )
-        n = base.order
-        # block j of row (g, i) is g's row read through the twist, shifted
-        # into block (i + j) mod 3
-        twists = [_read_through(aut.map_power((3 - i) % 3)) for i in range(3)]
-        shifted = [[list(map((n * b).__add__, row)) for row in base._table] for b in range(3)]
-        table = []
-        for i, twist in enumerate(twists):
-            for g in range(n):
-                row = []
-                for j in range(3):
-                    row += twist(shifted[(i + j) % 3][g])
-                table.append(row)
-        self.base = base
-        self.twist = aut
-        super().__init__(label or f"{base.label}:rtimes3", table=table)
-
-    def pair_index(self, g, i):
-        return g + self.base.order * (i % 3)
-
-
-def semidirect_c3(G, aut, label=None):
-    """Order-3 semidirect extension of G by ``aut`` (see SemidirectExtension)."""
-    return SemidirectExtension(G, aut, label=label)
-
-
 # -- frozen records ------------------------------------------------------------
 
 
@@ -891,3 +697,26 @@ def _bad_arguments(name, names, defaults, args, kwargs):
             return f"{name}() got multiple values for argument {key!r}"
     missing = [f for f in names[len(args) :] if f not in kwargs and f not in defaults]
     return f"{name}() missing required arguments: {', '.join(map(repr, missing))}"
+
+
+# -- names that moved ----------------------------------------------------------
+
+# bench/tracing.py's LAYERS still reads these as attributes of this module,
+# with no default, so each is imported from its own module when read.
+# Retired once the tracer imports every module it wraps and names them
+# there (ROADMAP item 1, step 4).
+_MOVED = {
+    "cyclic_group": "families",
+    "dihedral_group": "families",
+    "heisenberg_group_3": "families",
+    "quaternion_group": "families",
+    "semidirect_c3": "families",
+    "symmetric_group": "families",
+    "normal_core": "lattice",
+}
+
+
+def __getattr__(name):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__package__}.{_MOVED[name]}", fromlist=[name]), name)

@@ -37,16 +37,13 @@ from .errors import (
     SoundnessError,
     WrongKind,
 )
-from .groups import (
-    Subgroup,
+from .groups import Subgroup, _extend, _index, _record, generate_subgroup
+from .lattice import (
+    SUBGROUP_SCAN_LIMIT,
     _double_coset_marker,
-    _extend,
-    _index,
-    _record,
-    generate_subgroup,
+    maximal_subgroup_satisfying,
     normal_core,
 )
-from .lattice import SUBGROUP_SCAN_LIMIT, maximal_subgroup_satisfying
 from .measure import Subset
 
 DEFAULT_PRODUCT_LENGTH = 2
@@ -320,7 +317,7 @@ def _grow_seed_set(G, word_set, law_holds, length):
       which leaves A as it is when x is already inside; many trials
       generate the same subgroup, so the law is checked once per subgroup;
     * when <A, x> fails the law, the double cosets A x^k A with k prime
-      to the order of x are skipped (``groups._double_coset_marker``):
+      to the order of x are skipped (``lattice._double_coset_marker``):
       for each such x' and each later A' >= A, <A', x'> holds <A, x>;
     * it builds the products level by level from V's (``_next_levels``),
       at most |G| levels, since once two levels agree all later ones do;

@@ -14,7 +14,7 @@ import oracles
 import pytest
 
 from finhaar.catalog import bundled_catalog
-from finhaar.groups import (
+from finhaar.families import (
     cyclic_group,
     dihedral_group,
     heisenberg_group_3,

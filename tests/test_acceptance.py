@@ -16,7 +16,7 @@ import pytest
 
 from finhaar.catalog import bundled_catalog
 from finhaar.engel import is_2engel, verify_cube_law, verify_engel_consequences
-from finhaar.groups import semidirect_c3
+from finhaar.families import semidirect_c3
 from finhaar.measure import (
     GroupFunction,
     Subset,

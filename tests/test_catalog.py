@@ -9,17 +9,19 @@ from finhaar.catalog import (
     parse_catalog_dict,
 )
 from finhaar.errors import NotMultiplicative, ParseError
-from finhaar.groups import (
-    automorphism_from_map,
+from finhaar.families import (
     cyclic_group,
     dihedral_group,
     heisenberg_group_3,
-    identity_automorphism,
-    inner_automorphism,
-    inversion_automorphism,
     quaternion_group,
     semidirect_c3,
     symmetric_group,
+)
+from finhaar.groups import (
+    automorphism_from_map,
+    identity_automorphism,
+    inner_automorphism,
+    inversion_automorphism,
 )
 
 REQUIRED_LABELS = {

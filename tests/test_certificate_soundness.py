@@ -21,7 +21,7 @@ import oracles
 import pytest
 
 from finhaar.catalog import bundled_catalog
-from finhaar.groups import dihedral_group
+from finhaar.families import dihedral_group
 from finhaar.measure import Subset, average_translate_intersection
 from finhaar.wordsets import (
     WordSet,

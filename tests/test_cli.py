@@ -469,7 +469,7 @@ def test_klarge_output_revalidates(capsys):
 KLARGE_HUGE_K = (
     "import sys\n"
     "from finhaar.cli import main\n"
-    "from finhaar.groups import cyclic_group\n"
+    "from finhaar.families import cyclic_group\n"
     "from finhaar.measure import LargenessCertificate, Subset\n"
     "G = cyclic_group(2)\n"
     "full = Subset.full(G)\n"

@@ -12,13 +12,8 @@ import oracles
 import pytest
 
 from finhaar.catalog import bundled_catalog
-from finhaar.groups import (
-    build_table_group,
-    cyclic_group,
-    dihedral_group,
-    generate_subgroup,
-    symmetric_group,
-)
+from finhaar.families import cyclic_group, dihedral_group, symmetric_group
+from finhaar.groups import build_table_group, generate_subgroup
 
 from conftest import greedy_generators
 

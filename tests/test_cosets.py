@@ -10,7 +10,8 @@ import oracles
 import pytest
 
 from finhaar.catalog import bundled_catalog
-from finhaar.groups import generate_subgroup, symmetric_group
+from finhaar.families import symmetric_group
+from finhaar.groups import generate_subgroup
 from finhaar.measure import Subset
 from finhaar.wordsets import (
     CosetWitness,

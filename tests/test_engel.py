@@ -17,23 +17,23 @@ from finhaar.engel import (
     verify_engel_consequences,
 )
 from finhaar.errors import GroupMismatch, SearchBudgetExceeded, SoundnessError
+from finhaar.families import (
+    cyclic_group,
+    dihedral_group,
+    heisenberg_group_3,
+    quaternion_group,
+    semidirect_c3,
+    symmetric_group,
+)
 from finhaar.groups import (
     Subgroup,
     automorphism_from_map,
     build_perm_group,
     build_table_group,
-    conjugacy_classes,
-    cyclic_group,
-    dihedral_group,
     generate_subgroup,
-    heisenberg_group_3,
     identity_automorphism,
-    normal_closure,
-    quaternion_group,
-    semidirect_c3,
-    symmetric_group,
 )
-from finhaar.lattice import all_subgroups
+from finhaar.lattice import all_subgroups, conjugacy_classes, normal_closure
 
 from conftest import A5_GENS, S3_CYCLIC, Arithmetic, heis27_rtimes_c3
 

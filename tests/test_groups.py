@@ -16,26 +16,26 @@ from finhaar.errors import (
     NotMultiplicative,
     OrderNotDividing3,
 )
+from finhaar.families import (
+    cyclic_group,
+    dihedral_group,
+    heisenberg_group_3,
+    quaternion_group,
+    semidirect_c3,
+    symmetric_group,
+)
 from finhaar.groups import (
     FiniteGroup,
     Subgroup,
     automorphism_from_map,
     build_perm_group,
     build_table_group,
-    cyclic_group,
-    dihedral_group,
     generate_subgroup,
-    heisenberg_group_3,
     identity_automorphism,
     inner_automorphism,
     inversion_automorphism,
-    normal_closure,
-    normal_core,
-    quaternion_group,
-    semidirect_c3,
-    symmetric_group,
 )
-from finhaar.lattice import all_subgroups
+from finhaar.lattice import all_subgroups, normal_closure, normal_core
 from finhaar.measure import (
     GroupFunction,
     Subset,

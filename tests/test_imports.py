@@ -1,9 +1,11 @@
 """Every name a library module imports at module level is used there; the
 command-line module starts without the stdlib's heavier machinery; the
-package's public names are pinned, and each command loads only the library
-modules it runs.  Checks of what is loaded run in a fresh interpreter."""
+package's public names are pinned, each command loads only the library
+modules it runs, and every name the benchmark's tracer wraps resolves.
+Checks of what is loaded run in a fresh interpreter."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import tracing
 
 import finhaar
 
@@ -73,14 +76,16 @@ PUBLIC = {
         "CentralSeries", "CommutatorReport", "commutator", "is_2engel",
         "lower_central_series", "verify_cube_law", "verify_engel_consequences",
     ],
-    "groups": [
-        "Automorphism", "FiniteGroup", "GroupElement", "SemidirectExtension", "Subgroup",
-        "automorphism_from_map", "build_perm_group", "build_table_group", "cyclic_group",
-        "dihedral_group", "generate_subgroup", "heisenberg_group_3", "identity_automorphism",
-        "inner_automorphism", "inversion_automorphism", "normal_core", "quaternion_group",
-        "semidirect_c3", "symmetric_group",
+    "families": [
+        "SemidirectExtension", "cyclic_group", "dihedral_group", "heisenberg_group_3",
+        "quaternion_group", "semidirect_c3", "symmetric_group",
     ],
-    "lattice": ["all_subgroups", "normal_subgroups"],
+    "groups": [
+        "Automorphism", "FiniteGroup", "GroupElement", "Subgroup", "automorphism_from_map",
+        "build_perm_group", "build_table_group", "generate_subgroup", "identity_automorphism",
+        "inner_automorphism", "inversion_automorphism",
+    ],
+    "lattice": ["all_subgroups", "normal_core", "normal_subgroups"],
     "measure": [
         "AveragedIntersection", "GroupFunction", "LargenessCertificate", "Subset",
         "average_translate_intersection", "format_rational", "k_large_certificate",
@@ -135,15 +140,45 @@ def test_finhaar_measure_is_the_function_in_every_import_order(imports):
     assert _fresh(f"{imports}\nimport finhaar\n{check}") == "True\n"
 
 
-def test_reading_the_bundled_catalog_loads_four_library_modules():
+CATALOG_READ_LOADS = [
+    "finhaar", "finhaar.catalog", "finhaar.errors", "finhaar.groups", "finhaar.towers"
+]
+
+
+def _loaded_after(call):
+    """The finhaar modules loaded after ``import finhaar; CALL``."""
     code = (
-        "import finhaar; finhaar.bundled_catalog(); "
+        f"import finhaar; {call}; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'finhaar'))"
     )
-    loaded = _fresh(code).split("'")[1::2]
-    assert loaded == [
-        "finhaar", "finhaar.catalog", "finhaar.errors", "finhaar.groups", "finhaar.towers"
-    ]
+    return _fresh(code).split("'")[1::2]
+
+
+def test_reading_the_bundled_catalog_loads_four_library_modules():
+    assert _loaded_after("finhaar.bundled_catalog()") == CATALOG_READ_LOADS
+
+
+# a table group, a permutation group with an automorphism, and a tower
+SMALL_CATALOG = {
+    "groups": [
+        {"label": "Z2", "kind": "table", "table": [[0, 1], [1, 0]]},
+        {"label": "Z4", "kind": "table",
+         "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]},
+        {"label": "S3", "kind": "perm", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]],
+         "automorphisms": [{"name": "id", "map": [0, 1, 2, 3, 4, 5], "order": 1}]},
+    ],
+    "towers": [{"name": "mod2", "levels": ["Z2", "Z4"], "maps": [[0, 1, 0, 1]]}],
+}
+
+
+def test_parsing_a_catalog_file_loads_what_the_bundled_catalog_loads(tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(SMALL_CATALOG), encoding="utf-8")
+    parse = (
+        f"c = finhaar.parse_catalog({str(path)!r}); "
+        "assert c.labels() == ['S3', 'Z2', 'Z4'] and list(c.towers) == ['mod2']"
+    )
+    assert _loaded_after(parse) == CATALOG_READ_LOADS
 
 
 def _loaded_by_command(argv):
@@ -163,6 +198,23 @@ def _loaded_by_command(argv):
 
 def test_validate_loads_no_module_it_does_not_run():
     loaded = _loaded_by_command(["validate"])
-    not_run = {f"finhaar.{m}" for m in ("engel", "lattice", "measure", "wordsets")}
+    not_run = {f"finhaar.{m}" for m in ("engel", "families", "lattice", "measure", "wordsets")}
     assert {"finhaar.catalog", "finhaar.cli", "finhaar.reports"} <= loaded
     assert sorted(loaded & not_run) == []
+
+
+# every name the benchmark's traced run wraps, as (module, attribute)
+TRACED = [target for targets in tracing.LAYERS.values() for target in targets]
+
+
+@pytest.mark.parametrize("module, attr", TRACED)
+def test_every_traced_name_resolves(module, attr):
+    # the tracer reads a function as a module attribute with no default,
+    # and a method from its class's own namespace
+    target = importlib.import_module(f"finhaar.{module}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        target = vars(getattr(target, cls_name))[meth]
+    else:
+        target = getattr(target, attr)
+    assert callable(target)

@@ -14,18 +14,20 @@ import pytest
 from finhaar import lattice
 from finhaar.catalog import bundled_catalog
 from finhaar.engel import is_2engel
+from finhaar.families import (
+    cyclic_group,
+    dihedral_group,
+    heisenberg_group_3,
+    quaternion_group,
+    semidirect_c3,
+    symmetric_group,
+)
 from finhaar.groups import (
     Subgroup,
     automorphism_from_map,
     build_perm_group,
     build_table_group,
-    cyclic_group,
-    dihedral_group,
     generate_subgroup,
-    heisenberg_group_3,
-    quaternion_group,
-    semidirect_c3,
-    symmetric_group,
 )
 from finhaar.lattice import all_subgroups, maximal_subgroup_satisfying
 

@@ -13,7 +13,7 @@ from finhaar.errors import (
     SearchBudgetExceeded,
     UnitBallViolated,
 )
-from finhaar.groups import cyclic_group
+from finhaar.families import cyclic_group
 from finhaar.measure import (
     GroupFunction,
     LargenessCertificate,

@@ -6,7 +6,7 @@ import pytest
 
 from finhaar import wordsets
 from finhaar.catalog import bundled_catalog
-from finhaar.groups import dihedral_group
+from finhaar.families import dihedral_group
 
 from test_wordsets import _products_up_to
 

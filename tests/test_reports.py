@@ -16,7 +16,8 @@ from finhaar.engel import (
     verify_cube_law,
     verify_engel_consequences,
 )
-from finhaar.groups import generate_subgroup, heisenberg_group_3, identity_automorphism, symmetric_group
+from finhaar.families import heisenberg_group_3, symmetric_group
+from finhaar.groups import generate_subgroup, identity_automorphism
 from finhaar.measure import average_translate_intersection, k_large_certificate
 from finhaar.reports import Report, _encode, _int_rows, jsonable
 from finhaar.towers import Tower

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from finhaar.errors import NotMultiplicative, NotSurjective
-from finhaar.groups import cyclic_group, dihedral_group
+from finhaar.families import cyclic_group, dihedral_group
 from finhaar.towers import build_tower, torsion_images_contained, torsion_measure_sequence
 
 

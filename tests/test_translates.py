@@ -5,7 +5,7 @@ import importlib
 import oracles
 import pytest
 
-from finhaar.groups import dihedral_group, symmetric_group
+from finhaar.families import dihedral_group, symmetric_group
 from finhaar.measure import (
     Subset,
     average_translate_intersection,

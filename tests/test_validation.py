@@ -14,15 +14,8 @@ import pytest
 
 from finhaar.catalog import bundled_catalog
 from finhaar.errors import NotAssociative, ValidationError
-from finhaar.groups import (
-    automorphism_from_map,
-    build_table_group,
-    cyclic_group,
-    dihedral_group,
-    inner_automorphism,
-    quaternion_group,
-    symmetric_group,
-)
+from finhaar.families import cyclic_group, dihedral_group, quaternion_group, symmetric_group
+from finhaar.groups import automorphism_from_map, build_table_group, inner_automorphism
 from finhaar.towers import build_tower
 
 

@@ -13,16 +13,14 @@ from finhaar.errors import (
     SoundnessError,
     WrongKind,
 )
+from finhaar.families import dihedral_group, semidirect_c3, symmetric_group
 from finhaar.groups import (
     automorphism_from_map,
     build_table_group,
-    dihedral_group,
     generate_subgroup,
     identity_automorphism,
     inner_automorphism,
     inversion_automorphism,
-    semidirect_c3,
-    symmetric_group,
 )
 from finhaar.measure import Subset
 from finhaar.wordsets import (
