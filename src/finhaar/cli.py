@@ -396,19 +396,11 @@ def run_command(args):
     finding = args.command == "verify" and any(
         r.get("applicable", False) and not r.get("holds", True) for r in results
     )
-    parameters = {
-        "group": args.group,
-        "sets": args.sets,
-        "mode": args.mode,
-        "k": args.k,
-        "strategy": args.strategy,
-        "max_order": args.max_order,
-        "budget": args.budget,
-        "seed": args.seed,
-        "at": args.at,
-        "n": args.n,
-        "length": args.length,
-    }
+    # every option but those that choose the input, the output or nothing
+    # (--workers has no effect); the command has its own field, and only
+    # verify's parameters name the law
+    omit = {"command", "law", "catalog", "workers", "out", "format"}
+    parameters = {k: v for k, v in vars(args).items() if k not in omit}
     if args.command == "verify":
         parameters["law"] = args.law
     report = Report(

@@ -20,8 +20,8 @@ normed, [a, b, c] = [[a, b], c].
 
 from __future__ import annotations
 
-from .errors import GroupMismatch, SearchBudgetExceeded, SoundnessError
-from .groups import _read_through, _record
+from .errors import SearchBudgetExceeded, SoundnessError
+from .groups import _one_group, _read_through, _record
 from .lattice import as_subgroup, conjugacy_classes, normal_closure
 from .measure import Subset
 
@@ -41,10 +41,7 @@ def left_normed_idx(G, a, b, *rest):
 
 def commutator(a, b, *rest):
     """Left-normed commutator of group elements: [a, b], [a, b, c], ..."""
-    G = a.group
-    for other in (b, *rest):
-        if other.group is not G:
-            raise GroupMismatch("elements of different groups")
+    G = _one_group((a, b, *rest), "elements of different groups")
     return G.element(left_normed_idx(G, a.idx, b.idx, *(c.idx for c in rest)))
 
 

@@ -4,7 +4,8 @@ This module owns what reading a catalog needs: ``FiniteGroup`` and
 ``GroupElement``, the two builders and the one rule for element
 indices, ``Subgroup`` and its closures, ``check_homomorphism``,
 ``Automorphism`` with its identity, inversion and inner shortcuts, and
-the frozen records (``_record``).  Named groups and the order-3
+the frozen records (``_record``), whose constructors raise a TypeError
+that names the class and its field tuple.  Named groups and the order-3
 extension live in ``families``; conjugacy classes, normal closures and
 cores, and the double cosets the searches skip live in ``lattice``.
 
@@ -40,6 +41,10 @@ exactly its members, so checks on a subgroup run on its generators.
 The one subgroup closure, ``_extend``, extends a closed subgroup by
 one element a coset at a time; ``generate_subgroup`` and
 ``greedy_closure`` fold it from the trivial subgroup.
+
+One guard, ``_one_group``, checks that the sets, subsets, functions or
+elements that one call combines belong to one group, and raises
+GroupMismatch when they do not.
 
 One rule decides what an element index from outside is (``_index_list``
 for lists, ``_index`` for one): a Python or numpy integer in 0..n-1,
@@ -378,6 +383,16 @@ def _index(v, n, what):
     return _index_list((v,), n, what)[0]
 
 
+def _one_group(items, message):
+    """The one group that ``items`` (each with a ``.group``, at least one)
+    belong to; GroupMismatch(``message``) when they belong to two."""
+    G = items[0].group
+    for item in items:
+        if item.group is not G:
+            raise GroupMismatch(message)
+    return G
+
+
 def _read_through(index_map):
     """The function row -> [row[i] for i in index_map], run in C; with a
     table row as ``index_map`` it composes rows: g's row read through
@@ -638,10 +653,12 @@ def _record(cls):
     dataclass's are.  Instances take the fields positionally or by
     keyword, compare and hash as the tuple of their fields (another class
     compares ``NotImplemented``), and print as ``Name(field=value, ...)``;
-    setting or deleting an attribute raises AttributeError.  The fields
-    live in the instance ``__dict__``, which ``__init__`` fills by
-    ``update`` and checks once, as fast as a dataclass's ``__init__``:
-    ``is_2engel`` builds a record per law check.
+    a call that does not fill each field once, by position, keyword or
+    default, raises a TypeError that names the class and its field
+    tuple, and setting or deleting an attribute raises AttributeError.
+    The fields live in the instance ``__dict__``, which ``__init__``
+    fills by ``update`` and checks once, as fast as a dataclass's
+    ``__init__``: ``is_2engel`` builds a record per law check.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     n = len(names)
@@ -659,7 +676,7 @@ def _record(cls):
             fields.update(zip(names, args))
         fields.update(kwargs)
         if len(fields) != n or len(args) > n or not kwargs.keys() <= tails[len(args)]:
-            raise TypeError(_bad_arguments(cls.__name__, names, defaults, args, kwargs))
+            raise TypeError(f"{cls.__name__}() takes its fields {names} once each")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -683,20 +700,6 @@ def _record(cls):
         setattr(cls, method.__name__, method)
     cls.__match_args__ = names
     return cls
-
-
-def _bad_arguments(name, names, defaults, args, kwargs):
-    """The TypeError message of a record constructor called with ``args``
-    and ``kwargs``, which do not fill the fields ``names`` exactly once."""
-    if len(args) > len(names):
-        return f"{name}() takes {len(names)} positional arguments but {len(args)} were given"
-    for key in kwargs:
-        if key not in names:
-            return f"{name}() got an unexpected keyword argument {key!r}"
-        if key in names[: len(args)]:
-            return f"{name}() got multiple values for argument {key!r}"
-    missing = [f for f in names[len(args) :] if f not in kwargs and f not in defaults]
-    return f"{name}() missing required arguments: {', '.join(map(repr, missing))}"
 
 
 # -- names that moved ----------------------------------------------------------

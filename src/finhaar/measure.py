@@ -31,13 +31,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .errors import (
-    EmptyBase,
-    GroupMismatch,
-    SearchBudgetExceeded,
-    UnitBallViolated,
-)
-from .groups import _index, _index_list, _read_through, _record
+from .errors import EmptyBase, SearchBudgetExceeded, UnitBallViolated
+from .groups import _index, _index_list, _one_group, _read_through, _record
 
 DEFAULT_TUPLE_SPACE_BUDGET = 10**8
 DEFAULT_KLARGE_BUDGET = 10**7
@@ -138,16 +133,16 @@ class Subset:
         return self.bits == self.inverse_set().bits
 
     def __and__(self, other):
-        self._same_group(other)
-        return Subset(self.group, self.bits & other.bits)
+        G = _one_group((self, other), "subsets over different groups")
+        return Subset(G, self.bits & other.bits)
 
     def __or__(self, other):
-        self._same_group(other)
-        return Subset(self.group, self.bits | other.bits)
+        G = _one_group((self, other), "subsets over different groups")
+        return Subset(G, self.bits | other.bits)
 
     def __sub__(self, other):
-        self._same_group(other)
-        return Subset(self.group, self.bits & ~other.bits)
+        G = _one_group((self, other), "subsets over different groups")
+        return Subset(G, self.bits & ~other.bits)
 
     def __contains__(self, idx):
         return idx in range(self.group.order) and bool(self.bits >> int(idx) & 1)
@@ -161,10 +156,6 @@ class Subset:
 
     def __hash__(self):
         return hash((id(self.group), self.bits))
-
-    def _same_group(self, other):
-        if other.group is not self.group:
-            raise GroupMismatch("subsets over different groups")
 
     def __repr__(self):
         return f"Subset({self.group.label}, size={self.size})"
@@ -185,10 +176,7 @@ def translate_intersection_measure(sets, xs):
     """Exact measure of x_1 A_1 ∩ ... ∩ x_n A_n."""
     if len(sets) != len(xs) or not sets:
         raise ValueError("need equally many sets and translates, at least one")
-    G = sets[0].group
-    for A in sets:
-        if A.group is not G:
-            raise GroupMismatch("sets over different groups")
+    G = _one_group(sets, "sets over different groups")
     xs = _index_list(xs, G.order, f"translate_intersection_measure on {G.label}")
     mask = (1 << G.order) - 1
     for A, x in zip(sets, xs):
@@ -245,10 +233,7 @@ def average_translate_intersection(sets, budget=DEFAULT_TUPLE_SPACE_BUDGET):
     """
     if not sets:
         raise ValueError("need at least one set")
-    G = sets[0].group
-    for A in sets:
-        if A.group is not G:
-            raise GroupMismatch("sets over different groups")
+    G = _one_group(sets, "sets over different groups")
     n = len(sets)
     if G.order**n > budget:
         raise SearchBudgetExceeded(
@@ -329,8 +314,7 @@ class GroupFunction:
 
 def l2_distance(f, g):
     import numpy as np
-    if f.group is not g.group:
-        raise GroupMismatch("functions over different groups")
+    _one_group((f, g), "functions over different groups")
     return float(np.sqrt(np.mean(np.abs(f.values - g.values) ** 2)))
 
 
@@ -343,10 +327,7 @@ def translate_product_mean(funcs, xs):
     """
     if len(funcs) != len(xs) or not funcs:
         raise ValueError("need equally many functions and translates, at least one")
-    G = funcs[0].group
-    for f in funcs:
-        if f.group is not G:
-            raise GroupMismatch("functions over different groups")
+    G = _one_group(funcs, "functions over different groups")
     xs = _index_list(xs, G.order, f"translate_product_mean on {G.label}")
     import numpy as np
     prod = np.ones(G.order, dtype=np.complex128)

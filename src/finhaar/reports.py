@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 
 from . import __version__
-from .groups import Subgroup
+from .groups import Subgroup, _record
 
 TOOL_NAME = "finhaar"
 
@@ -156,14 +156,13 @@ def _encode(obj, indent="\n"):
     return _encode(jsonable(obj), indent)
 
 
+@_record
 class Report:
-    # a plain class: @dataclass execs its generated methods at every import
-    def __init__(self, command, catalog, parameters, results, timing_ms=0.0):
-        self.command = command
-        self.catalog = catalog
-        self.parameters = parameters
-        self.results = results
-        self.timing_ms = timing_ms
+    command: str
+    catalog: str
+    parameters: dict
+    results: list
+    timing_ms: float = 0.0
 
     def _fields(self):
         return {

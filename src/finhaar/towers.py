@@ -59,10 +59,9 @@ def torsion_images_contained(tower, n):
     """Check that each fine torsion set maps into the coarse one."""
     from .wordsets import torsion_set
 
-    for i, phi in enumerate(tower.maps):
-        fine = torsion_set(tower.levels[i + 1], n).subset
-        coarse = torsion_set(tower.levels[i], n).subset
-        for x in fine.indices():
-            if phi[x] not in coarse:
-                return False
-    return True
+    sets = [torsion_set(G, n).subset for G in tower.levels]
+    return all(
+        phi[x] in coarse
+        for phi, coarse, fine in zip(tower.maps, sets, sets[1:])
+        for x in fine.indices()
+    )

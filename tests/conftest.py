@@ -6,6 +6,13 @@ setting).  It works on plain Cayley tables and imports nothing from
 finhaar.  ``Arithmetic`` below reads products, commutators and
 translates off such a table, with its identity and inverses from
 ``oracles``.
+
+Property tests take their settings from ``examples`` under one of two
+Hypothesis profiles.  ``tier1``, loaded here, draws the same examples
+on every run, so that a failure repeats.  ``explore`` draws five times
+as many from a seed of its own:
+
+    pytest --hypothesis-profile=explore --hypothesis-seed=N
 """
 
 pytest_plugins = ["pytester"]
@@ -22,6 +29,23 @@ from finhaar.families import (
     semidirect_c3,
     symmetric_group,
 )
+
+try:
+    import hypothesis
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    hypothesis.settings.register_profile("tier1", derandomize=True, deadline=None)
+    hypothesis.settings.register_profile("explore", max_examples=500, deadline=None)
+    hypothesis.settings.load_profile("tier1")
+
+
+def examples(n):
+    """A property test's settings: n examples under ``tier1``, which keeps
+    Hypothesis's default max_examples of 100, and n / 100 times the loaded
+    profile's max_examples under another, so 5n under ``explore``."""
+    return hypothesis.settings(max_examples=n * hypothesis.settings.default.max_examples // 100)
+
 
 # Breadth-first indexing of S3 generated by (0 1) and (0 1 2):
 #   0: e, 1: (0 1), 2: (0 1 2), 3: (1 2), 4: (0 2), 5: (0 2 1)

@@ -16,6 +16,8 @@ import pytest
 from finhaar import cli
 from finhaar.catalog import bundled_catalog
 
+from conftest import examples
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -55,7 +57,7 @@ def argvs(draw):
     return argv
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
+@examples(150)
 @hypothesis.given(argvs())
 def test_exit_2_exactly_when_no_catalog_was_read(argv):
     loads = []
@@ -123,7 +125,7 @@ def _intermixed(parser, argv):
     return parser.parse_intermixed_args(argv)
 
 
-@hypothesis.settings(max_examples=200, deadline=None)
+@examples(200)
 @hypothesis.given(argvs() | placed_argvs())
 def test_one_pass_parse_matches_intermixed(argv):
     assert _run(argv) == _run(argv, _intermixed)

@@ -17,6 +17,8 @@ import pytest
 from finhaar.catalog import bundled_catalog_text
 from finhaar.cli import main
 
+from conftest import examples
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -54,7 +56,7 @@ def mutated_catalogs(draw):
     return doc
 
 
-@hypothesis.settings(max_examples=60, deadline=None)
+@examples(60)
 @hypothesis.given(mutated_catalogs())
 def test_a_mutated_catalog_exits_0_or_2_with_one_message(doc):
     out, err = io.StringIO(), io.StringIO()

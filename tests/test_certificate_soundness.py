@@ -34,7 +34,7 @@ from finhaar.wordsets import (
     splitting_set,
 )
 
-from conftest import Arithmetic
+from conftest import Arithmetic, examples
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -70,7 +70,7 @@ def certificate_cases(draw):
     return kind, entry, aut, a, b
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
+@examples(300)
 @hypothesis.given(certificate_cases())
 def test_pair_certificates_are_sound(case):
     kind, entry, aut, a, b = case
@@ -104,7 +104,7 @@ def extraction_cases(draw):
     return kind, entry, aut, mode, length
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
+@examples(150)
 @hypothesis.given(extraction_cases())
 def test_extracted_subgroups_are_normal_and_satisfy_their_law(case):
     kind, entry, aut, mode, length = case
@@ -137,7 +137,7 @@ def averaging_cases(draw):
     return entry, sets
 
 
-@hypothesis.settings(max_examples=100, deadline=None)
+@examples(100)
 @hypothesis.given(averaging_cases())
 def test_the_translate_average_is_the_product_of_the_measures(case):
     entry, sets = case
@@ -180,7 +180,7 @@ def subset_cases(draw):
     return entry, X
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
+@examples(300)
 @hypothesis.given(subset_cases())
 def test_the_coset_witness_is_the_largest_coset_then_the_least(case):
     entry, X = case

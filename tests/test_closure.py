@@ -15,7 +15,7 @@ from finhaar.catalog import bundled_catalog
 from finhaar.families import cyclic_group, dihedral_group, symmetric_group
 from finhaar.groups import build_table_group, generate_subgroup
 
-from conftest import greedy_generators
+from conftest import examples, greedy_generators
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -38,7 +38,7 @@ def closure_cases(draw):
     return i, draw(st.permutations(drawn + extra))
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
+@examples(300)
 @hypothesis.given(closure_cases())
 def test_generate_subgroup_matches_a_breadth_first_closure(case):
     i, gens = case

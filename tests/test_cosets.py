@@ -21,6 +21,8 @@ from finhaar.wordsets import (
     torsion_set,
 )
 
+from conftest import examples
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -61,7 +63,7 @@ def coset_cases(draw):
     return i, target, generate_subgroup(G, gens), t
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
+@examples(300)
 @hypothesis.given(coset_cases())
 def test_the_best_coset_slice_is_the_one_found_by_hand(case):
     i, target, K, _t = case
@@ -70,7 +72,7 @@ def test_the_best_coset_slice_is_the_one_found_by_hand(case):
     assert _best_coset_slice(G, _word_set(G, target), K) == expected
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
+@examples(300)
 @hypothesis.given(coset_cases())
 def test_validate_is_the_coset_tested_by_hand(case):
     i, target, H, t = case
@@ -79,7 +81,7 @@ def test_validate_is_the_coset_tested_by_hand(case):
     assert witness.validate() == (oracles.left_translate(TABLES[i], t, H.members) <= target)
 
 
-@hypothesis.settings(max_examples=100, deadline=None)
+@examples(100)
 @hypothesis.given(coset_cases())
 def test_validate_holds_on_a_coset_inside_its_target(case):
     # random targets seldom hold a whole coset: this one is the coset, and

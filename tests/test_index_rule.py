@@ -5,10 +5,12 @@ import pytest
 
 from finhaar.groups import _index_list, build_table_group
 
+from conftest import examples
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-SETTINGS = hypothesis.settings(max_examples=300, deadline=None)
+SETTINGS = examples(300)
 
 
 @st.composite

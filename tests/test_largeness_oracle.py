@@ -33,7 +33,7 @@ from finhaar.measure import (
     k_large_certificate,
 )
 
-from conftest import Arithmetic
+from conftest import Arithmetic, examples
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -152,7 +152,7 @@ def small_searches(draw):
     return entry, base, strategy, k
 
 
-@hypothesis.settings(max_examples=200, deadline=None)
+@examples(200)
 @hypothesis.given(small_searches())
 def test_certificates_on_random_bases_match_the_oracle(case):
     entry, base, strategy, k = case
@@ -184,7 +184,7 @@ def validations(draw):
     return entry, ar, base, U, k
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
+@examples(300)
 @hypothesis.given(validations())
 def test_validate_matches_the_oracle(case):
     entry, ar, base, U, k = case

@@ -8,13 +8,14 @@ from finhaar import wordsets
 from finhaar.catalog import bundled_catalog
 from finhaar.families import dihedral_group
 
+from conftest import examples
 from test_wordsets import _products_up_to
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
-@hypothesis.settings(max_examples=60, deadline=None)
+@examples(60)
 @hypothesis.given(
     which=st.sampled_from(["S4", "D16", "Heis27"]),
     picks=st.lists(st.integers(min_value=0), min_size=1, max_size=6),

@@ -1,19 +1,22 @@
-"""The frozen record classes behave as the frozen dataclasses they were.
+"""The frozen record classes behave as frozen dataclasses.
 
 Each class's fields and defaults are listed here, not read from the
 class, and a reference ``dataclasses.make_dataclass(..., frozen=True)``
 is built from that list; both are then given the same values.  Only the
-exception classes differ: a record raises AttributeError where the
-dataclass raises its subclass FrozenInstanceError.
+exceptions differ: a record raises AttributeError where the dataclass
+raises its subclass FrozenInstanceError, and a record's TypeError names
+its class and its field tuple, not the one argument at fault.
 """
 
 import dataclasses
+import re
 
 import pytest
 
 from finhaar.catalog import Catalog, CatalogEntry
 from finhaar.engel import CentralSeries, CommutatorReport
 from finhaar.measure import AveragedIntersection, LargenessCertificate
+from finhaar.reports import Report
 from finhaar.towers import Tower
 from finhaar.wordsets import CosetWitness, ExtractionReport, ModeResult, WordSet
 
@@ -37,6 +40,7 @@ RECORDS = {
     AveragedIntersection: (("average", "product_of_measures"), {}),
     LargenessCertificate: (("group", "base", "k", "u_set"), {}),
     Tower: (("name", "levels", "maps"), {}),
+    Report: (("command", "catalog", "parameters", "results", "timing_ms"), {"timing_ms": 0.0}),
     WordSet: (("group", "kind", "subset", "exponent", "aut"), {"exponent": None, "aut": None}),
     CosetWitness: (("group", "subgroup", "t", "target", "fallback"), {"fallback": None}),
     ModeResult: (
@@ -191,10 +195,12 @@ def _calls(cls):
 
 
 def test_bad_arguments_raise_type_error(cls):
+    names, _ = RECORDS[cls]
+    message = re.escape(f"{cls.__name__}() takes its fields {names} once each")
     for args, kwargs in _calls(cls):
         with pytest.raises(TypeError):
             REFERENCES[cls](*args, **kwargs)
-        with pytest.raises(TypeError, match=cls.__name__):
+        with pytest.raises(TypeError, match=f"^{message}$"):
             cls(*args, **kwargs)
 
 

@@ -28,6 +28,7 @@ from finhaar.wordsets import (
     torsion_set,
 )
 
+from conftest import examples
 from test_acceptance import CLI_SWEEP
 from test_cli import ALL_COMMANDS
 from test_golden import PROOF_COMMANDS
@@ -94,20 +95,20 @@ _TREES = st.recursive(
 )
 
 
-@hypothesis.settings(max_examples=100, deadline=None)
+@examples(100)
 @hypothesis.given(_TREES)
 def test_the_encoder_is_json_dumps(tree):
     assert _encode(tree) == reference(tree)
 
 
-@hypothesis.settings(max_examples=100, deadline=None)
+@examples(100)
 @hypothesis.given(_INT_ROWS)
 def test_int_rows_take_the_template(rows):
     assert _int_rows(rows, "\n  ") is not None
     assert _encode(rows) == reference(rows)
 
 
-@hypothesis.settings(max_examples=100, deadline=None)
+@examples(100)
 @hypothesis.given(_odd_rows())
 def test_odd_rows_do_not_take_the_template(rows):
     assert _int_rows(rows, "\n  ") is None
@@ -147,7 +148,7 @@ _MIXED = st.recursive(
 )
 
 
-@hypothesis.settings(max_examples=100, deadline=None)
+@examples(100)
 @hypothesis.given(
     _TEXT,
     _TEXT | st.none(),

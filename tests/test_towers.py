@@ -28,6 +28,23 @@ def test_pow3_tower_sequence():
     assert torsion_images_contained(T, 3)
 
 
+def test_images_contained_builds_each_level_set_once(monkeypatch):
+    from finhaar import wordsets
+
+    calls = []
+
+    def counted(G, n):
+        calls.append(G.label)
+        return torsion_set(G, n)
+
+    torsion_set = wordsets.torsion_set
+    monkeypatch.setattr(wordsets, "torsion_set", counted)
+    T = pow3_tower()
+    assert torsion_images_contained(T, 3)
+    # one call per level: 3 for pow3, where 2(d - 1) = 4 would build Z9's set twice
+    assert sorted(calls) == sorted(G.label for G in T.levels)
+
+
 def test_constant_tower(s3):
     T = build_tower([s3, s3, s3], [list(range(6)), list(range(6))], name="const")
     seq = torsion_measure_sequence(T, 2)

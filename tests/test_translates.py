@@ -12,6 +12,8 @@ from finhaar.measure import (
     translate_intersection_measure,
 )
 
+from conftest import examples
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -27,7 +29,7 @@ def subset_and_points(draw):
     return Subset(G, bits), x, y
 
 
-SETTINGS = hypothesis.settings(max_examples=200, deadline=None)
+SETTINGS = examples(200)
 
 
 @SETTINGS

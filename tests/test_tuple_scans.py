@@ -27,7 +27,7 @@ from finhaar.measure import (
     k_large_certificate,
 )
 
-from conftest import Arithmetic
+from conftest import Arithmetic, examples
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -120,7 +120,7 @@ def budget_cases(draw):
     return entry, ar, base, k, strategy, budget
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
+@examples(150)
 @hypothesis.given(budget_cases())
 def test_the_budget_counts_every_tuple_up_to_the_first_miss(case):
     entry, ar, base, k, strategy, budget = case
@@ -150,7 +150,7 @@ def forged_tables(draw):
     return sets
 
 
-@hypothesis.settings(max_examples=200, deadline=None)
+@examples(200)
 @hypothesis.given(forged_tables())
 def test_the_average_is_the_sum_over_tuples_for_any_mask_table(sets):
     order = sets[0].group.order
@@ -181,7 +181,7 @@ def certificates(draw):
     return entry, ar, base, U, k
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
+@examples(300)
 @hypothesis.given(certificates())
 def test_validate_checks_every_ordered_tuple(case):
     entry, ar, base, U, k = case
