@@ -20,10 +20,18 @@ with no generators, its degree may be at most the cap.
 Permutations use one-line image notation.  Everything is validated
 eagerly: a catalog that parses is a catalog whose groups, automorphisms
 and towers all passed their structural checks.
+
+``parse_catalog`` reads a file with the cyclic garbage collector paused:
+a decoded Cayley table is a list of row lists that cannot form a cycle,
+and a collection during the parse would walk every one of them.  The
+pause is process-wide, so for the length of the parse it holds for
+other threads too; the collector's state on entry is restored on every
+way out.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 
@@ -172,7 +180,25 @@ def _parse_tower(tspec, by_label, towers):
 
 
 def parse_catalog(path):
-    """Load and eagerly validate a catalog file."""
+    """Load and eagerly validate a catalog file.
+
+    The read, the decoding and the validation run with the cyclic garbage
+    collector paused: a large catalog's table rows cannot form a cycle,
+    and each collection would walk all of them.  The collector's state on
+    entry is restored on every way out.  The pause is process-wide, so
+    for the length of the parse it holds for other threads too.
+    """
+    collecting = gc.isenabled()
+    if collecting:
+        gc.disable()
+    try:
+        return _read_catalog(path)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _read_catalog(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -23,7 +23,7 @@ swallowed).
 from __future__ import annotations
 
 import argparse
-import shutil
+import os
 import sys
 import time
 import zlib
@@ -59,10 +59,27 @@ def _min_int(option, low):
     return parse
 
 
+def _columns():
+    """The terminal width as shutil.get_terminal_size reads it, without
+    importing shutil: COLUMNS if it is a positive integer, else the size
+    of the terminal on sys.__stdout__, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+    except (AttributeError, ValueError, OSError):
+        columns = 0
+    return columns or 80
+
+
 def build_parser():
     # argparse makes a HelpFormatter, which asks for the terminal size, on
     # every add_argument; this one has the width argparse would compute
-    width = shutil.get_terminal_size().columns - 2
+    width = _columns() - 2
     parser = argparse.ArgumentParser(
         prog="finhaar",
         description="exact measure, largeness and Engel computations on finite group catalogs",

@@ -242,9 +242,8 @@ class GroupElement:
         self.idx = _index(idx, group.order, f"GroupElement on {group.label}")
 
     def __mul__(self, other):
-        if other.group is not self.group:
-            raise GroupMismatch("elements of different groups")
-        return GroupElement(self.group, self.group.mul(self.idx, other.idx))
+        G = _one_group((self, other), "elements of different groups")
+        return GroupElement(G, G.mul(self.idx, other.idx))
 
     def __pow__(self, n):
         return GroupElement(self.group, self.group.power(self.idx, n))

@@ -147,7 +147,8 @@ def test_pinned_argvs_match_intermixed(argv):
     assert _run(argv) == _run(argv, _intermixed)
 
 
-@pytest.mark.parametrize("columns", ["40", "200"])
+# "0" and "x" are no width, so both sides fall back to the terminal's or 80
+@pytest.mark.parametrize("columns", ["40", "200", "0", "x"])
 @pytest.mark.parametrize("argv", [["-h"], ["validate", "-h"], ["--bogus"]], ids=" ".join)
 def test_help_and_usage_are_as_argparse_formats_them_at_any_width(monkeypatch, argv, columns):
     # build_parser sizes its help formatter once, and both sides of the

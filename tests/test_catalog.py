@@ -1,14 +1,16 @@
+import gc
 import json
 
 import pytest
 
+from finhaar import catalog as catalog_module
 from finhaar.catalog import (
     bundled_catalog,
     bundled_catalog_text,
     parse_catalog,
     parse_catalog_dict,
 )
-from finhaar.errors import NotMultiplicative, ParseError
+from finhaar.errors import NotAssociative, NotMultiplicative, ParseError
 from finhaar.families import (
     cyclic_group,
     dihedral_group,
@@ -270,6 +272,83 @@ def test_parse_catalog_file(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ParseError):
         parse_catalog(bad)
+
+
+# a loop of order 5 (identity 0, every element its own inverse) that is
+# not a group: (1*1)*2 = 2 but 1*(1*2) = 4
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def _bad_catalogs(tmp_path):
+    """Paths that parse_catalog rejects, each with the error it raises:
+    invalid JSON, a missing file and a table that fails Light's test."""
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{nope")
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({"groups": [{"label": "L5", "kind": "table", "table": LOOP5}]}))
+    return [(bad_json, ParseError), (tmp_path / "missing.json", ParseError), (loop, NotAssociative)]
+
+
+def test_parse_catalog_pauses_the_collector_and_restores_it(tmp_path, monkeypatch):
+    labels = bundled_catalog().labels()
+    seen = []
+    parse_dict = catalog_module.parse_catalog_dict
+
+    def spy(doc, source):
+        seen.append(gc.isenabled())
+        return parse_dict(doc, source)
+
+    monkeypatch.setattr(catalog_module, "parse_catalog_dict", spy)
+    path = tmp_path / "cat.json"
+    path.write_text(bundled_catalog_text())
+    assert gc.isenabled()
+    assert parse_catalog(path).labels() == labels
+    assert seen == [False]
+    assert gc.isenabled()
+    for bad, error in _bad_catalogs(tmp_path):
+        with pytest.raises(error):
+            parse_catalog(bad)
+        assert gc.isenabled(), bad.name
+
+
+def test_parse_catalog_leaves_a_paused_collector_paused(tmp_path):
+    path = tmp_path / "cat.json"
+    path.write_text(bundled_catalog_text())
+    gc.disable()
+    try:
+        parse_catalog(path)
+        assert not gc.isenabled()
+        for bad, error in _bad_catalogs(tmp_path):
+            with pytest.raises(error):
+                parse_catalog(bad)
+            assert not gc.isenabled(), bad.name
+    finally:
+        gc.enable()
+
+
+def test_parse_catalog_reads_what_parse_catalog_dict_reads(tmp_path):
+    path = tmp_path / "cat.json"
+    text = bundled_catalog_text()
+    path.write_text(text)
+    from_file, from_dict = parse_catalog(path), parse_catalog_dict(json.loads(text))
+    assert from_file.labels() == from_dict.labels()
+    for a, b in zip(from_file.entries, from_dict.entries):
+        assert a.group.table() == b.group.table()
+        assert {n: aut.map for n, aut in a.automorphisms.items()} == {
+            n: aut.map for n, aut in b.automorphisms.items()
+        }
+    assert {n: t.maps for n, t in from_file.towers.items()} == {
+        n: t.maps for n, t in from_dict.towers.items()
+    }
+    assert {n: [G.label for G in t.levels] for n, t in from_file.towers.items()} == {
+        n: [G.label for G in t.levels] for n, t in from_dict.towers.items()
+    }
 
 
 def test_perm_entries_reproduce_indexing(catalog):

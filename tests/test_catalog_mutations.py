@@ -4,6 +4,10 @@ replaced by a value of another JSON type, one dict key deleted or one
 list entry dropped exits 0 or 2, and exit 2 comes with one ``finhaar:``
 line on stderr.  Most mutations exit 2; a dropped optional key, group,
 automorphism or tower can leave a valid catalog.
+
+Besides those random draws, one sweep makes every one-node mutation of
+the document (within the first two entries of a list of cells) and
+requires ``parse_catalog_dict`` to accept it or raise ParseError.
 """
 
 import contextlib
@@ -14,8 +18,9 @@ import tempfile
 
 import pytest
 
-from finhaar.catalog import bundled_catalog_text
+from finhaar.catalog import bundled_catalog_text, parse_catalog_dict
 from finhaar.cli import main
+from finhaar.errors import ParseError
 
 from conftest import examples
 
@@ -24,16 +29,8 @@ st = hypothesis.strategies
 
 TEXT = bundled_catalog_text()
 
-# one value of each JSON type
-VALUES = [None, True, 7, 0.5, "x", [], {}]
-
-
-def _json_type(value):
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, (int, float)):
-        return "number"
-    return type(value).__name__
+# one value of each JSON type, with whole and fractional numbers apart
+VALUES = (None, True, 7, 0.5, "x", [], {})
 
 
 @st.composite
@@ -49,7 +46,7 @@ def mutated_catalogs(draw):
         if draw(st.booleans()):
             break
     if draw(st.booleans()):
-        others = [v for v in VALUES if _json_type(v) != _json_type(node)]
+        others = [v for v in VALUES if type(v) is not type(node)]
         parent[key] = draw(st.sampled_from(others))
     else:
         del parent[key]
@@ -71,3 +68,55 @@ def test_a_mutated_catalog_exits_0_or_2_with_one_message(doc):
         message = err.getvalue()
         assert message.startswith("finhaar: ")
         assert message.count("\n") == 1 and message.endswith("\n")
+
+
+# lists read entry by entry; the sweep mutates only the first two entries of
+# each, at every depth
+CELL_LISTS = ("table", "map", "maps", "generators")
+DELETE = object()
+
+
+def _mutation_sites(node, path=(), cells=False):
+    """(path, value) for every one-node mutation under ``node``: each dict
+    key deleted (value DELETE) and each node replaced by a value of every
+    other type in VALUES."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield path + (key,), DELETE
+            yield from _mutation_sites(child, path + (key,), cells or key in CELL_LISTS)
+    elif isinstance(node, list):
+        for pos, child in enumerate(node[:2] if cells else node):
+            yield from _mutation_sites(child, path + (pos,), cells)
+    for value in VALUES:
+        if type(value) is not type(node):
+            yield path, value
+
+
+def _mutated(node, path, value):
+    """A copy of ``node`` with the mutation at ``path``; only the containers
+    on the path are copied."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    if rest:
+        copy[key] = _mutated(node[key], rest, value)
+    elif value is DELETE:
+        del copy[key]
+    else:
+        copy[key] = value
+    return copy
+
+
+def test_every_one_node_mutation_parses_or_is_a_parse_error():
+    doc = json.loads(TEXT)
+    crashes = []
+    for path, value in _mutation_sites(doc):
+        try:
+            parse_catalog_dict(_mutated(doc, path, value), source="mutant")
+        except ParseError:
+            pass
+        except Exception as exc:
+            crashes.append((path, "delete" if value is DELETE else value, repr(exc)))
+    assert crashes == []
+    assert doc == json.loads(TEXT)

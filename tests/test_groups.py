@@ -10,6 +10,7 @@ import pytest
 from finhaar.catalog import bundled_catalog, bundled_catalog_text
 from finhaar.errors import (
     CapExceeded,
+    GroupMismatch,
     InvalidPermutation,
     NoInverse,
     NotBijective,
@@ -320,6 +321,14 @@ def test_element_wrapper(s3):
     for i in (-1, 6):
         with pytest.raises(ValueError, match=f"GroupElement on S3: entry {i} out of range 0..5"):
             s3.element(i)
+
+
+def test_elements_of_different_groups_do_not_multiply(s3, z6):
+    # a second S3 is another group, though its table is the same
+    for a, b in ((s3.element(1), z6.element(1)), (s3.element(1), symmetric_group(3).element(1))):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(GroupMismatch, match="^elements of different groups$"):
+                x * y
 
 
 def test_abelianness(z6, s3, s4, d8, q8, heis27):
