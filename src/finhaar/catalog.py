@@ -19,14 +19,16 @@ closure may hold at most that many elements, or the catalog is rejected;
 with no generators, its degree may be at most the cap.
 Permutations use one-line image notation.  Everything is validated
 eagerly: a catalog that parses is a catalog whose groups, automorphisms
-and towers all passed their structural checks.
+and towers all passed their structural checks.  Every error that a
+catalog's content raises names where it is, as ``{source}: groups[i]: ``
+or ``{source}: towers[i]: ``; a ValidationError keeps its class.
 
-``parse_catalog`` reads a file with the cyclic garbage collector paused:
-a decoded Cayley table is a list of row lists that cannot form a cycle,
-and a collection during the parse would walk every one of them.  The
-pause is process-wide, so for the length of the parse it holds for
-other threads too; the collector's state on entry is restored on every
-way out.
+``parse_catalog`` and ``bundled_catalog`` read a file one way: with the
+cyclic garbage collector paused, since a decoded Cayley table is a list
+of row lists that cannot form a cycle, and a collection during the
+parse would walk every one of them.  The pause is process-wide, so for
+the length of the parse it holds for other threads too; the collector's
+state on entry is restored on every way out.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import gc
 import json
 import os
 
-from .errors import FinhaarError, ParseError
+from .errors import FinhaarError, ParseError, ValidationError
 from .groups import (
     DEFAULT_CLOSURE_CAP,
     _record,
@@ -70,9 +72,9 @@ class Catalog:
 
 
 def _parse_group(spec, label):
-    """The CatalogEntry of one object of ``groups``.  A ParseError or
-    ValueError names the fault within the object; the caller adds where
-    the object is, so no message is formatted unless a check fails."""
+    """The CatalogEntry of one object of ``groups``.  An error names the
+    fault within the object; the caller adds where the object is (see
+    ``_located``), so no message is formatted unless a check fails."""
     kind = spec.get("kind")
     if kind == "table":
         table = spec.get("table")
@@ -120,6 +122,13 @@ def _parse_group(spec, label):
     return CatalogEntry(label=label, group=group, automorphisms=auts)
 
 
+def _located(where, exc):
+    """``exc`` with ``where`` before its message: a ValidationError keeps
+    its class, and a ParseError or ValueError becomes a ParseError."""
+    cls = type(exc) if isinstance(exc, ValidationError) else ParseError
+    return cls(f"{where}: {exc}")
+
+
 def parse_catalog_dict(doc, source="<dict>"):
     if not isinstance(doc, dict):
         raise ParseError(f"{source}: top level must be an object")
@@ -127,8 +136,7 @@ def parse_catalog_dict(doc, source="<dict>"):
         raise ParseError(f"{source}: missing 'groups'")
     if not isinstance(doc["groups"], list):
         raise ParseError(f"{source}: 'groups' must be a list")
-    entries = []
-    seen = set()
+    by_label = {}
     for pos, spec in enumerate(doc["groups"]):
         try:
             if not isinstance(spec, dict):
@@ -136,14 +144,11 @@ def parse_catalog_dict(doc, source="<dict>"):
             label = spec.get("label")
             if not (isinstance(label, str) and label):
                 raise ParseError("missing label")
-            if label in seen:
+            if label in by_label:
                 raise ParseError(f"duplicate label {label!r}")
-            seen.add(label)
-            entries.append(_parse_group(spec, label))
-        except (ParseError, ValueError) as exc:
-            raise ParseError(f"{source}: groups[{pos}]: {exc}") from exc
-    entries.sort(key=lambda e: e.label)
-    by_label = {e.label: e for e in entries}
+            by_label[label] = _parse_group(spec, label)
+        except (ParseError, ValueError, ValidationError) as exc:
+            raise _located(f"{source}: groups[{pos}]", exc) from exc
     towers = {}
     tspecs = doc.get("towers", [])
     if not isinstance(tspecs, list):
@@ -151,10 +156,11 @@ def parse_catalog_dict(doc, source="<dict>"):
     for pos, tspec in enumerate(tspecs):
         try:
             tower = _parse_tower(tspec, by_label, towers)
-        except (ParseError, ValueError) as exc:
-            raise ParseError(f"{source}: towers[{pos}]: {exc}") from exc
+        except (ParseError, ValueError, ValidationError) as exc:
+            raise _located(f"{source}: towers[{pos}]", exc) from exc
         towers[tower.name] = tower
-    return Catalog(source=source, entries=tuple(entries), towers=towers)
+    entries = tuple(by_label[label] for label in sorted(by_label))
+    return Catalog(source=source, entries=entries, towers=towers)
 
 
 def _parse_tower(tspec, by_label, towers):
@@ -179,55 +185,51 @@ def _parse_tower(tspec, by_label, towers):
     return build_tower([by_label[lab].group for lab in levels], maps, name=name)
 
 
-def parse_catalog(path):
-    """Load and eagerly validate a catalog file.
-
-    The read, the decoding and the validation run with the cyclic garbage
-    collector paused: a large catalog's table rows cannot form a cycle,
-    and each collection would walk all of them.  The collector's state on
-    entry is restored on every way out.  The pause is process-wide, so
-    for the length of the parse it holds for other threads too.
-    """
+def _read_catalog(path, source):
+    """Read, decode and validate the file at ``path``, with the collector
+    paused as the module docstring says; a file that cannot be read or
+    decoded is a ParseError naming ``path``."""
     collecting = gc.isenabled()
     if collecting:
         gc.disable()
     try:
-        return _read_catalog(path)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ParseError(f"{path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:  # a ValueError, so it comes first
+            raise ParseError(f"{path}: not UTF-8 ({exc})") from exc
+        except RecursionError as exc:  # json recurses once per open bracket
+            raise ParseError(f"{path}: invalid JSON (nested too deeply)") from exc
+        except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
+            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+        return parse_catalog_dict(doc, source=source)
     finally:
         if collecting:
             gc.enable()
 
 
-def _read_catalog(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:  # a ValueError, so it comes first
-        raise ParseError(f"{path}: not UTF-8 ({exc})") from exc
-    except RecursionError as exc:  # json recurses once per open bracket
-        raise ParseError(f"{path}: invalid JSON (nested too deeply)") from exc
-    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_catalog_dict(doc, source=str(path))
+def parse_catalog(path):
+    """Load and eagerly validate a catalog file."""
+    return _read_catalog(path, str(path))
 
 
 # -- the bundled catalog --------------------------------------------------------
 
+# the packaged data/catalog.json, a plain file beside this module
+# (pyproject.toml's package-data ships it)
+_BUNDLED_PATH = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+
 
 def bundled_catalog_text():
-    """The packaged data/catalog.json, a plain file beside this module
-    (pyproject.toml's package-data ships it); ``build_bundled_dict`` in
+    """The bundled catalog's JSON text; ``build_bundled_dict`` in
     tests/test_catalog.py rebuilds it from the group constructors."""
-    path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
-    with open(path, encoding="utf-8") as fh:
+    with open(_BUNDLED_PATH, encoding="utf-8") as fh:
         return fh.read()
 
 
 def bundled_catalog():
-    try:
-        doc = json.loads(bundled_catalog_text())
-    except FileNotFoundError as exc:  # packaging bug, not a user error
-        raise FinhaarError("bundled catalog data is missing") from exc
-    return parse_catalog_dict(doc, source="bundled")
+    if not os.path.exists(_BUNDLED_PATH):  # a packaging bug, not a user error
+        raise FinhaarError("bundled catalog data is missing")
+    return _read_catalog(_BUNDLED_PATH, "bundled")

@@ -131,12 +131,6 @@ def _join_at(argv):
     return out
 
 
-def _load_catalog(args):
-    if args.catalog is not None:
-        return parse_catalog(args.catalog)
-    return bundled_catalog()
-
-
 def _entries(catalog, args):
     if args.group is not None:
         try:
@@ -401,7 +395,7 @@ def run_command(args):
     """Check argv, then dispatch; returns (Report, finding_flag)."""
     started = time.perf_counter()
     specs, xs = _check_argv(args)
-    catalog = _load_catalog(args)
+    catalog = bundled_catalog() if args.catalog is None else parse_catalog(args.catalog)
     entries, explicit = _entries(catalog, args)
     row = _COMMANDS[args.command][3]
     results = [] if row is None else _per_group(entries, explicit, specs, partial(row, args, xs))

@@ -10,7 +10,19 @@ from finhaar.catalog import (
     parse_catalog,
     parse_catalog_dict,
 )
-from finhaar.errors import NotAssociative, NotMultiplicative, ParseError
+from finhaar.cli import main
+from finhaar.errors import (
+    CapExceeded,
+    FinhaarError,
+    InvalidPermutation,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
+    NotBijective,
+    NotMultiplicative,
+    NotSurjective,
+    ParseError,
+)
 from finhaar.families import (
     cyclic_group,
     dihedral_group,
@@ -315,6 +327,10 @@ def test_parse_catalog_pauses_the_collector_and_restores_it(tmp_path, monkeypatc
         with pytest.raises(error):
             parse_catalog(bad)
         assert gc.isenabled(), bad.name
+    seen.clear()
+    assert bundled_catalog().labels() == labels
+    assert seen == [False]
+    assert gc.isenabled()
 
 
 def test_parse_catalog_leaves_a_paused_collector_paused(tmp_path):
@@ -324,12 +340,104 @@ def test_parse_catalog_leaves_a_paused_collector_paused(tmp_path):
     try:
         parse_catalog(path)
         assert not gc.isenabled()
+        bundled_catalog()
+        assert not gc.isenabled()
         for bad, error in _bad_catalogs(tmp_path):
             with pytest.raises(error):
                 parse_catalog(bad)
             assert not gc.isenabled(), bad.name
     finally:
         gc.enable()
+
+
+def test_the_bundled_catalog_is_read_like_any_catalog_file(tmp_path, monkeypatch, capsys):
+    corrupt = tmp_path / "catalog.json"
+    corrupt.write_text("{nope")
+    monkeypatch.setattr(catalog_module, "_BUNDLED_PATH", str(corrupt))
+    with pytest.raises(ParseError) as info:
+        bundled_catalog()
+    assert str(info.value).startswith(f"{corrupt}: invalid JSON (")
+    assert gc.isenabled()
+    assert main(["validate"]) == 2
+    assert capsys.readouterr().err == f"finhaar: {info.value}\n"
+    monkeypatch.setattr(catalog_module, "_BUNDLED_PATH", str(tmp_path / "missing.json"))
+    with pytest.raises(FinhaarError) as info:
+        bundled_catalog()
+    assert type(info.value) is FinhaarError
+    assert str(info.value) == "bundled catalog data is missing"
+
+
+Z2 = {"label": "Z2", "kind": "table", "table": [[0, 1], [1, 0]]}
+Z4 = {"label": "Z4", "kind": "table", "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}
+
+
+def _tower(maps):
+    return {"groups": [Z2, Z4], "towers": [{"name": "t", "levels": ["Z2", "Z4"], "maps": maps}]}
+
+
+# every ValidationError that catalog content can raise: the document,
+# and the message after the file's name
+CONTENT_ERRORS = [
+    (NoIdentity, {"groups": [{"label": "X", "kind": "table", "table": [[0, 0], [1, 1]]}]},
+     "groups[0]: X: no two-sided identity"),
+    (NoInverse, {"groups": [{"label": "X", "kind": "table", "table": [[0, 1], [1, 1]]}]},
+     "groups[0]: X: element 1 has no inverse"),
+    (NotAssociative, {"groups": [Z2, {"label": "L5", "kind": "table", "table": LOOP5}]},
+     "groups[1]: L5: (1*1)*2 != 1*(1*2)"),
+    (InvalidPermutation,
+     {"groups": [{"label": "P", "kind": "perm", "degree": 3, "generators": [[0, 0, 1]]}]},
+     "groups[0]: P: (0, 0, 1) is not a permutation of 0..2"),
+    (CapExceeded, {"groups": [{"label": "S4", "kind": "perm", "degree": 4,
+                               "generators": [[1, 2, 3, 0], [1, 0, 2, 3]], "cap": 3}]},
+     "groups[0]: S4: closure exceeds cap 3"),
+    (NotBijective, {"groups": [dict(Z4, automorphisms=[{"name": "f", "map": [0, 0, 1, 2]}])]},
+     "groups[0]: Z4/f: map is not a permutation of indices"),
+    (NotMultiplicative, {"groups": [dict(Z4, automorphisms=[{"name": "f", "map": [0, 2, 1, 3]}])]},
+     "groups[0]: Z4/f: map(x*y) != map(x)*map(y) at (1,1)"),
+    (NotSurjective, _tower([[0, 0, 0, 0]]), "towers[0]: t: map 0 is not onto the coarse group"),
+    (NotMultiplicative, _tower([[1, 0, 1, 0]]),
+     "towers[0]: t: map 0: map(x*y) != map(x)*map(y) at (0,1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "error, doc, message",
+    CONTENT_ERRORS,
+    ids=[f"{error.__name__}-{message.split('[')[0]}" for error, _, message in CONTENT_ERRORS],
+)
+def test_a_content_error_names_its_file_and_entry_and_keeps_its_class(
+    tmp_path, capsys, error, doc, message
+):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as info:
+        parse_catalog(path)
+    assert type(info.value) is error
+    assert str(info.value) == f"{path}: {message}"
+    assert main(["validate", "--catalog", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"finhaar: {path}: {message}\n")
+
+
+# ParseError branches that no one-node mutation of the bundled catalog
+# reaches, each with its whole message
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"groups": [dict(Z2, automorphisms=[{"name": "id", "map": [0, 1]}] * 2)]},
+         "<dict>: groups[0]: automorphisms[1]: duplicate name 'id'"),
+        ({"groups": [Z2], "towers": [{"name": "t", "levels": ["Z2"]}] * 2},
+         "<dict>: towers[1]: duplicate name 't'"),
+        ({"groups": [Z2, Z2]}, "<dict>: groups[1]: duplicate label 'Z2'"),
+        ([], "<dict>: top level must be an object"),
+        ({"groups": [{"label": "P", "kind": "perm", "degree": 2, "generators": [], "cap": 0}]},
+         "<dict>: groups[0]: cap must be a positive integer"),
+    ],
+    ids=["automorphism-name", "tower-name", "label", "top-level", "cap"],
+)
+def test_a_hand_made_parse_error_has_its_message(doc, message):
+    with pytest.raises(ParseError) as info:
+        parse_catalog_dict(doc)
+    assert str(info.value) == message
 
 
 def test_parse_catalog_reads_what_parse_catalog_dict_reads(tmp_path):

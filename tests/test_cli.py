@@ -336,7 +336,7 @@ def test_a_huge_degree_exits_2_before_building_anything_of_its_size(tmp_path, ge
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == f"finhaar: {message}\n"
+    assert proc.stderr == f"finhaar: {huge}: groups[0]: {message}\n"
 
 
 def test_unknown_command_exit_2(capsys):
